@@ -36,10 +36,15 @@ from .errors import (
     SchemaError,
 )
 from .lasso import PenaltyConfig
+from .parallel import SERIAL_BELOW_CELLS
 from .report import render_coverage_reports, render_fit_results
 from .simulate import coverage_reports_to_yaml, run_study, study_spec_from_yaml
 
 JOBS_ENV_VAR = "DOUBLELASSO_JOBS"
+JOBS_HELP = (
+    f"worker processes, each with single-threaded BLAS (default: ${JOBS_ENV_VAR} "
+    f"or 1); jobs under {SERIAL_BELOW_CELLS / 1e6:g}M design cells run in one process"
+)
 
 
 def version_string() -> str:
@@ -244,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--fail-fast", action="store_true",
                      help="stop on the first estimation failure (exit 3)")
     fit.add_argument("--jobs", type=int, default=None,
-                     help=f"worker threads (default: ${JOBS_ENV_VAR} or 1)")
+                     help=JOBS_HELP)
     fit.set_defaults(func=cmd_fit)
 
     sim = sub.add_parser("simulate", help="run a Monte Carlo study from a spec")
@@ -257,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--level", type=float, default=None, help="override the level")
     sim.add_argument("--penalty", choices=("plugin", "cv"), default="plugin")
     sim.add_argument("--jobs", type=int, default=None,
-                     help=f"worker threads (default: ${JOBS_ENV_VAR} or 1)")
+                     help=JOBS_HELP)
     sim.set_defaults(func=cmd_simulate)
     return ap
 

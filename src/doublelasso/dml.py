@@ -18,23 +18,23 @@ refit). They are included to quantify what the orthogonalized procedures
 buy; their confidence intervals are not selection-robust.
 
 `dml_multi` fits each declared treatment in turn, moving the remaining
-treatments into the control pool, optionally across worker threads. Results
-are deterministic for a fixed seed regardless of the worker count.
+treatments into the control pool, optionally across worker processes.
+Results are deterministic for a fixed seed regardless of the worker count.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr, ndtri
 
 from .errors import (
     DegenerateMomentError,
     DegenerateOutcomeError,
     DegenerateTreatmentError,
+    DoubleLassoError,
     WeakInstrumentError,
 )
 from .glm import link, link_deriv, solve_spd
@@ -48,6 +48,7 @@ from .lasso import (
     post_refit,
     wls_lasso_loadings,
 )
+from .parallel import parallel_map
 
 _SCALINGS = ("sqrt-sigma", "sigma")
 
@@ -127,6 +128,10 @@ class NuisanceArtifacts:
             arr = np.ascontiguousarray(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+
+    def __reduce__(self):
+        # Rebuild through __init__ so unpickled arrays are read-only again.
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
 @dataclass(eq=False, frozen=True)
@@ -228,11 +233,11 @@ def _names_for(X, names):
 
 
 def _inference(alpha: float, se: float, level: float):
-    q = float(norm.ppf(1.0 - level / 2.0))
+    q = float(ndtri(1.0 - level / 2.0))
     ci_low = alpha - q * se
     ci_high = alpha + q * se
     if se > 0:
-        p = 2.0 * float(norm.sf(abs(alpha) / se))
+        p = 2.0 * float(ndtr(-abs(alpha) / se))
     else:
         p = 1.0 if alpha == 0 else 0.0
     return q, ci_low, ci_high, p
@@ -556,44 +561,49 @@ _FITTERS = {
 }
 
 
+# What an estimator raises when the data defeat it. Anything else is a bug
+# and propagates instead of becoming a FitFailure row.
+_ESTIMATION_ERRORS = (DoubleLassoError, ValueError, np.linalg.LinAlgError)
+
+
+def _fit_treatment(shared, t: str):
+    """One dml_multi row; module level so worker processes can run it."""
+    dataset, fitter, config, fail_fast = shared
+    ti = dataset.index_of(t)
+    keep = [j for j in range(dataset.p) if j != ti]
+    all_names = dataset.column_names
+    try:
+        return fitter(dataset.y, dataset.design[:, ti], dataset.design[:, keep],
+                      names=tuple(all_names[j] for j in keep), treatment=t,
+                      config=config)
+    except _ESTIMATION_ERRORS as exc:
+        if fail_fast:
+            raise
+        return FitFailure(treatment=t, error=type(exc).__name__, message=str(exc))
+
+
 def dml_multi(dataset, *, family: str = "logit", method: str = "dml",
               treatments=None, config: DmlConfig | None = None,
               fail_fast: bool = False, jobs: int = 1):
     """Fit every requested treatment of a Dataset, one coefficient per row.
 
     For each treatment the remaining treatment columns join the controls, so
-    single-treatment fits are a special case. Failures become FitFailure
-    records unless fail_fast is set. jobs > 1 fans the per-treatment fits
-    out to threads; the result order and values do not depend on jobs.
+    single-treatment fits are a special case. Estimation failures (typed
+    errors, invalid values, singular linear algebra) become FitFailure
+    records unless fail_fast is set; any other exception propagates.
+    jobs > 1 fans the per-treatment fits out to worker processes when the
+    job is large enough (see parallel.parallel_map); the result order and
+    values do not depend on jobs.
     """
     fitter = _FITTERS.get((family, method))
     if fitter is None:
         raise ValueError(f"unknown family/method pair ({family!r}, {method!r})")
-    if jobs < 1:
-        raise ValueError("jobs must be at least 1")
     wanted = tuple(treatments) if treatments is not None else dataset.treatment_names
     if not wanted:
         raise ValueError("no treatment columns to fit")
     if len(set(wanted)) != len(wanted):
         raise ValueError("treatment list contains duplicates")
-    all_names = dataset.column_names
     for t in wanted:
         dataset.index_of(t)
-
-    def fit_one(t: str):
-        ti = dataset.index_of(t)
-        keep = [j for j in range(dataset.p) if j != ti]
-        d = dataset.design[:, ti]
-        X = dataset.design[:, keep]
-        names = tuple(all_names[j] for j in keep)
-        try:
-            return fitter(dataset.y, d, X, names=names, treatment=t, config=config)
-        except Exception as exc:
-            if fail_fast:
-                raise
-            return FitFailure(treatment=t, error=type(exc).__name__, message=str(exc))
-
-    if jobs == 1 or len(wanted) == 1:
-        return tuple(fit_one(t) for t in wanted)
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return tuple(pool.map(fit_one, wanted))
+    return tuple(parallel_map(_fit_treatment, (dataset, fitter, config, fail_fast),
+                              wanted, jobs, cells_per_item=dataset.n * dataset.p))

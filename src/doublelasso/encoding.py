@@ -531,6 +531,11 @@ class Dataset:
         object.__setattr__(self, "design", design)
         object.__setattr__(self, "columns", tuple(self.columns))
 
+    def __reduce__(self):
+        # Rebuild through __init__ so unpickled arrays are read-only again.
+        return type(self), (self.y, self.design, self.columns, self.outcome_name,
+                            self.n_dropped)
+
     @property
     def n(self) -> int:
         return self.y.size

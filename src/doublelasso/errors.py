@@ -2,6 +2,8 @@
 
 Plain invalid arguments raise ValueError; everything domain-specific derives
 from DoubleLassoError so callers (and the CLI) can map failures to exit codes.
+Every class pickles to an equal type and message, so an error raised in a
+worker process reaches the caller unchanged.
 """
 
 from __future__ import annotations
@@ -35,6 +37,9 @@ class RankDeficiencyError(DoubleLassoError):
         cols = ", ".join(str(c) for c in self.columns)
         super().__init__(f"rank-deficient design; offending columns: {cols}")
 
+    def __reduce__(self):
+        return type(self), (self.columns,)
+
 
 class DegenerateTreatmentError(DoubleLassoError):
     """The treatment column is constant."""
@@ -53,6 +58,9 @@ class WeakInstrumentError(DoubleLassoError):
             "treatment is (numerically) perfectly explained by the controls; "
             f"mean squared instrument = {self.mean_z2:.3e}"
         )
+
+    def __reduce__(self):
+        return type(self), (self.mean_z2,)
 
 
 class DegenerateMomentError(DoubleLassoError):

@@ -22,7 +22,7 @@ import warnings as _warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from .errors import RankDeficiencyError
 from .glm import PROB_EPS, CoefficientVector, link, solve_spd
@@ -105,7 +105,7 @@ def plugin_lambda(n: int, p: int, config: PenaltyConfig | None = None,
         raise ValueError("gamma must lie in (0, 1)")
     if cc < 0 or not math.isfinite(cc):
         raise ValueError("c must be a nonnegative real")
-    return cc * math.sqrt(n) * float(norm.ppf(1.0 - gg / (2.0 * p)))
+    return cc * math.sqrt(n) * float(ndtri(1.0 - gg / (2.0 * p)))
 
 
 @dataclass(frozen=True)

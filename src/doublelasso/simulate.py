@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -30,6 +29,7 @@ from .dml import DmlConfig, DmlEstimate, FitFailure, dml_multi
 from .encoding import ColumnInfo, Dataset
 from .errors import SchemaError
 from .glm import link
+from .parallel import parallel_map
 
 STUDY_VERSION = 1
 _FAMILIES = ("logistic", "linear")
@@ -289,6 +289,16 @@ class CoverageReport:
             raise ValueError("coverage must lie in [0, 1]")
 
 
+def _replicate(shared, r: int) -> dict:
+    """Replication r of every method; module level so worker processes can run it."""
+    study, family, config = shared
+    ds, _ = gen_dgp(study.dgp, seed=study.base_seed + r)
+    return {
+        m: dml_multi(ds, family=family, method=m, treatments=("d",), config=config)[0]
+        for m in study.methods
+    }
+
+
 def run_replications(study: StudySpec, *, config: DmlConfig | None = None,
                      jobs: int = 1) -> dict[str, list]:
     """Paired replications: one dataset per rep, shared by every method.
@@ -296,27 +306,16 @@ def run_replications(study: StudySpec, *, config: DmlConfig | None = None,
     Returns {method: [estimate-or-failure, ...]} with lists ordered by
     replication index. The study's level overrides the config's so the
     reported intervals match the rejection rule. Replications may fan out
-    to `jobs` threads; results are identical for any job count.
+    to `jobs` worker processes when the study is large enough (see
+    parallel.parallel_map); results are identical for any job count.
     """
-    if jobs < 1:
-        raise ValueError("jobs must be at least 1")
     cfg = config or DmlConfig()
     if cfg.level != study.level:
         cfg = replace(cfg, level=study.level)
-    fam = _estimation_family(study.dgp.family)
-
-    def one(r: int) -> dict:
-        ds, _ = gen_dgp(study.dgp, seed=study.base_seed + r)
-        return {
-            m: dml_multi(ds, family=fam, method=m, treatments=("d",), config=cfg)[0]
-            for m in study.methods
-        }
-
-    if jobs == 1 or study.reps == 1:
-        rows = [one(r) for r in range(study.reps)]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(one, range(study.reps)))
+    dgp = study.dgp
+    rows = parallel_map(_replicate, (study, _estimation_family(dgp.family), cfg),
+                        range(study.reps), jobs,
+                        cells_per_item=dgp.n * (dgp.p + 1) * len(study.methods))
     return {m: [row[m] for row in rows] for m in study.methods}
 
 

@@ -12,6 +12,7 @@ import dataclasses
 
 import pytest
 
+from doublelasso import parallel
 from doublelasso import (
     StudySpec,
     confounded_benchmark,
@@ -23,6 +24,15 @@ from doublelasso import (
 )
 
 JOBS = 4
+
+
+@pytest.fixture
+def pool_always(monkeypatch):
+    """Send every job with jobs > 1 and several items to the process pool.
+
+    A test seam for small library inputs; the CLI keeps the size cutoff.
+    """
+    monkeypatch.setattr(parallel, "SERIAL_BELOW_CELLS", 0)
 
 
 def _run(study):

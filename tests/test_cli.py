@@ -16,6 +16,7 @@ import yaml
 
 from doublelasso import ColumnInfo, Dataset, link, save_dataset, sidecar_path
 from doublelasso.cli import JOBS_ENV_VAR, version_string
+from doublelasso.parallel import SERIAL_BELOW_CELLS
 
 
 def run_cli(*args, env=None):
@@ -379,6 +380,46 @@ def test_simulate_is_byte_deterministic_across_jobs(ws, tmp_path):
     assert p1.returncode == 0 and p2.returncode == 0
     assert out1.read_bytes() == out2.read_bytes()
     assert p1.stdout.splitlines()[1:] == p2.stdout.splitlines()[1:]
+
+
+POOL_STUDY_YAML = """\
+version: 1
+reps: {reps}
+methods: [dml]
+base_seed: 5
+dgp:
+  family: linear
+  n: {n}
+  p: {p}
+  alpha0: 0.5
+  beta: {{pattern: first-s, magnitude: 0.5, sparsity: 5}}
+  gamma: {{pattern: first-s, magnitude: 0.3, sparsity: 5}}
+"""
+
+
+def test_simulate_above_the_pool_cutoff_is_byte_identical_across_jobs(tmp_path):
+    reps, n, p = 104, 400, 200
+    # Large enough (reps x n x design columns) that --jobs 2 starts workers.
+    assert reps * n * (p + 1) >= SERIAL_BELOW_CELLS
+    spec = tmp_path / "pool.yaml"
+    spec.write_text(POOL_STUDY_YAML.format(reps=reps, n=n, p=p), encoding="utf-8")
+    outs = [tmp_path / f"r{jobs}.yaml" for jobs in (1, 2)]
+    procs = [run_cli("simulate", "--spec", str(spec), "--out", str(out), "--jobs", jobs)
+             for out, jobs in zip(outs, ("1", "2"))]
+    assert [p.returncode for p in procs] == [0, 0], procs[-1].stderr
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    assert procs[0].stdout.splitlines()[1:] == procs[1].stdout.splitlines()[1:]
+    assert yaml.safe_load(outs[0].read_text())["reports"][0]["successes"] == reps
+
+
+def test_package_import_leaves_scipy_stats_out():
+    # Every CLI call and every pool worker pays for what the package imports.
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, doublelasso; print('scipy.stats' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_simulate_seed_override_changes_report(ws, tmp_path):

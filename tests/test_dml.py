@@ -1,12 +1,14 @@
 """Treatment-effect estimators: scoring objective, fits, guards, batching."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
 from scipy import stats
 
 import oracles
+from doublelasso import dml
 from doublelasso import (
     ColumnInfo,
     Dataset,
@@ -356,7 +358,7 @@ class TestDmlMulti:
         with pytest.raises(DegenerateTreatmentError):
             dml_multi(bad, fail_fast=True)
 
-    def test_worker_count_does_not_change_results(self):
+    def test_worker_count_does_not_change_results(self, pool_always):
         ds = _toy_dataset(seed=9, n_treat=4, family="linear")
         a = dml_multi(ds, family="linear", jobs=1)
         b = dml_multi(ds, family="linear", jobs=4)
@@ -370,6 +372,55 @@ class TestDmlMulti:
         assert len(res) == 26
         assert [r.treatment for r in res] == [f"t{j}" for j in range(26)]
         assert all(not isinstance(r, FitFailure) for r in res)
+
+    def test_estimates_from_workers_keep_read_only_artifacts(self, pool_always):
+        ds = _toy_dataset(seed=12, n_treat=2)
+        serial = dml_multi(ds, jobs=1)
+        pooled = dml_multi(ds, jobs=2)
+        for a, b in zip(serial, pooled):
+            assert a.alpha == b.alpha and a.std_error == b.std_error
+            for name in ("eta_tilde", "w_hat", "z_hat", "beta_tilde"):
+                arr = getattr(b.artifacts, name)
+                assert np.array_equal(arr, getattr(a.artifacts, name))
+                assert not arr.flags.writeable
+
+    def test_pickled_artifacts_stay_read_only(self):
+        y, d, X = _logit_dgp(13, n=200, p=5)
+        art = pickle.loads(pickle.dumps(dml_logit(y, d, X).artifacts))
+        assert not art.f_hat.flags.writeable
+        with pytest.raises(ValueError):
+            art.v_hat[0] = 1.0
+
+    @staticmethod
+    def _weak_second_treatment():
+        ds = _toy_dataset(seed=20, n_treat=3)
+        design = np.array(ds.design)
+        design[:, 1] = design[:, 3]  # t1 duplicates control c0
+        return Dataset(y=ds.y, design=design, columns=ds.columns)
+
+    def test_fail_fast_error_from_workers_matches_the_serial_one(self, pool_always):
+        bad = self._weak_second_treatment()
+        with pytest.raises(WeakInstrumentError) as serial:
+            dml_multi(bad, fail_fast=True, jobs=1)
+        with pytest.raises(WeakInstrumentError) as pooled:
+            dml_multi(bad, fail_fast=True, jobs=2)
+        assert str(pooled.value) == str(serial.value)
+        assert pooled.value.mean_z2 == serial.value.mean_z2
+
+    def test_failure_rows_from_workers_match_the_serial_ones(self, pool_always):
+        bad = self._weak_second_treatment()
+        serial, pooled = dml_multi(bad, jobs=1), dml_multi(bad, jobs=2)
+        assert isinstance(pooled[1], FitFailure)
+        assert pooled[1] == serial[1]
+
+    def test_programming_errors_propagate_instead_of_becoming_rows(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("bug in a fitter")
+
+        monkeypatch.setitem(dml._FITTERS, ("linear", "dml"), broken)
+        ds = _toy_dataset(seed=14, family="linear")
+        with pytest.raises(TypeError, match="bug in a fitter"):
+            dml_multi(ds, family="linear")
 
     def test_unknown_family_method_pair_rejected(self):
         ds = _toy_dataset(seed=11)

@@ -174,7 +174,7 @@ class TestRunReplications:
                 assert results[m][r].alpha == direct.alpha
                 assert results[m][r].std_error == direct.std_error
 
-    def test_job_count_does_not_change_results(self):
+    def test_job_count_does_not_change_results(self, pool_always):
         study = StudySpec(dgp=_linear_spec(n=120, p=6), reps=4, methods=("dml",))
         a = run_replications(study, jobs=1)
         b = run_replications(study, jobs=3)
