@@ -43,8 +43,10 @@ from .simulate import coverage_reports_to_yaml, run_study, study_spec_from_yaml
 JOBS_ENV_VAR = "DOUBLELASSO_JOBS"
 JOBS_HELP = (
     f"worker processes, each with single-threaded BLAS (default: ${JOBS_ENV_VAR} "
-    f"or 1); jobs under {SERIAL_BELOW_CELLS / 1e6:g}M design cells run in one process"
+    f"or 1); jobs under {SERIAL_BELOW_CELLS / 1e6:g}M design cells (times the lasso "
+    f"solves per step under --penalty cv) run in one process"
 )
+PENALTY_HELP = "penalty level rule: plug-in formula, or 10-fold cross-validation (default: plugin)"
 
 
 def version_string() -> str:
@@ -238,7 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--controls", help="comma-separated control columns")
     fit.add_argument("--family", choices=("logit", "linear"),
                      help="default: logit when the outcome is binary")
-    fit.add_argument("--penalty", choices=("plugin", "cv"), default="plugin")
+    fit.add_argument("--penalty", choices=("plugin", "cv"), default="plugin",
+                     help=PENALTY_HELP)
     fit.add_argument("--level", type=float, default=0.05,
                      help="significance level (default 0.05)")
     fit.add_argument("--seed", type=int, default=0)
@@ -260,7 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--decimals", type=int, default=3)
     sim.add_argument("--seed", type=int, default=None, help="override the base seed")
     sim.add_argument("--level", type=float, default=None, help="override the level")
-    sim.add_argument("--penalty", choices=("plugin", "cv"), default="plugin")
+    sim.add_argument("--penalty", choices=("plugin", "cv"), default="plugin",
+                     help=PENALTY_HELP)
     sim.add_argument("--jobs", type=int, default=None,
                      help=JOBS_HELP)
     sim.set_defaults(func=cmd_simulate)

@@ -243,6 +243,18 @@ def _inference(alpha: float, se: float, level: float):
     return q, ci_low, ci_high, p
 
 
+def lasso_solves(penalty: PenaltyConfig) -> int:
+    """Lasso solves per selection step: one, plus folds x grid under CV.
+
+    parallel_map's size cutoff multiplies design cells by this; a
+    warm-started CV path costs about as much CPU per solve-cell as a
+    plug-in fit costs per cell (see parallel.SERIAL_BELOW_CELLS).
+    """
+    if penalty.method == "plugin":
+        return 1
+    return 1 + penalty.cv_folds * penalty.cv_grid
+
+
 def _pick_lambda(lam_pilot, loadings, Z, y, family, w, penalty, unpen, seed):
     if penalty.method == "plugin":
         return lam_pilot
@@ -605,5 +617,6 @@ def dml_multi(dataset, *, family: str = "logit", method: str = "dml",
         raise ValueError("treatment list contains duplicates")
     for t in wanted:
         dataset.index_of(t)
+    solves = lasso_solves((config or DmlConfig()).penalty)
     return tuple(parallel_map(_fit_treatment, (dataset, fitter, config, fail_fast),
-                              wanted, jobs, cells_per_item=dataset.n * dataset.p))
+                              wanted, jobs, cells_per_item=dataset.n * dataset.p * solves))

@@ -167,11 +167,30 @@ def _validate_common(X, y, lam, loadings, unpenalized):
     return X, y, float(lam), loadings, unpen
 
 
-def _sweep(Xf, XWf, Wvec, sumW, r, coef, intercept, col_sq, thr, penal, idx, fit_intercept):
-    """One coordinate pass over `idx`; mutates r and coef in place."""
+def _start(init, p: int, fit_intercept: bool):
+    """(intercept, coef) to start a solver from: zero, or a copy of `init`."""
+    if init is None:
+        return 0.0, np.zeros(p)
+    intercept, coef = init
+    intercept = float(intercept)
+    coef = np.array(coef, dtype=float)
+    if coef.shape != (p,) or not (math.isfinite(intercept) and np.all(np.isfinite(coef))):
+        raise ValueError("init must be a finite (intercept, coef) with coef of length p")
+    if not fit_intercept and intercept != 0.0:
+        raise ValueError("init intercept must be 0 when fit_intercept=False")
+    return intercept, coef
+
+
+def _sweep(xcols, xwcols, Wvec, sumW, r, coef, intercept, col_sq, thr, penal, idx, fit_intercept):
+    """One coordinate pass over `idx`; mutates r and the list coef in place.
+
+    `xcols` and `xwcols` hold the columns of X and of the weighted X;
+    col_sq, thr, penal and coef are Python lists, which index faster than
+    arrays and give the same doubles.
+    """
     max_d = 0.0
     if fit_intercept and sumW > 0.0:
-        dc = float(r @ Wvec) / sumW
+        dc = float(r.dot(Wvec)) / sumW
         if dc != 0.0:
             intercept += dc
             r -= dc
@@ -180,7 +199,8 @@ def _sweep(Xf, XWf, Wvec, sumW, r, coef, intercept, col_sq, thr, penal, idx, fit
         cj = col_sq[j]
         if cj <= 0.0:
             continue
-        rho = float(r @ XWf[:, j]) + cj * coef[j]
+        old = coef[j]
+        rho = float(r.dot(xwcols[j])) + cj * old
         if penal[j]:
             t = thr[j]
             if rho > t:
@@ -191,10 +211,10 @@ def _sweep(Xf, XWf, Wvec, sumW, r, coef, intercept, col_sq, thr, penal, idx, fit
                 new = 0.0
         else:
             new = rho / cj
-        d = new - coef[j]
+        d = new - old
         if d != 0.0:
             coef[j] = new
-            r -= Xf[:, j] * d
+            r -= xcols[j] * d
             ad = abs(d)
             if ad > max_d:
                 max_d = ad
@@ -205,46 +225,56 @@ def _cd_solve(Xf, XWf, Wvec, r, coef, intercept, col_sq, thr, penal, fit_interce
               tol, budget, record):
     """Full sweep + active-set cycling until the sup-norm change drops below tol.
 
-    Returns (intercept, sweeps_used, converged). `record`, when given, is
-    called after every sweep to append an objective value.
+    Mutates r and coef in place and returns (intercept, sweeps_used,
+    converged). `record`, when given, is called after every sweep, with coef
+    up to date, to append an objective value.
     """
-    p = coef.size
-    full = np.arange(p)
+    xcols = list(Xf.T)  # contiguous column views of the Fortran-ordered arrays
+    xwcols = list(XWf.T)
+    cl = coef.tolist()
+    col_sq, thr, penal = col_sq.tolist(), thr.tolist(), penal.tolist()
     sumW = float(Wvec.sum())
     sweeps = 0
-    converged = False
-    while sweeps < budget:
-        intercept, md = _sweep(Xf, XWf, Wvec, sumW, r, coef, intercept,
-                               col_sq, thr, penal, full, fit_intercept)
+
+    def sweep(idx):
+        nonlocal intercept, sweeps
+        intercept, md = _sweep(xcols, xwcols, Wvec, sumW, r, cl, intercept,
+                               col_sq, thr, penal, idx, fit_intercept)
         sweeps += 1
         if record is not None:
+            coef[:] = cl
             record()
-        if md < tol:
+        return md
+
+    full = range(coef.size)
+    converged = False
+    while sweeps < budget:
+        if sweep(full) < tol:
             converged = True
             break
-        while sweeps < budget:
-            active = np.flatnonzero((coef != 0.0) | ~penal)
-            if active.size == 0:
+        # Cycling visits only the active set, so a coordinate that left it
+        # stays zero and never needs rechecking before the next full sweep.
+        active = [j for j in full if cl[j] != 0.0 or not penal[j]]
+        while sweeps < budget and active:
+            if sweep(active) < tol:
                 break
-            intercept, md = _sweep(Xf, XWf, Wvec, sumW, r, coef, intercept,
-                                   col_sq, thr, penal, active, fit_intercept)
-            sweeps += 1
-            if record is not None:
-                record()
-            if md < tol:
-                break
+            active = [j for j in active if cl[j] != 0.0 or not penal[j]]
+    coef[:] = cl
     return intercept, sweeps, converged
 
 
 def lasso_wls(X, y, w, lam, loadings=None, *, fit_intercept: bool = True,
               unpenalized=(), tol: float = 1e-8, max_sweeps: int = 10_000,
-              treatment_index: int | None = None) -> LassoFit:
+              treatment_index: int | None = None, init=None) -> LassoFit:
     """Weighted-linear lasso by cyclic coordinate descent with active-set cycling.
 
     Minimizes mean_i w_i^2 (y_i - c - x_i.theta)^2 + (lam/n) sum_j loading_j
     |theta_j|. Stops when the largest coefficient change in a sweep falls
     below `tol` or after `max_sweeps` sweeps (then converged=False and a
-    warning is attached). Zero-variance columns keep coefficient 0.
+    warning is attached). `init=(intercept, coef)` starts the descent from
+    that point instead of zero (a warm start along a path). Zero-variance
+    columns keep their starting coefficient, which is 0 unless `init` says
+    otherwise.
     """
     X, y, lam, loadings, unpen = _validate_common(X, y, lam, loadings, unpenalized)
     w = np.asarray(w, dtype=float)
@@ -258,9 +288,8 @@ def lasso_wls(X, y, w, lam, loadings=None, *, fit_intercept: bool = True,
     penal = ~unpen
     thr = np.where(penal, lam * loadings / 2.0, 0.0)
 
-    coef = np.zeros(p)
-    intercept = 0.0
-    r = y.copy()
+    intercept, coef = _start(init, p, fit_intercept)
+    r = y - intercept - X @ coef
     pen_load = np.where(penal, loadings, 0.0)
 
     def objective() -> float:
@@ -292,7 +321,7 @@ def lasso_wls(X, y, w, lam, loadings=None, *, fit_intercept: bool = True,
 
 def lasso_logistic(X, y, lam, loadings=None, *, unpenalized=(), fit_intercept: bool = True,
                    tol: float = 1e-8, max_sweeps: int = 10_000, max_outer: int = 200,
-                   treatment_index: int | None = None) -> LassoFit:
+                   treatment_index: int | None = None, init=None) -> LassoFit:
     """Penalized logistic regression by iteratively reweighted coordinate descent.
 
     Each outer pass builds the curvature-weighted quadratic at the current
@@ -300,6 +329,8 @@ def lasso_logistic(X, y, lam, loadings=None, *, unpenalized=(), fit_intercept: b
     penalized objective, it is redone from the previous iterate with the
     global curvature bound 0.25, which majorizes the logistic loss along
     every coordinate, so the recorded objective sequence is nonincreasing.
+    The descent starts from the log-odds intercept and zero coefficients,
+    or from `init=(intercept, coef)` when given (a warm start along a path).
     """
     X, y, lam, loadings, unpen = _validate_common(X, y, lam, loadings, unpenalized)
     uniq = np.unique(y)
@@ -312,9 +343,10 @@ def lasso_logistic(X, y, lam, loadings=None, *, unpenalized=(), fit_intercept: b
     thr = np.where(penal, lam * loadings, 0.0)  # quadratic carries a 1/2 factor
     pen_load = np.where(penal, loadings, 0.0)
 
-    coef = np.zeros(p)
-    ybar = float(np.mean(y))
-    intercept = float(np.log((ybar + PROB_EPS) / (1.0 - ybar + PROB_EPS))) if fit_intercept else 0.0
+    intercept, coef = _start(init, p, fit_intercept)
+    if init is None and fit_intercept:
+        ybar = float(np.mean(y))
+        intercept = float(np.log((ybar + PROB_EPS) / (1.0 - ybar + PROB_EPS)))
     eta = np.full(n, intercept) + X @ coef
 
     def objective() -> float:
@@ -484,10 +516,16 @@ def cv_lambda(X, y, family: str, *, w=None, loadings=None,
     """K-fold cross-validated penalty level on a geometric grid.
 
     Folds come from a counter-based generator seeded by `seed`, so the split
-    is reproducible across platforms and job counts. Held-out loss is the
-    family deviance (weighted squared error for "linear", mean logistic loss
-    for "logistic"); the minimizer is returned, or the largest level within
-    one standard error of it when config.one_se is set.
+    is reproducible across platforms and job counts. Each fold solves the
+    grid as a path, from the largest level (which zeroes every penalized
+    coordinate) down, starting each level from the previous level's solution.
+    Held-out loss is the family deviance (weighted squared error for
+    "linear", mean logistic loss for "logistic"). The minimizer of the mean
+    loss is returned; levels whose mean losses differ from the minimum by
+    rounding alone (1e-9 relative) count as tied, and ties go to the largest
+    level, so warm and cold starts select the same one. With config.one_se
+    the largest level within one standard error of that minimizer is
+    returned instead.
     """
     if family not in ("linear", "logistic"):
         raise ValueError(f"unknown family {family!r}")
@@ -527,19 +565,23 @@ def cv_lambda(X, y, family: str, *, w=None, loadings=None,
         mask[test_idx] = False
         Xtr, ytr, wtr = X[mask], y[mask], w[mask]
         Xte, yte, wte = X[test_idx], y[test_idx], w[test_idx]
+        init = None
         for gi, lam in enumerate(grid):
             if family == "linear":
-                fit = lasso_wls(Xtr, ytr, wtr, float(lam), loadings,
+                fit = lasso_wls(Xtr, ytr, wtr, float(lam), loadings, init=init,
                                 fit_intercept=fit_intercept, unpenalized=unpenalized)
                 resid = yte - fit.intercept - Xte @ fit.coef
                 losses[fi, gi] = float(np.mean((wte * resid) ** 2))
             else:
-                fit = lasso_logistic(Xtr, ytr, float(lam), loadings,
+                fit = lasso_logistic(Xtr, ytr, float(lam), loadings, init=init,
                                      fit_intercept=fit_intercept, unpenalized=unpenalized)
                 eta = fit.intercept + Xte @ fit.coef
                 losses[fi, gi] = float(np.mean(np.logaddexp(0.0, eta) - yte * eta))
+            init = (fit.intercept, fit.coef)
     mean_loss = losses.mean(axis=0)
-    best = int(np.argmin(mean_loss))
+    low = float(mean_loss.min())
+    # grid descends, so the first qualifying entry is the largest level
+    best = int(np.flatnonzero(mean_loss <= low + 1e-9 * (1.0 + abs(low)))[0])
     if config.one_se:
         se = float(losses[:, best].std(ddof=1) / math.sqrt(config.cv_folds))
         ok = np.flatnonzero(mean_loss <= mean_loss[best] + se)

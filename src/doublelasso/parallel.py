@@ -26,16 +26,20 @@ import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 
-# Jobs smaller than this many design cells (items x rows x design columns)
-# run serially. Measured on a 2-core host with single-threaded BLAS:
-# starting and stopping two workers costs S = 0.6-0.7 s of wall time and
-# 1.0-1.3 s of CPU, and a logistic fit costs c = 0.25 us (n=2000, p=329) to
-# 0.6-1.1 us (n=400-500, p=60-100) of CPU per cell; take c = 0.3 us. With
-# two workers a job of N cells takes c*N/2 + S instead of c*N, so the work
-# moved to the second worker is at least twice the start-up cost from
-# N = 4 S / c = 8M cells on. Linear fits cost 0.10-0.18 us per cell, so a
-# linear job at the cutoff gains little wall time for its start-up CPU.
-# Below it the pool would spend that CPU for little or no gain.
+# Jobs smaller than this many design cells (items x rows x design columns,
+# times the lasso solves per selection step, dml.lasso_solves) run serially.
+# Measured on a 2-core host with single-threaded BLAS: starting and stopping
+# two workers costs S = 0.6-0.7 s of wall time and 1.0-1.3 s of CPU, and a
+# plug-in logistic fit costs c = 0.25 us (n=2000, p=329) to 0.6-1.1 us
+# (n=400-500, p=60-100) of CPU per cell; take c = 0.3 us. With two workers
+# a job of N cells takes c*N/2 + S instead of c*N, so the work moved to the
+# second worker is at least twice the start-up cost from N = 4 S / c = 8M
+# cells on. Linear fits cost 0.10-0.18 us per cell, so a linear job at the
+# cutoff gains little wall time for its start-up CPU. A warm-started CV fit
+# (10 folds x 30 levels, 301 solves per step) costs 0.49 us (logistic) and
+# 0.21 us (linear) per cell-solve at n=500, p=100, and 0.77 us and 0.39 us
+# at n=200, p=20: the same range, so counting solves keeps c.
+# Below the cutoff the pool would spend that CPU for little or no gain.
 SERIAL_BELOW_CELLS = 8_000_000
 
 _BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")

@@ -25,8 +25,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 import yaml
 
-from .dml import DmlConfig, DmlEstimate, FitFailure, dml_multi
-from .encoding import ColumnInfo, Dataset
+from .dml import DmlConfig, DmlEstimate, FitFailure, dml_multi, lasso_solves
+from .encoding import ColumnInfo, Dataset, _reject_unknown
 from .errors import SchemaError
 from .glm import link
 from .parallel import parallel_map
@@ -315,7 +315,8 @@ def run_replications(study: StudySpec, *, config: DmlConfig | None = None,
     dgp = study.dgp
     rows = parallel_map(_replicate, (study, _estimation_family(dgp.family), cfg),
                         range(study.reps), jobs,
-                        cells_per_item=dgp.n * (dgp.p + 1) * len(study.methods))
+                        cells_per_item=(dgp.n * (dgp.p + 1) * len(study.methods)
+                                        * lasso_solves(cfg.penalty)))
     return {m: [row[m] for row in rows] for m in study.methods}
 
 
@@ -362,12 +363,6 @@ def run_study(study: StudySpec, *, config: DmlConfig | None = None,
 
 # ---------------------------------------------------------------------------
 # Serialization (same structured format family as the encoding spec)
-
-
-def _reject_unknown(entry: dict, allowed: set, where: str) -> None:
-    unknown = set(entry) - allowed
-    if unknown:
-        raise SchemaError(f"{where}: unknown keys {sorted(unknown)}")
 
 
 def _pattern_to_mapping(pat, magnitude, sparsity, decay, custom) -> dict:

@@ -35,6 +35,25 @@ def pool_always(monkeypatch):
     monkeypatch.setattr(parallel, "SERIAL_BELOW_CELLS", 0)
 
 
+class PoolStarted(Exception):
+    """Raised where parallel_map would have started worker processes."""
+
+
+@pytest.fixture
+def pool_refused(monkeypatch):
+    """Make a pool start raise PoolStarted, as on a host with two usable CPUs.
+
+    Returns the exception class, so a test can tell which jobs would have
+    gone to the pool without paying for one.
+    """
+    def refuse(*args, **kwargs):
+        raise PoolStarted
+
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+    return PoolStarted
+
+
 def _run(study):
     results = run_replications(study, jobs=JOBS)
     reports = dict(zip(study.methods, summarize(study, results)))

@@ -413,6 +413,15 @@ class TestDmlMulti:
         assert isinstance(pooled[1], FitFailure)
         assert pooled[1] == serial[1]
 
+    def test_cv_fits_count_their_solves_in_the_pool_cutoff(self, pool_refused):
+        # 2 x 1000 x 20 = 40k cells: serial for one plug-in solve per step,
+        # 12M cells for the 301 solves of a 10-fold, 30-level CV step.
+        ds = _toy_dataset(seed=15, n=1000, n_treat=2, n_ctrl=18, family="linear")
+        assert len(dml_multi(ds, family="linear", jobs=2)) == 2
+        cv = DmlConfig(penalty=PenaltyConfig(method="cv"))
+        with pytest.raises(pool_refused):
+            dml_multi(ds, family="linear", config=cv, jobs=2)
+
     def test_programming_errors_propagate_instead_of_becoming_rows(self, monkeypatch):
         def broken(*args, **kwargs):
             raise TypeError("bug in a fitter")

@@ -201,6 +201,71 @@ class TestLassoWls:
             lasso_wls(np.ones((3, 1)), np.ones(3), np.ones(3), 1.0, np.zeros(1))
 
 
+def _logistic_instance(seed, n=150, p=10):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, p))
+    beta = np.zeros(p)
+    beta[:3] = rng.normal(size=3)
+    y = (rng.random(n) < 1.0 / (1.0 + np.exp(-(X @ beta)))).astype(float)
+    return X, y, rng.uniform(0.5, 2.0, size=p)
+
+
+class TestWarmStart:
+    """`init=` starts a solver elsewhere; it must reach the same optimum."""
+
+    def _starts(self, other_fit, p, seed):
+        rng = np.random.default_rng(seed)
+        return [
+            (other_fit.intercept, other_fit.coef),
+            (other_fit.intercept + 0.3, other_fit.coef + rng.normal(scale=0.5, size=p)),
+        ]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_wls_reaches_the_cold_optimum(self, seed):
+        X, y, w, g = _wls_instance(70 + seed)
+        top = lambda_max_wls(X, y, w, g)
+        cold = lasso_wls(X, y, w, 0.2 * top, g, tol=1e-10)
+        other = lasso_wls(X, y, w, 0.5 * top, g, tol=1e-10)
+        for init in self._starts(other, X.shape[1], seed):
+            warm = lasso_wls(X, y, w, 0.2 * top, g, tol=1e-10, init=init)
+            assert abs(warm.objective - cold.objective) <= 1e-10 * abs(cold.objective)
+            assert max(oracles.wls_kkt_gaps(X, y, w, warm)) <= 1e-6
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_logistic_reaches_the_cold_optimum(self, seed):
+        X, y, g = _logistic_instance(80 + seed)
+        lam = 0.25 * plugin_lambda(*X.shape)
+        cold = lasso_logistic(X, y, lam, g, tol=1e-10)
+        other = lasso_logistic(X, y, 2.0 * lam, g, tol=1e-10)
+        for init in self._starts(other, X.shape[1], seed):
+            warm = lasso_logistic(X, y, lam, g, tol=1e-10, init=init)
+            assert abs(warm.objective - cold.objective) <= 1e-10 * abs(cold.objective)
+            assert max(oracles.logistic_kkt_gaps(X, y, warm)) <= 1e-6
+
+    @pytest.mark.parametrize("coef", [np.zeros(3), np.zeros((4, 1)), [0.0, np.nan, 0.0, 0.0],
+                                      [0.0, np.inf, 0.0, 0.0]])
+    def test_bad_init_rejected(self, coef):
+        X, y, w, g = _wls_instance(90, n=30, p=4)
+        yb = (y > 0).astype(float)
+        with pytest.raises(ValueError, match="init"):
+            lasso_wls(X, y, w, 1.0, g, init=(0.0, coef))
+        with pytest.raises(ValueError, match="init"):
+            lasso_logistic(X, yb, 1.0, g, init=(0.0, coef))
+
+    def test_bad_init_intercept_rejected(self):
+        X, y, w, g = _wls_instance(91, n=30, p=4)
+        with pytest.raises(ValueError, match="init"):
+            lasso_wls(X, y, w, 1.0, g, init=(np.nan, np.zeros(4)))
+        with pytest.raises(ValueError, match="init"):
+            lasso_wls(X, y, w, 1.0, g, fit_intercept=False, init=(0.5, np.zeros(4)))
+
+    def test_init_is_not_modified(self):
+        X, y, w, g = _wls_instance(92)
+        coef = np.ones(X.shape[1])
+        lasso_wls(X, y, w, 1.0, g, init=(0.0, coef))
+        assert np.all(coef == 1.0)
+
+
 class TestLassoLogistic:
     def test_huge_penalty_leaves_only_the_base_rate(self):
         rng = np.random.default_rng(14)
@@ -306,7 +371,83 @@ class TestLoadings:
         np.testing.assert_allclose(g, want, rtol=1e-12)
 
 
+def _cold_cv_losses(X, y, family, w, loadings, config, seed, unpenalized=()):
+    """Reference cross-validation: cv_lambda's folds and grid, with every
+    fold and level solved from zero. Returns (grid, held-out losses by fold
+    and level)."""
+    n = y.size
+    if family == "linear":
+        top = lambda_max_wls(X, y, w, loadings)
+    else:
+        top = float(np.max(np.abs((y - y.mean()) @ X) / loadings))
+    grid = np.geomspace(top, top * config.cv_min_ratio, config.cv_grid)
+    perm = np.random.Generator(np.random.Philox(key=np.uint64(seed))).permutation(n)
+    losses = np.zeros((config.cv_folds, grid.size))
+    for fi, test_idx in enumerate(np.array_split(perm, config.cv_folds)):
+        train = np.ones(n, dtype=bool)
+        train[test_idx] = False
+        for gi, lam in enumerate(grid):
+            if family == "linear":
+                fit = lasso_wls(X[train], y[train], w[train], float(lam), loadings,
+                                unpenalized=unpenalized)
+                resid = y[test_idx] - fit.intercept - X[test_idx] @ fit.coef
+                losses[fi, gi] = np.mean((w[test_idx] * resid) ** 2)
+            else:
+                fit = lasso_logistic(X[train], y[train], float(lam), loadings,
+                                     unpenalized=unpenalized)
+                eta = fit.intercept + X[test_idx] @ fit.coef
+                losses[fi, gi] = np.mean(np.logaddexp(0.0, eta) - y[test_idx] * eta)
+    return grid, losses
+
+
+def _selected_level(grid, losses, one_se):
+    """The largest level within rounding (1e-9 relative) of the least mean
+    loss, or with one_se the largest within one standard error of it."""
+    mean_loss = losses.mean(axis=0)
+    low = mean_loss.min()
+    best = int(np.flatnonzero(mean_loss <= low + 1e-9 * (1.0 + abs(low)))[0])
+    if one_se:
+        se = losses[:, best].std(ddof=1) / math.sqrt(losses.shape[0])
+        best = int(np.flatnonzero(mean_loss <= mean_loss[best] + se)[0])
+    return float(grid[best])
+
+
+def _cv_instance(family, seed, beta, n=80, p=6):
+    """Columns beyond len(beta) are noise."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, p))
+    eta = X[:, : len(beta)] @ np.asarray(beta)
+    if family == "linear":
+        y = eta + rng.normal(size=n)
+    else:
+        y = (rng.random(n) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
+    w = rng.random(n) + 0.3 if family == "linear" else np.ones(n)
+    return X, y, w, rng.uniform(0.5, 2.0, size=p)
+
+
 class TestCvLambda:
+    @pytest.mark.parametrize("family, seed, beta, unpenalized", [
+        ("linear", 60, (1.0, -0.7), ()),
+        ("linear", 61, (0.3, -0.2), (0,)),
+        ("logistic", 62, (1.0, -0.7), ()),
+        ("logistic", 63, (0.5, -0.3), ()),
+        # Pure-noise penalized columns beside an unpenalized signal column:
+        # the top levels all zero every penalized coordinate in every fold,
+        # so their losses tie up to rounding and the largest level wins.
+        ("logistic", 64, (1.5,), (0,)),
+    ])
+    def test_warm_path_selects_the_cold_start_level(self, family, seed, beta, unpenalized):
+        X, y, w, g = _cv_instance(family, seed, beta)
+        config = PenaltyConfig(method="cv")
+        grid, losses = _cold_cv_losses(X, y, family, w, g, config, seed, unpenalized)
+        for one_se in (False, True):
+            config = PenaltyConfig(method="cv", one_se=one_se)
+            got = cv_lambda(X, y, family, w=w, loadings=g, config=config,
+                            unpenalized=unpenalized, seed=seed)
+            assert got == _selected_level(grid, losses, one_se)
+            if len(beta) == 1:
+                assert got == grid[0]
+
     def test_same_seed_reproduces_the_level(self):
         X, y, w, g = _wls_instance(20, n=80, p=6)
         a = cv_lambda(X, y, "linear", w=w, loadings=g, seed=7)

@@ -11,6 +11,7 @@ from doublelasso import (
     DgpSpec,
     DmlConfig,
     FitFailure,
+    PenaltyConfig,
     SchemaError,
     StudySpec,
     confounded_benchmark,
@@ -179,6 +180,15 @@ class TestRunReplications:
         a = run_replications(study, jobs=1)
         b = run_replications(study, jobs=3)
         assert [e.alpha for e in a["dml"]] == [e.alpha for e in b["dml"]]
+
+    def test_cv_studies_count_their_solves_in_the_pool_cutoff(self, pool_refused):
+        # 40 x 120 x 7 = 34k cells: serial for one plug-in solve per step,
+        # 10M cells for the 301 solves of a 10-fold, 30-level CV step.
+        study = StudySpec(dgp=_linear_spec(n=120, p=6), reps=40)
+        assert len(run_replications(study, jobs=2)["dml"]) == 40
+        cv = DmlConfig(penalty=PenaltyConfig(method="cv"))
+        with pytest.raises(pool_refused):
+            run_replications(study, config=cv, jobs=2)
 
     def test_single_replication_coverage_is_zero_or_one(self):
         study = StudySpec(dgp=_linear_spec(n=120, p=6), reps=1)
