@@ -40,6 +40,7 @@ from .errors import (
 from .glm import link, link_deriv, solve_spd
 from .lasso import (
     PenaltyConfig,
+    _Design,
     cv_lambda,
     lasso_logistic,
     lasso_wls,
@@ -164,23 +165,41 @@ class FitFailure:
     message: str
 
 
+# Grid points per array pass of the step-3 search: at n=2000 each
+# temporary of a block is 64 x 2000 doubles, about 1 MB.
+_SCORE_BLOCK = 64
+
+
+def _score_grid(alphas: np.ndarray, y, d, eta_tilde, z) -> np.ndarray:
+    """iv_logit_objective at every entry of `alphas`, _SCORE_BLOCK at a time.
+
+    Row k of a block repeats the one-point arithmetic elementwise, and each
+    row's means are taken along its own contiguous row, so every value
+    equals the one-point value to the bit.
+    """
+    out = np.empty(alphas.size)
+    for i in range(0, alphas.size, _SCORE_BLOCK):
+        block = alphas[i:i + _SCORE_BLOCK]
+        g = link(block[:, None] * d + eta_tilde)
+        rz = (y - g) * z
+        num = np.mean(rz, axis=1)
+        den = np.mean(rz * rz, axis=1)
+        if not np.all(den > 1e-300):
+            raise DegenerateMomentError(
+                "denominator moment mean[(y - G)^2 z^2] is numerically zero"
+            )
+        out[i:i + block.size] = num * num / den
+    return out
+
+
 def iv_logit_objective(alpha: float, y, d, eta_tilde, z) -> float:
     """Self-normalized squared score |mean[(y - G)z]|^2 / mean[(y - G)^2 z^2].
 
     Nonnegative; zero exactly when the numerator moment vanishes. Invariant
     under rescaling z by any nonzero constant. Raises when the denominator
-    moment is numerically zero.
+    moment is numerically zero. The one-point case of the step-3 grid.
     """
-    g = link(float(alpha) * d + eta_tilde)
-    resid = y - g
-    rz = resid * z
-    num = float(np.mean(rz))
-    den = float(np.mean(rz * rz))
-    if not den > 1e-300:
-        raise DegenerateMomentError(
-            "denominator moment mean[(y - G)^2 z^2] is numerically zero"
-        )
-    return num * num / den
+    return float(_score_grid(np.array([float(alpha)]), y, d, eta_tilde, z)[0])
 
 
 def _golden_min(fn, lo: float, hi: float, tol: float) -> float:
@@ -255,11 +274,31 @@ def lasso_solves(penalty: PenaltyConfig) -> int:
     return 1 + penalty.cv_folds * penalty.cv_grid
 
 
-def _pick_lambda(lam_pilot, loadings, Z, y, family, w, penalty, unpen, seed):
-    if penalty.method == "plugin":
-        return lam_pilot
-    return cv_lambda(Z, y, family, w=w, loadings=loadings, config=penalty,
-                     unpenalized=unpen, fit_intercept=True, seed=seed)
+def _select(design, y, family, w, lam_pilot, penalty, unpen, seed, treatment_index=None):
+    """One penalized selection: loadings, penalty level, lasso fit.
+
+    `design` is the step's _Design, shared by every solve below and dropped
+    by the caller when the step is done. Returns (penalty level, LassoFit).
+    """
+    if family == "logistic":
+        loadings = logistic_lasso_loadings(design, y, lam_pilot,
+                                           refinements=penalty.loading_refinements,
+                                           unpenalized=unpen)
+    else:
+        loadings = wls_lasso_loadings(design, y, w, lam_pilot,
+                                      refinements=penalty.loading_refinements,
+                                      unpenalized=unpen)
+    lam = lam_pilot
+    if penalty.method == "cv":
+        lam = cv_lambda(design, y, family, w=w, loadings=loadings, config=penalty,
+                        unpenalized=unpen, fit_intercept=True, seed=seed)
+    if family == "logistic":
+        fit = lasso_logistic(design, y, lam, loadings, unpenalized=unpen,
+                             treatment_index=treatment_index)
+    else:
+        fit = lasso_wls(design, y, w, lam, loadings, unpenalized=unpen,
+                        treatment_index=treatment_index)
+    return lam, fit
 
 
 def dml_logit(y, d, X, *, names=None, treatment: str = "d",
@@ -288,13 +327,8 @@ def dml_logit(y, d, X, *, names=None, treatment: str = "d",
     unpen1 = () if cfg.penalize_treatment else (0,)
     p_pen1 = p + (1 if cfg.penalize_treatment else 0)
     lam1_pilot = plugin_lambda(n, max(p_pen1, 1), penalty)
-    load1 = logistic_lasso_loadings(Z, y, lam1_pilot,
-                                    refinements=penalty.loading_refinements,
-                                    unpenalized=unpen1)
-    lam1 = _pick_lambda(lam1_pilot, load1, Z, y, "logistic", None, penalty,
-                        unpen1, cfg.seed)
-    fit1 = lasso_logistic(Z, y, lam1, load1, unpenalized=unpen1,
-                          treatment_index=0)
+    lam1, fit1 = _select(_Design(Z), y, "logistic", None, lam1_pilot, penalty,
+                         unpen1, cfg.seed, treatment_index=0)
     notes.extend(fit1.warnings)
     refit1 = post_refit(Z, y, fit1, "logistic", keep=(0,),
                         names=(treatment,) + names)
@@ -318,11 +352,8 @@ def dml_logit(y, d, X, *, names=None, treatment: str = "d",
 
     # Step 2: treatment-side selection with weights f_hat.
     lam2_pilot = plugin_lambda(n, max(p, 1), penalty)
-    load2 = wls_lasso_loadings(X, d, f_hat, lam2_pilot,
-                               refinements=penalty.loading_refinements)
-    lam2 = _pick_lambda(lam2_pilot, load2, X, d, "linear", f_hat, penalty,
-                        (), cfg.seed)
-    fit2 = lasso_wls(X, d, f_hat, lam2, load2)
+    lam2, fit2 = _select(_Design(X), d, "linear", f_hat, lam2_pilot, penalty,
+                         (), cfg.seed)
     notes.extend(fit2.warnings)
     refit2 = post_refit(X, d, fit2, "linear", w=f_hat * f_hat, names=names)
     theta_tilde = refit2.coef
@@ -348,7 +379,7 @@ def dml_logit(y, d, X, *, names=None, treatment: str = "d",
         return iv_logit_objective(a, y, d, eta_tilde, z_hat)
 
     grid = np.linspace(lo, hi, cfg.grid_points)
-    values = np.array([score(a) for a in grid])
+    values = _score_grid(grid, y, d, eta_tilde, z_hat)
     i_best = int(np.argmin(values))
     boundary_hit = i_best in (0, cfg.grid_points - 1)
     if boundary_hit:
@@ -443,17 +474,13 @@ def dml_linear(y, d, X, *, names=None, treatment: str = "d",
     notes: list[str] = []
 
     lam_pilot = plugin_lambda(n, max(p, 1), penalty)
-    load_y = wls_lasso_loadings(X, y, ones, lam_pilot,
-                                refinements=penalty.loading_refinements)
-    lam_y = _pick_lambda(lam_pilot, load_y, X, y, "linear", ones, penalty, (), cfg.seed)
-    fit_y = lasso_wls(X, y, ones, lam_y, load_y)
+    # Both selections regress on the same X, so they share one design.
+    design = _Design(X)
+    lam_y, fit_y = _select(design, y, "linear", ones, lam_pilot, penalty, (), cfg.seed)
     notes.extend(fit_y.warnings)
-
-    load_d = wls_lasso_loadings(X, d, ones, lam_pilot,
-                                refinements=penalty.loading_refinements)
-    lam_d = _pick_lambda(lam_pilot, load_d, X, d, "linear", ones, penalty, (), cfg.seed)
-    fit_d = lasso_wls(X, d, ones, lam_d, load_d)
+    lam_d, fit_d = _select(design, d, "linear", ones, lam_pilot, penalty, (), cfg.seed)
     notes.extend(fit_d.warnings)
+    del design
 
     union = sorted(set(fit_y.support) | set(fit_d.support))
     Z = np.column_stack([ones, d, X[:, union]]) if union else np.column_stack([ones, d])
@@ -499,11 +526,8 @@ def naive_logit(y, d, X, *, names=None, treatment: str = "d",
 
     Z = np.column_stack([d, X])
     lam_pilot = plugin_lambda(n, max(p, 1), penalty)
-    load = logistic_lasso_loadings(Z, y, lam_pilot,
-                                   refinements=penalty.loading_refinements,
-                                   unpenalized=(0,))
-    lam = _pick_lambda(lam_pilot, load, Z, y, "logistic", None, penalty, (0,), cfg.seed)
-    fit = lasso_logistic(Z, y, lam, load, unpenalized=(0,), treatment_index=0)
+    lam, fit = _select(_Design(Z), y, "logistic", None, lam_pilot, penalty, (0,),
+                       cfg.seed, treatment_index=0)
     notes.extend(fit.warnings)
     refit = post_refit(Z, y, fit, "logistic", keep=(0,), names=(treatment,) + names)
     notes.extend(refit.warnings)
@@ -537,11 +561,8 @@ def naive_linear(y, d, X, *, names=None, treatment: str = "d",
 
     Z = np.column_stack([d, X])
     lam_pilot = plugin_lambda(n, max(p, 1), penalty)
-    load = wls_lasso_loadings(Z, y, ones, lam_pilot,
-                              refinements=penalty.loading_refinements,
-                              unpenalized=(0,))
-    lam = _pick_lambda(lam_pilot, load, Z, y, "linear", ones, penalty, (0,), cfg.seed)
-    fit = lasso_wls(Z, y, ones, lam, load, unpenalized=(0,), treatment_index=0)
+    lam, fit = _select(_Design(Z), y, "linear", ones, lam_pilot, penalty, (0,),
+                       cfg.seed, treatment_index=0)
     notes.extend(fit.warnings)
     cols = [0] + [j for j in fit.support]
     Zr = np.column_stack([ones, Z[:, cols]])

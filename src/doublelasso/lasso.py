@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import warnings as _warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.special import ndtri
@@ -140,14 +141,46 @@ class LassoFit:
         )
 
 
+class _Design:
+    """A design matrix with the arrays the solvers derive from it.
+
+    One selection step builds one and passes it where X goes, so its
+    loadings, cross-validation and final lasso share one Fortran copy, one
+    X * X and one finiteness check, each made on first use. `X` keeps the
+    layout it was given, so every product with it runs the same BLAS kernel
+    as on the plain array. Nothing holds a design beyond the call that
+    built it.
+    """
+
+    def __init__(self, X):
+        self.X = np.asarray(X, dtype=float)
+
+    @cached_property
+    def Xf(self) -> np.ndarray:
+        return np.asfortranarray(self.X)
+
+    @cached_property
+    def Xsq(self) -> np.ndarray:
+        return self.X * self.X
+
+    @cached_property
+    def finite(self) -> bool:
+        return bool(np.all(np.isfinite(self.X)))
+
+
+def _design(X) -> _Design:
+    return X if isinstance(X, _Design) else _Design(X)
+
+
 def _validate_common(X, y, lam, loadings, unpenalized):
-    X = np.asarray(X, dtype=float)
+    design = _design(X)
+    X = design.X
     y = np.asarray(y, dtype=float)
     if X.ndim != 2 or X.shape[0] != y.shape[0] or y.ndim != 1:
         raise ValueError("X must be (n, p) and y length n")
     if y.size == 0:
         raise ValueError("empty data")
-    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
+    if not (design.finite and np.all(np.isfinite(y))):
         raise ValueError("X and y must be finite")
     if not math.isfinite(lam) or lam < 0:
         raise ValueError("penalty level must be a nonnegative real")
@@ -164,7 +197,7 @@ def _validate_common(X, y, lam, loadings, unpenalized):
         if not 0 <= jj < p:
             raise ValueError(f"unpenalized index {jj} out of range")
         unpen[jj] = True
-    return X, y, float(lam), loadings, unpen
+    return design, y, float(lam), loadings, unpen
 
 
 def _start(init, p: int, fit_intercept: bool):
@@ -274,17 +307,19 @@ def lasso_wls(X, y, w, lam, loadings=None, *, fit_intercept: bool = True,
     warning is attached). `init=(intercept, coef)` starts the descent from
     that point instead of zero (a warm start along a path). Zero-variance
     columns keep their starting coefficient, which is 0 unless `init` says
-    otherwise.
+    otherwise. `X` may be a prepared `_Design`, whose derived arrays are
+    then reused instead of rebuilt.
     """
-    X, y, lam, loadings, unpen = _validate_common(X, y, lam, loadings, unpenalized)
+    design, y, lam, loadings, unpen = _validate_common(X, y, lam, loadings, unpenalized)
+    X = design.X
     w = np.asarray(w, dtype=float)
     if w.shape != y.shape or not np.all(np.isfinite(w)) or np.any(w < 0):
         raise ValueError("w must be a nonnegative vector matching y")
     n, p = X.shape
     W = w * w
-    Xf = np.asfortranarray(X)
-    XWf = np.asfortranarray(X * W[:, None])
-    col_sq = W @ (X * X)
+    Xf = design.Xf
+    XWf = Xf * W[:, None]  # Fortran order like Xf, same products as X * W
+    col_sq = W @ design.Xsq
     penal = ~unpen
     thr = np.where(penal, lam * loadings / 2.0, 0.0)
 
@@ -331,14 +366,17 @@ def lasso_logistic(X, y, lam, loadings=None, *, unpenalized=(), fit_intercept: b
     every coordinate, so the recorded objective sequence is nonincreasing.
     The descent starts from the log-odds intercept and zero coefficients,
     or from `init=(intercept, coef)` when given (a warm start along a path).
+    `X` may be a prepared `_Design`, whose derived arrays are then reused
+    instead of rebuilt.
     """
-    X, y, lam, loadings, unpen = _validate_common(X, y, lam, loadings, unpenalized)
+    design, y, lam, loadings, unpen = _validate_common(X, y, lam, loadings, unpenalized)
+    X = design.X
     uniq = np.unique(y)
     if not np.isin(uniq, (0.0, 1.0)).all():
         raise ValueError("outcome must be binary 0/1 for the logistic objective")
     n, p = X.shape
-    Xf = np.asfortranarray(X)
-    Xsq = X * X
+    Xf = design.Xf
+    Xsq = design.Xsq
     penal = ~unpen
     thr = np.where(penal, lam * loadings, 0.0)  # quadratic carries a 1/2 factor
     pen_load = np.where(penal, loadings, 0.0)
@@ -368,7 +406,7 @@ def lasso_logistic(X, y, lam, loadings=None, *, unpenalized=(), fit_intercept: b
         def quad_pass(om, inner_cap):
             nonlocal intercept, total_sweeps, eta
             r = (y - p_hat) / om
-            XWf = np.asfortranarray(X * om[:, None])
+            XWf = Xf * om[:, None]
             col_sq = om @ Xsq
             budget = min(inner_cap, max(1, max_sweeps - total_sweeps))
             intercept, used, _ = _cd_solve(
@@ -445,9 +483,11 @@ def wls_lasso_loadings(X, y, w, lam, *, refinements: int = 1, fit_intercept: boo
 
     The initial u is the weighted intercept-only residual, which makes the
     pilot loading a weighted column norm times the response scale; each
-    refinement refits and recomputes u from the pilot's residuals.
+    refinement refits and recomputes u from the pilot's residuals. `X` may
+    be a prepared `_Design`, which the refits then share.
     """
-    X = np.asarray(X, dtype=float)
+    design = _design(X)
+    X = design.X
     y = np.asarray(y, dtype=float)
     w = np.asarray(w, dtype=float)
     W = w * w
@@ -455,13 +495,13 @@ def wls_lasso_loadings(X, y, w, lam, *, refinements: int = 1, fit_intercept: boo
     sumW = float(W.sum())
     ybar = float(W @ y) / sumW if (fit_intercept and sumW > 0) else 0.0
     u = w * (y - ybar)
-    col = np.sqrt(W @ (X * X) / n)
+    col = np.sqrt(W @ design.Xsq / n)
     g = _floor_loadings(col * math.sqrt(float(np.mean(u * u))))
     for _ in range(refinements):
-        fit = lasso_wls(X, y, w, lam, g, fit_intercept=fit_intercept,
+        fit = lasso_wls(design, y, w, lam, g, fit_intercept=fit_intercept,
                         unpenalized=unpenalized, tol=tol)
         u = w * (y - fit.intercept - X @ fit.coef)
-        g = _floor_loadings(np.sqrt((W * u * u) @ (X * X) / n))
+        g = _floor_loadings(np.sqrt((W * u * u) @ design.Xsq / n))
     return g
 
 
@@ -470,19 +510,21 @@ def logistic_lasso_loadings(X, y, lam, *, refinements: int = 1, unpenalized=(),
     """Score-matched loadings sqrt(mean[(y - p_hat)^2 x_j^2]) for lasso_logistic.
 
     The pilot uses the intercept-only residual (y - ybar); refinements use
-    the fitted probabilities from a pilot penalized fit.
+    the fitted probabilities from a pilot penalized fit. `X` may be a
+    prepared `_Design`, which the refits then share.
     """
-    X = np.asarray(X, dtype=float)
+    design = _design(X)
+    X = design.X
     y = np.asarray(y, dtype=float)
     n = y.size
     u2 = (y - float(np.mean(y))) ** 2
-    g = _floor_loadings(np.sqrt(u2 @ (X * X) / n))
+    g = _floor_loadings(np.sqrt(u2 @ design.Xsq / n))
     for _ in range(refinements):
-        fit = lasso_logistic(X, y, lam, g, unpenalized=unpenalized,
+        fit = lasso_logistic(design, y, lam, g, unpenalized=unpenalized,
                              fit_intercept=fit_intercept, tol=tol)
         p_hat = link(fit.intercept + X @ fit.coef)
         u2 = (y - p_hat) ** 2
-        g = _floor_loadings(np.sqrt(u2 @ (X * X) / n))
+        g = _floor_loadings(np.sqrt(u2 @ design.Xsq / n))
     return g
 
 
@@ -525,13 +567,16 @@ def cv_lambda(X, y, family: str, *, w=None, loadings=None,
     rounding alone (1e-9 relative) count as tied, and ties go to the largest
     level, so warm and cold starts select the same one. With config.one_se
     the largest level within one standard error of that minimizer is
-    returned instead.
+    returned instead. `X` may be a prepared `_Design`, which the pilot
+    loadings then share; each fold's training rows get a design of their
+    own, reused along that fold's path.
     """
     if family not in ("linear", "logistic"):
         raise ValueError(f"unknown family {family!r}")
     if config is None:
         config = PenaltyConfig(method="cv")
-    X = np.asarray(X, dtype=float)
+    design = _design(X)
+    X = design.X
     y = np.asarray(y, dtype=float)
     n, p = X.shape
     if w is None:
@@ -540,11 +585,11 @@ def cv_lambda(X, y, family: str, *, w=None, loadings=None,
     if loadings is None:
         pilot = plugin_lambda(n, p, PenaltyConfig())
         if family == "linear":
-            loadings = wls_lasso_loadings(X, y, w, pilot, fit_intercept=fit_intercept,
+            loadings = wls_lasso_loadings(design, y, w, pilot, fit_intercept=fit_intercept,
                                           unpenalized=unpenalized,
                                           refinements=config.loading_refinements)
         else:
-            loadings = logistic_lasso_loadings(X, y, pilot, fit_intercept=fit_intercept,
+            loadings = logistic_lasso_loadings(design, y, pilot, fit_intercept=fit_intercept,
                                                unpenalized=unpenalized,
                                                refinements=config.loading_refinements)
     loadings = np.asarray(loadings, dtype=float)
@@ -563,17 +608,18 @@ def cv_lambda(X, y, family: str, *, w=None, loadings=None,
     for fi, test_idx in enumerate(folds):
         mask = np.ones(n, dtype=bool)
         mask[test_idx] = False
-        Xtr, ytr, wtr = X[mask], y[mask], w[mask]
+        train = _Design(X[mask])
+        ytr, wtr = y[mask], w[mask]
         Xte, yte, wte = X[test_idx], y[test_idx], w[test_idx]
         init = None
         for gi, lam in enumerate(grid):
             if family == "linear":
-                fit = lasso_wls(Xtr, ytr, wtr, float(lam), loadings, init=init,
+                fit = lasso_wls(train, ytr, wtr, float(lam), loadings, init=init,
                                 fit_intercept=fit_intercept, unpenalized=unpenalized)
                 resid = yte - fit.intercept - Xte @ fit.coef
                 losses[fi, gi] = float(np.mean((wte * resid) ** 2))
             else:
-                fit = lasso_logistic(Xtr, ytr, float(lam), loadings, init=init,
+                fit = lasso_logistic(train, ytr, float(lam), loadings, init=init,
                                      fit_intercept=fit_intercept, unpenalized=unpenalized)
                 eta = fit.intercept + Xte @ fit.coef
                 losses[fi, gi] = float(np.mean(np.logaddexp(0.0, eta) - yte * eta))

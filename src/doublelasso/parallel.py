@@ -29,16 +29,22 @@ from concurrent.futures import ProcessPoolExecutor
 # Jobs smaller than this many design cells (items x rows x design columns,
 # times the lasso solves per selection step, dml.lasso_solves) run serially.
 # Measured on a 2-core host with single-threaded BLAS: starting and stopping
-# two workers costs S = 0.6-0.7 s of wall time and 1.0-1.3 s of CPU, and a
-# plug-in logistic fit costs c = 0.25 us (n=2000, p=329) to 0.6-1.1 us
-# (n=400-500, p=60-100) of CPU per cell; take c = 0.3 us. With two workers
-# a job of N cells takes c*N/2 + S instead of c*N, so the work moved to the
-# second worker is at least twice the start-up cost from N = 4 S / c = 8M
-# cells on. Linear fits cost 0.10-0.18 us per cell, so a linear job at the
-# cutoff gains little wall time for its start-up CPU. A warm-started CV fit
-# (10 folds x 30 levels, 301 solves per step) costs 0.49 us (logistic) and
-# 0.21 us (linear) per cell-solve at n=500, p=100, and 0.77 us and 0.39 us
-# at n=200, p=20: the same range, so counting solves keeps c.
+# two workers costs S = 0.6-0.7 s of wall time and 1.0-1.3 s of CPU. The
+# cutoff takes c = 0.3 us of CPU per cell for a plug-in logistic fit: with
+# two workers a job of N cells takes c*N/2 + S instead of c*N, so the work
+# moved to the second worker is at least twice the start-up cost from
+# N = 4 S / c = 8M cells on. Since each selection step prepares its design
+# once (lasso._Design), a plug-in logistic fit costs 0.11-0.14 us per cell
+# at n=2000, p=329 and 0.22-0.25 us at n=500, p=100, which puts 4 S / c
+# near 20M, close to the 26-treatment survey fit's 17M cells; that fit
+# still ran faster in the pool (fresh-process CLI, 4 pairs: 2.8-3.6 s at
+# two workers, 2.9-3.9 s in one process), so moving the cutoff needs its
+# own measurements. Before the designs were shared, linear fits cost
+# 0.10-0.18 us per cell, so a linear job at the cutoff gains little wall
+# time for its start-up CPU, and a warm-started CV fit (10 folds x 30
+# levels, 301 solves per step) cost 0.49 us (logistic) and 0.21 us
+# (linear) per cell-solve at n=500, p=100, and 0.77 us and 0.39 us at
+# n=200, p=20: the same range, so counting solves keeps c.
 # Below the cutoff the pool would spend that CPU for little or no gain.
 SERIAL_BELOW_CELLS = 8_000_000
 

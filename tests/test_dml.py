@@ -74,6 +74,61 @@ class TestIvLogitObjective:
             iv_logit_objective(0.0, y, y, np.zeros(2), np.zeros(2))
 
 
+def _one_dimensional_objective(alpha, y, d, eta, z):
+    """The step-3 objective as plain one-dimensional arithmetic, one point."""
+    from doublelasso import link
+    rz = (y - link(float(alpha) * d + eta)) * z
+    num = float(np.mean(rz))
+    den = float(np.mean(rz * rz))
+    return num * num / den
+
+
+def _score_instance(seed, n):
+    """Odd-sized, heavy-tailed inputs with |eta| reaching 40."""
+    rng = np.random.default_rng(seed)
+    y = (rng.random(n) < 0.5).astype(float)
+    d = rng.standard_t(2, size=n)
+    eta = np.clip(8.0 * rng.standard_t(1, size=n), -40.0, 40.0)
+    eta[0] = 40.0 if seed % 2 else -40.0
+    z = rng.standard_t(3, size=n)
+    return y, d, eta, z
+
+
+class TestScoreGrid:
+    @pytest.mark.parametrize("points", [3, 401, dml._SCORE_BLOCK + 1, dml._SCORE_BLOCK + 2])
+    @pytest.mark.parametrize("n", [1, 7, 501, 2001])
+    def test_blocked_grid_equals_the_scalar_loop_bitwise(self, points, n):
+        y, d, eta, z = _score_instance(points * 7 + n, n)
+        grid = np.linspace(-2.5, 3.5, points)
+        got = dml._score_grid(grid, y, d, eta, z)
+        scalar = np.array([iv_logit_objective(float(a), y, d, eta, z) for a in grid])
+        plain = np.array([_one_dimensional_objective(a, y, d, eta, z) for a in grid])
+        assert got.shape == (points,)
+        assert np.array_equal(got.view(np.int64), scalar.view(np.int64))
+        assert np.array_equal(got.view(np.int64), plain.view(np.int64))
+
+    def test_zero_denominator_raises_the_scalar_error_from_the_grid(self):
+        y, d, eta, _ = _score_instance(5, 9)
+        z = np.zeros(9)
+        with pytest.raises(DegenerateMomentError) as scalar:
+            iv_logit_objective(0.0, y, d, eta, z)
+        with pytest.raises(DegenerateMomentError) as grid:
+            dml._score_grid(np.linspace(-1.0, 1.0, 401), y, d, eta, z)
+        assert str(grid.value) == str(scalar.value)
+
+    def test_fit_reports_the_scalar_objective_at_its_estimate(self):
+        y, d, X = _logit_dgp(21, n=301, p=12)
+        est = dml_logit(y, d, X, config=DmlConfig(grid_points=dml._SCORE_BLOCK + 1))
+        a = est.artifacts
+        grid = np.linspace(est.diagnostics["search_lo"], est.diagnostics["search_hi"],
+                           dml._SCORE_BLOCK + 1)
+        scalar = np.array([iv_logit_objective(float(g), y, d, a.eta_tilde, a.z_hat)
+                           for g in grid])
+        best = min(float(scalar.min()),
+                   iv_logit_objective(est.alpha, y, d, a.eta_tilde, a.z_hat))
+        assert est.diagnostics["objective_value"] == best
+
+
 class TestDmlLogit:
     def test_estimate_satisfies_its_own_reported_interval(self):
         y, d, X = _logit_dgp(3)

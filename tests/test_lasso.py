@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 import oracles
+from doublelasso import lasso
+from doublelasso.lasso import _Design
 from doublelasso import (
     PenaltyConfig,
     cv_lambda,
@@ -465,6 +467,109 @@ class TestCvLambda:
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):
             cv_lambda(np.ones((4, 1)), np.ones(4), "poisson")
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+def _assert_same_fit(a, b):
+    assert _bits(a.intercept) == _bits(b.intercept)
+    assert np.array_equal(_bits(a.coef), _bits(b.coef))
+    assert np.array_equal(_bits(a.objective_path), _bits(b.objective_path))
+    assert np.array_equal(_bits(a.loadings), _bits(b.loadings))
+    assert a.iterations == b.iterations
+    assert (a.support, a.converged, a.warnings) == (b.support, b.converged, b.warnings)
+
+
+def _design_instance(seed, layout):
+    """A zero-variance column 1 and, with layout "F", a Fortran-ordered X."""
+    X, y, w, g = _wls_instance(seed, n=101, p=9)
+    X[:, 1] = 0.0
+    yb = (y > np.median(y)).astype(float)
+    return (np.asfortranarray(X) if layout == "F" else X), y, yb, w, g
+
+
+class TestPreparedDesign:
+    """A prepared design gives the plain array's results to the bit."""
+
+    CASES = [
+        # (fit_intercept, unpenalized, warm start)
+        (True, (), False),
+        (True, (0,), True),
+        (False, (0,), False),
+        (False, (), True),
+    ]
+
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    @pytest.mark.parametrize("fit_intercept, unpenalized, warm", CASES)
+    def test_solvers_match_the_plain_array(self, layout, fit_intercept, unpenalized, warm):
+        X, y, yb, w, g = _design_instance(40 + len(unpenalized) + 2 * warm, layout)
+        design = _Design(X)
+        lam_w = 0.3 * lambda_max_wls(X, y, w, g, fit_intercept=fit_intercept)
+        lam_l = 0.3 * plugin_lambda(*X.shape)
+        opts = dict(fit_intercept=fit_intercept, unpenalized=unpenalized)
+        init_w = init_l = None
+        if warm:
+            coef = np.linspace(-0.2, 0.2, X.shape[1])
+            init_w = init_l = (0.1 if fit_intercept else 0.0, coef)
+        # Each solver runs twice on the design, so the second run reuses
+        # the derived arrays the first one built.
+        for _ in range(2):
+            _assert_same_fit(lasso_wls(design, y, w, lam_w, g, init=init_w, **opts),
+                             lasso_wls(X, y, w, lam_w, g, init=init_w, **opts))
+            _assert_same_fit(lasso_logistic(design, yb, lam_l, g, init=init_l, **opts),
+                             lasso_logistic(X, yb, lam_l, g, init=init_l, **opts))
+
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    @pytest.mark.parametrize("fit_intercept, unpenalized", [(True, ()), (False, (0,))])
+    def test_loadings_match_the_plain_array(self, layout, fit_intercept, unpenalized):
+        X, y, yb, w, _ = _design_instance(45, layout)
+        design = _Design(X)
+        lam = plugin_lambda(*X.shape)
+        opts = dict(fit_intercept=fit_intercept, unpenalized=unpenalized, refinements=2)
+        got = wls_lasso_loadings(design, y, w, lam, **opts)
+        assert np.array_equal(_bits(got), _bits(wls_lasso_loadings(X, y, w, lam, **opts)))
+        got = logistic_lasso_loadings(design, yb, lam, **opts)
+        assert np.array_equal(_bits(got), _bits(logistic_lasso_loadings(X, yb, lam, **opts)))
+
+    @pytest.mark.parametrize("family", ["linear", "logistic"])
+    @pytest.mark.parametrize("unpenalized", [(), (0,)])
+    def test_cv_lambda_returns_the_same_level(self, family, unpenalized):
+        X, y, w, _ = _cv_instance(family, 66, (1.0, -0.7))
+        config = PenaltyConfig(method="cv", cv_folds=4, cv_grid=8)
+        opts = dict(w=w, config=config, unpenalized=unpenalized, seed=3)
+        got = cv_lambda(_Design(X), y, family, **opts)
+        assert _bits(got) == _bits(cv_lambda(X, y, family, **opts))
+
+    def test_non_finite_design_rejected_like_the_array(self):
+        X, y, _, w, g = _design_instance(47, "C")
+        X[3, 2] = np.nan
+        for arg in (X, _Design(X)):
+            with pytest.raises(ValueError, match="finite"):
+                lasso_wls(arg, y, w, 1.0, g)
+
+    def test_no_module_keeps_an_array_after_a_fit(self):
+        from doublelasso import dml, dml_linear, dml_logit
+
+        def holds_array(value):
+            items = value.values() if isinstance(value, dict) else (
+                value if isinstance(value, (list, tuple, set)) else ())
+            return any(isinstance(v, (np.ndarray, _Design)) for v in (value, *items))
+
+        rng = np.random.default_rng(48)
+        X = rng.normal(size=(201, 12))
+        d = X[:, 0] + rng.normal(size=201)
+        y = (rng.random(201) < 1.0 / (1.0 + np.exp(-(0.5 * d + X[:, 1])))).astype(float)
+        dml_logit(y, d, X)
+        dml_linear(d + X[:, 2], d, X)
+        # The public routines wrap plain arrays themselves.
+        g = logistic_lasso_loadings(X, y, 10.0)
+        lasso_logistic(X, y, 10.0, g)
+        lasso_wls(X, d, np.ones(201), 10.0, wls_lasso_loadings(X, d, np.ones(201), 10.0))
+        for module in (lasso, dml):
+            held = [name for name, value in vars(module).items() if holds_array(value)]
+            assert held == [], f"{module.__name__} holds {held}"
 
 
 class TestPostRefit:
