@@ -42,9 +42,9 @@ from .simulate import coverage_reports_to_yaml, run_study, study_spec_from_yaml
 
 JOBS_ENV_VAR = "DOUBLELASSO_JOBS"
 JOBS_HELP = (
-    f"worker processes, each with single-threaded BLAS (default: ${JOBS_ENV_VAR} "
-    f"or 1); jobs under {SERIAL_BELOW_CELLS / 1e6:g}M design cells (times the lasso "
-    f"solves per step under --penalty cv) run in one process"
+    f"processes that fit: this one plus JOBS-1 workers, each on one BLAS thread "
+    f"(default: ${JOBS_ENV_VAR} or 1); jobs under {SERIAL_BELOW_CELLS / 1e6:g}M design "
+    f"cells (times the lasso solves per step under --penalty cv) run in this process"
 )
 PENALTY_HELP = "penalty level rule: plug-in formula, or 10-fold cross-validation (default: plugin)"
 

@@ -624,9 +624,9 @@ def dml_multi(dataset, *, family: str = "logit", method: str = "dml",
     single-treatment fits are a special case. Estimation failures (typed
     errors, invalid values, singular linear algebra) become FitFailure
     records unless fail_fast is set; any other exception propagates.
-    jobs > 1 fans the per-treatment fits out to worker processes when the
-    job is large enough (see parallel.parallel_map); the result order and
-    values do not depend on jobs.
+    jobs > 1 fans the per-treatment fits out to this process and jobs - 1
+    workers when the job is large enough (see parallel.parallel_map); the
+    result order and values do not depend on jobs.
     """
     fitter = _FITTERS.get((family, method))
     if fitter is None:

@@ -35,8 +35,10 @@ def link(t):
     Stable for arguments of any finite magnitude; scalar in, scalar out.
     """
     arr = _finite_array(t, "t")
-    out = np.clip(expit(arr), PROB_EPS, 1.0 - PROB_EPS)
-    return float(out) if arr.ndim == 0 else out
+    out = expit(arr)
+    if arr.ndim == 0:
+        return float(np.clip(out, PROB_EPS, 1.0 - PROB_EPS))
+    return np.clip(out, PROB_EPS, 1.0 - PROB_EPS, out=out)
 
 
 def link_deriv(t):

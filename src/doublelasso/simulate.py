@@ -306,8 +306,8 @@ def run_replications(study: StudySpec, *, config: DmlConfig | None = None,
     Returns {method: [estimate-or-failure, ...]} with lists ordered by
     replication index. The study's level overrides the config's so the
     reported intervals match the rejection rule. Replications may fan out
-    to `jobs` worker processes when the study is large enough (see
-    parallel.parallel_map); results are identical for any job count.
+    to this process and `jobs` - 1 workers when the study is large enough
+    (see parallel.parallel_map); results are identical for any job count.
     """
     cfg = config or DmlConfig()
     if cfg.level != study.level:

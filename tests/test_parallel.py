@@ -2,14 +2,18 @@
 
 import os
 import pickle
+import threading
+import time
 
 import numpy as np
 import pytest
 
-from doublelasso import ColumnInfo, Dataset, errors
+from doublelasso import ColumnInfo, Dataset, errors, parallel
 from doublelasso.parallel import SERIAL_BELOW_CELLS, parallel_map, usable_cpus
 
 needs_two_cpus = pytest.mark.skipif(usable_cpus() < 2, reason="a pool needs two usable CPUs")
+needs_blas_control = pytest.mark.skipif(parallel._blas_thread_control() is None,
+                                        reason="numpy's BLAS exports no thread control")
 
 
 def _where(shared, item):
@@ -41,9 +45,8 @@ def test_large_job_runs_in_workers_with_single_threaded_blas(monkeypatch):
     monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
     got = parallel_map(_where, 100, range(6), 2, cells_per_item=SERIAL_BELOW_CELLS)
     assert [value for _, _, value in got] == [100 + k for k in range(6)]
-    pids = {pid for pid, _, _ in got}
-    assert os.getpid() not in pids and len(pids) <= 2
-    assert {blas for _, blas, _ in got} == {"1"}
+    assert len({pid for pid, _, _ in got}) <= 2
+    assert {blas for pid, blas, _ in got if pid != os.getpid()} <= {"1"}
     assert os.environ["OPENBLAS_NUM_THREADS"] == "7"
     assert "MKL_NUM_THREADS" not in os.environ
 
@@ -54,6 +57,77 @@ def test_worker_errors_reach_the_caller_unchanged():
         parallel_map(_fail_at, 2, range(4), 2, cells_per_item=SERIAL_BELOW_CELLS)
     assert info.value.columns == ("x3", "x7")
     assert str(info.value) == "rank-deficient design; offending columns: x3, x7"
+
+
+def _blas_threads(shared, item):
+    get, _ = parallel._blas_thread_control()
+    return os.getpid(), get()
+
+
+@needs_blas_control
+@pytest.mark.parametrize("cells_per_item",
+                         [1, pytest.param(SERIAL_BELOW_CELLS, marks=needs_two_cpus)],
+                         ids=["serial", "pooled"])
+def test_caller_fits_on_one_blas_thread_and_restores_the_count(cells_per_item):
+    get, set_ = parallel._blas_thread_control()
+    before = get()
+    set_(2)
+    try:
+        got = parallel_map(_blas_threads, None, range(6), 2, cells_per_item=cells_per_item)
+        assert get() == 2
+    finally:
+        set_(before)
+    assert os.getpid() in {pid for pid, _ in got}
+    assert {threads for _, threads in got} == {1}
+
+
+def test_blas_thread_control_is_found_on_scipy_openblas():
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    if blas.get("name") != "scipy-openblas":
+        pytest.skip(f"numpy is built against {blas.get('name')}")
+    assert parallel._blas_thread_control() is not None
+
+
+def _fail_low_and_last(caller_pid, item):
+    if os.getpid() == caller_pid and item < 5:
+        time.sleep(0.05)  # let the pool claim the front items first
+    if item == 0:
+        raise errors.ParseError(f"item 0 in pid {os.getpid()}")
+    if item == 11:
+        raise errors.SchemaError("item 11")
+    return item
+
+
+@needs_two_cpus
+def test_first_error_in_item_order_wins_over_the_callers():
+    with pytest.raises(errors.ParseError) as info:
+        parallel_map(_fail_low_and_last, os.getpid(), range(12), 2,
+                     cells_per_item=SERIAL_BELOW_CELLS)
+    assert str(info.value) != f"item 0 in pid {os.getpid()}"  # the pool ran item 0
+
+
+def _claim(directory, item):
+    with open(os.path.join(directory, f"{item}"), "a") as fh:
+        fh.write(f"{os.getpid()}\n")
+    return item, os.getpid()
+
+
+@needs_two_cpus
+def test_many_tiny_items_each_run_once_in_order(tmp_path):
+    outcome = {}
+
+    def run():
+        outcome["got"] = parallel_map(_claim, str(tmp_path), range(200), 2,
+                                      cells_per_item=SERIAL_BELOW_CELLS)
+
+    runner = threading.Thread(target=run, daemon=True)
+    runner.start()
+    runner.join(timeout=120)
+    assert not runner.is_alive()
+    assert [item for item, _ in outcome["got"]] == list(range(200))
+    runs = [(tmp_path / f"{item}").read_text().splitlines() for item in range(200)]
+    assert [len(pids) for pids in runs] == [1] * 200
+    assert len({pid for _, pid in outcome["got"]}) <= 2
 
 
 def test_jobs_below_one_rejected():
