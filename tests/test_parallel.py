@@ -1,19 +1,24 @@
 """The process pool behind --jobs: when it starts and what crosses into it."""
 
+import json
 import os
 import pickle
+import signal
+import subprocess
+import sys
 import threading
 import time
 
 import numpy as np
 import pytest
+import scipy
 
 from doublelasso import ColumnInfo, Dataset, errors, parallel
 from doublelasso.parallel import SERIAL_BELOW_CELLS, parallel_map, usable_cpus
 
 needs_two_cpus = pytest.mark.skipif(usable_cpus() < 2, reason="a pool needs two usable CPUs")
-needs_blas_control = pytest.mark.skipif(parallel._blas_thread_control() is None,
-                                        reason="numpy's BLAS exports no thread control")
+needs_blas_control = pytest.mark.skipif(not parallel._blas_thread_control(),
+                                        reason="no bundled BLAS exports a thread control")
 
 
 def _where(shared, item):
@@ -39,14 +44,29 @@ def test_one_job_or_one_item_stays_serial(jobs, items):
     assert {pid for pid, _, _ in got} == {os.getpid()}
 
 
+def _thread_counts():
+    return [get() for get, _ in parallel._blas_thread_control().values()]
+
+
+def _blas_threads_of(caller_pid, item):
+    if os.getpid() == caller_pid:
+        time.sleep(0.05)  # let the pool claim the front items first
+    return os.getpid(), _thread_counts(), item
+
+
 @needs_two_cpus
 def test_large_job_runs_in_workers_with_single_threaded_blas(monkeypatch):
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "7")
     monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
-    got = parallel_map(_where, 100, range(6), 2, cells_per_item=SERIAL_BELOW_CELLS)
-    assert [value for _, _, value in got] == [100 + k for k in range(6)]
+    before = _thread_counts()
+    got = parallel_map(_blas_threads_of, os.getpid(), range(6), 2,
+                       cells_per_item=SERIAL_BELOW_CELLS)
+    assert [item for _, _, item in got] == list(range(6))
     assert len({pid for pid, _, _ in got}) <= 2
-    assert {blas for pid, blas, _ in got if pid != os.getpid()} <= {"1"}
+    in_workers = [counts for pid, counts, _ in got if pid != os.getpid()]
+    assert in_workers
+    assert all(counts == [1] * len(before) for counts in in_workers)
+    assert _thread_counts() == before
     assert os.environ["OPENBLAS_NUM_THREADS"] == "7"
     assert "MKL_NUM_THREADS" not in os.environ
 
@@ -60,8 +80,7 @@ def test_worker_errors_reach_the_caller_unchanged():
 
 
 def _blas_threads(shared, item):
-    get, _ = parallel._blas_thread_control()
-    return os.getpid(), get()
+    return os.getpid(), _thread_counts()
 
 
 @needs_blas_control
@@ -69,23 +88,28 @@ def _blas_threads(shared, item):
                          [1, pytest.param(SERIAL_BELOW_CELLS, marks=needs_two_cpus)],
                          ids=["serial", "pooled"])
 def test_caller_fits_on_one_blas_thread_and_restores_the_count(cells_per_item):
-    get, set_ = parallel._blas_thread_control()
-    before = get()
-    set_(2)
+    controls = parallel._blas_thread_control().values()
+    before = _thread_counts()
+    for _, set_ in controls:
+        set_(2)
     try:
         got = parallel_map(_blas_threads, None, range(6), 2, cells_per_item=cells_per_item)
-        assert get() == 2
+        assert _thread_counts() == [2] * len(controls)
     finally:
-        set_(before)
+        for (_, set_), count in zip(controls, before):
+            set_(count)
     assert os.getpid() in {pid for pid, _ in got}
-    assert {threads for _, threads in got} == {1}
+    assert all(counts == [1] * len(controls) for _, counts in got)
 
 
 def test_blas_thread_control_is_found_on_scipy_openblas():
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    if blas.get("name") != "scipy-openblas":
-        pytest.skip(f"numpy is built against {blas.get('name')}")
-    assert parallel._blas_thread_control() is not None
+    builds = {"numpy._core._multiarray_umath": np.show_config(mode="dicts"),
+              "scipy.linalg._fblas": scipy.show_config(mode="dicts")}
+    bundled = {module for module, config in builds.items()
+               if config["Build Dependencies"]["blas"].get("name") == "scipy-openblas"}
+    if not bundled:
+        pytest.skip("neither numpy nor scipy is built against scipy-openblas")
+    assert bundled <= parallel._blas_thread_control().keys()
 
 
 def _fail_low_and_last(caller_pid, item):
@@ -112,22 +136,85 @@ def _claim(directory, item):
     return item, os.getpid()
 
 
+def _run_bounded(code, timeout=120):
+    """Run `code` in a fresh interpreter and return its stdout as JSON.
+
+    The interpreter and any workers it forked are killed after `timeout`
+    seconds, so a pool that hangs fails the test instead of the suite.
+    """
+    here = os.path.dirname(os.path.abspath(__file__))
+    proc = subprocess.Popen([sys.executable, "-c", f"import sys; sys.path.insert(0, {here!r})\n"
+                             + code], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True, start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=timeout)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail(f"no result within {timeout} s")
+    assert proc.returncode == 0, err
+    return json.loads(out)
+
+
 @needs_two_cpus
 def test_many_tiny_items_each_run_once_in_order(tmp_path):
+    got = _run_bounded(
+        "import json\n"
+        "from test_parallel import _claim\n"
+        "from doublelasso.parallel import SERIAL_BELOW_CELLS, parallel_map\n"
+        f"print(json.dumps(parallel_map(_claim, {str(tmp_path)!r}, range(200), 2,\n"
+        "                               cells_per_item=SERIAL_BELOW_CELLS)))\n")
+    assert [item for item, _ in got] == list(range(200))
+    runs = [(tmp_path / f"{item}").read_text().splitlines() for item in range(200)]
+    assert [len(pids) for pids in runs] == [1] * 200
+    assert 1 < len({pid for _, pid in got}) <= 2
+
+
+@needs_blas_control
+@needs_two_cpus
+def test_pool_forks_after_a_threaded_blas_call():
+    got = _run_bounded(
+        "import json, os\n"
+        "import numpy as np\n"
+        "from scipy.linalg import blas\n"
+        "from test_parallel import _blas_threads_of\n"
+        "from doublelasso import parallel\n"
+        "for _, set_ in parallel._blas_thread_control().values():\n"
+        "    set_(2)\n"
+        "a = np.ones((1500, 1500))\n"
+        "a @ a\n"
+        "blas.dgemm(1.0, a, a)\n"
+        "print(json.dumps([os.getpid(), parallel.parallel_map(\n"
+        "    _blas_threads_of, os.getpid(), range(6), 2,\n"
+        "    cells_per_item=parallel.SERIAL_BELOW_CELLS)]))\n")
+    caller, rows = got
+    assert [item for _, _, item in rows] == list(range(6))
+    in_workers = [counts for pid, counts, _ in rows if pid != caller]
+    assert in_workers
+    assert all(counts == [1] * len(counts) for counts in in_workers)
+
+
+@needs_two_cpus
+def test_call_from_another_thread_stays_serial():
     outcome = {}
 
     def run():
-        outcome["got"] = parallel_map(_claim, str(tmp_path), range(200), 2,
+        outcome["got"] = parallel_map(_blas_threads_of, os.getpid(), range(4), 2,
                                       cells_per_item=SERIAL_BELOW_CELLS)
 
     runner = threading.Thread(target=run, daemon=True)
     runner.start()
     runner.join(timeout=120)
     assert not runner.is_alive()
-    assert [item for item, _ in outcome["got"]] == list(range(200))
-    runs = [(tmp_path / f"{item}").read_text().splitlines() for item in range(200)]
-    assert [len(pids) for pids in runs] == [1] * 200
-    assert len({pid for _, pid in outcome["got"]}) <= 2
+    assert [(pid, item) for pid, _, item in outcome["got"]] == [(os.getpid(), k)
+                                                                 for k in range(4)]
+
+
+@needs_two_cpus
+def test_jobs_stay_serial_off_linux(monkeypatch):
+    monkeypatch.setattr(sys, "platform", "darwin")
+    got = parallel_map(_where, 0, range(4), 2, cells_per_item=SERIAL_BELOW_CELLS)
+    assert [(pid, value) for pid, _, value in got] == [(os.getpid(), k) for k in range(4)]
 
 
 def test_jobs_below_one_rejected():
