@@ -196,9 +196,7 @@ def cmd_simulate(args) -> int:
         else:
             text = render_coverage_reports(reports, fmt=args.format,
                                            decimals=args.decimals)
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        print(f"wrote {args.out}")
+        _emit(text, args.out)
     for r in reports:
         print(
             f"{r.method}: coverage={r.coverage:.3f} mean_bias={r.mean_bias:+.4f} "

@@ -53,6 +53,9 @@ from .parallel import parallel_map
 
 _SCALINGS = ("sqrt-sigma", "sigma")
 
+# Width of the bracket at which the step-3 golden-section search stops.
+_REFINE_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class DmlConfig:
@@ -62,16 +65,17 @@ class DmlConfig:
     instrument scaling divides the step-2 residual by sqrt(sigma_i) by
     default; "sigma" selects the v_i/sigma_i variant. search_width rescales
     the step-3 search interval, whose base radius is
-    max(1/log n, 10 * pilot standard error).
+    max(1/log n, 10 * pilot standard error); grid_points spaced evenly
+    across it bracket the minimizer, which a golden-section search then
+    refines to within _REFINE_TOL. The treatment is never penalized. seed
+    fixes the cross-validation folds under penalty method "cv".
     """
 
     penalty: PenaltyConfig = field(default_factory=PenaltyConfig)
     level: float = 0.05
     instrument_scaling: str = "sqrt-sigma"
-    penalize_treatment: bool = False
     search_width: float = 1.0
     grid_points: int = 401
-    refine_tol: float = 1e-10
     seed: int = 0
 
     def __post_init__(self):
@@ -83,8 +87,6 @@ class DmlConfig:
             raise ValueError("search_width must be positive")
         if self.grid_points < 3:
             raise ValueError("grid_points must be at least 3")
-        if self.refine_tol <= 0:
-            raise ValueError("refine_tol must be positive")
 
     def fingerprint(self) -> str:
         pen = self.penalty
@@ -220,7 +222,8 @@ def _golden_min(fn, lo: float, hi: float, tol: float) -> float:
     return 0.5 * (a + b)
 
 
-def _as_fit_inputs(y, d, X):
+def _fit_inputs(y, d, X, names, family: str):
+    """Checked float copies of (y, d, X) and one name per control column."""
     y = np.ascontiguousarray(y, dtype=float)
     d = np.ascontiguousarray(d, dtype=float)
     X = np.ascontiguousarray(X, dtype=float)
@@ -228,38 +231,42 @@ def _as_fit_inputs(y, d, X):
         raise ValueError("y and d must be equal-length vectors")
     if X.ndim != 2 or X.shape[0] != y.size:
         raise ValueError("X must be a matrix with one row per observation")
+    if y.size == 0:
+        raise ValueError("no observations to fit")
     if not (np.all(np.isfinite(y)) and np.all(np.isfinite(d)) and np.all(np.isfinite(X))):
         raise ValueError("inputs must be finite")
-    return y, d, X
-
-
-def _check_degenerate(y, d, family: str) -> None:
     if np.all(d == d[0]):
         raise DegenerateTreatmentError("treatment column is constant")
     if np.all(y == y[0]):
         raise DegenerateOutcomeError("outcome column is constant")
     if family == "logit" and not np.isin(np.unique(y), (0.0, 1.0)).all():
         raise ValueError("outcome must be binary 0/1 for the logit family")
-
-
-def _names_for(X, names):
     if names is None:
-        return tuple(f"x{j}" for j in range(X.shape[1]))
+        return y, d, X, tuple(f"x{j}" for j in range(X.shape[1]))
     names = tuple(str(s) for s in names)
     if len(names) != X.shape[1]:
         raise ValueError("names must match the number of control columns")
-    return names
+    return y, d, X, names
 
 
-def _inference(alpha: float, se: float, level: float):
-    q = float(ndtri(1.0 - level / 2.0))
+def _estimate(cfg: DmlConfig, treatment, family, method, n, alpha, se, support1,
+              support2, notes, diagnostics, artifacts=None) -> DmlEstimate:
+    """Normal-theory interval and p-value for (alpha, se), as a DmlEstimate."""
+    q = float(ndtri(1.0 - cfg.level / 2.0))
     ci_low = alpha - q * se
     ci_high = alpha + q * se
     if se > 0:
-        p = 2.0 * float(ndtr(-abs(alpha) / se))
+        p_value = 2.0 * float(ndtr(-abs(alpha) / se))
     else:
-        p = 1.0 if alpha == 0 else 0.0
-    return q, ci_low, ci_high, p
+        p_value = 1.0 if alpha == 0 else 0.0
+    diagnostics["ci_width_err"] = abs((ci_high - ci_low) - 2.0 * q * se)
+    return DmlEstimate(
+        treatment=treatment, family=family, method=method, n=n, alpha=alpha,
+        std_error=se, ci_low=ci_low, ci_high=ci_high, p_value=p_value,
+        level=cfg.level, step1_support=support1, step2_support=support2,
+        warnings=tuple(dict.fromkeys(notes)), diagnostics=diagnostics,
+        artifacts=artifacts,
+    )
 
 
 def lasso_solves(penalty: PenaltyConfig) -> int:
@@ -274,31 +281,41 @@ def lasso_solves(penalty: PenaltyConfig) -> int:
     return 1 + penalty.cv_folds * penalty.cv_grid
 
 
-def _select(design, y, family, w, lam_pilot, penalty, unpen, seed, treatment_index=None):
+def _select(design, y, family, w, penalty, unpen, seed):
     """One penalized selection: loadings, penalty level, lasso fit.
 
-    `design` is the step's _Design, shared by every solve below and dropped
-    by the caller when the step is done. Returns (penalty level, LassoFit).
+    The plug-in level counts the design's penalized columns. `design` is
+    the step's _Design, shared by every solve below and dropped by the
+    caller when the step is done. Returns (penalty level, LassoFit).
     """
+    n, p = design.X.shape
+    lam = plugin_lambda(n, max(p - len(unpen), 1), penalty)
     if family == "logistic":
-        loadings = logistic_lasso_loadings(design, y, lam_pilot,
-                                           refinements=penalty.loading_refinements,
-                                           unpenalized=unpen)
+        loadings = logistic_lasso_loadings(design, y, lam, unpenalized=unpen)
     else:
-        loadings = wls_lasso_loadings(design, y, w, lam_pilot,
-                                      refinements=penalty.loading_refinements,
-                                      unpenalized=unpen)
-    lam = lam_pilot
+        loadings = wls_lasso_loadings(design, y, w, lam, unpenalized=unpen)
     if penalty.method == "cv":
         lam = cv_lambda(design, y, family, w=w, loadings=loadings, config=penalty,
                         unpenalized=unpen, fit_intercept=True, seed=seed)
     if family == "logistic":
-        fit = lasso_logistic(design, y, lam, loadings, unpenalized=unpen,
-                             treatment_index=treatment_index)
+        fit = lasso_logistic(design, y, lam, loadings, unpenalized=unpen)
     else:
-        fit = lasso_wls(design, y, w, lam, loadings, unpenalized=unpen,
-                        treatment_index=treatment_index)
+        fit = lasso_wls(design, y, w, lam, loadings, unpenalized=unpen)
     return lam, fit
+
+
+def _logit_outcome_step(y, d, X, names, treatment, cfg, notes):
+    """Penalized logistic fit of y on (d, X) with d unpenalized, then refit.
+
+    Returns (penalty level, selected control names, RefitResult); the refit
+    keeps d in column 0.
+    """
+    Z = np.column_stack([d, X])
+    lam, fit = _select(_Design(Z), y, "logistic", None, cfg.penalty, (0,), cfg.seed)
+    notes.extend(fit.warnings)
+    refit = post_refit(Z, y, fit, "logistic", keep=(0,), names=(treatment,) + names)
+    notes.extend(refit.warnings)
+    return lam, tuple(names[j - 1] for j in fit.support), refit
 
 
 def dml_logit(y, d, X, *, names=None, treatment: str = "d",
@@ -315,28 +332,15 @@ def dml_logit(y, d, X, *, names=None, treatment: str = "d",
     standard error off the sandwich of the scoring moment.
     """
     cfg = config or DmlConfig()
-    y, d, X = _as_fit_inputs(y, d, X)
-    _check_degenerate(y, d, "logit")
-    names = _names_for(X, names)
-    n, p = X.shape
-    penalty = cfg.penalty
+    y, d, X, names = _fit_inputs(y, d, X, names, "logit")
+    n = y.size
     notes: list[str] = []
 
     # Step 1: outcome-side selection and refit.
-    Z = np.column_stack([d, X])
-    unpen1 = () if cfg.penalize_treatment else (0,)
-    p_pen1 = p + (1 if cfg.penalize_treatment else 0)
-    lam1_pilot = plugin_lambda(n, max(p_pen1, 1), penalty)
-    lam1, fit1 = _select(_Design(Z), y, "logistic", None, lam1_pilot, penalty,
-                         unpen1, cfg.seed, treatment_index=0)
-    notes.extend(fit1.warnings)
-    refit1 = post_refit(Z, y, fit1, "logistic", keep=(0,),
-                        names=(treatment,) + names)
-    notes.extend(refit1.warnings)
+    lam1, step1_support, refit1 = _logit_outcome_step(y, d, X, names, treatment, cfg, notes)
     alpha_tilde = float(refit1.coef[0])
     beta_tilde = refit1.coef[1:]
     eta_tilde = refit1.intercept + X @ beta_tilde
-    step1_support = tuple(names[j - 1] for j in fit1.support)
 
     m = alpha_tilde * d + eta_tilde
     g1 = link(m)
@@ -351,15 +355,12 @@ def dml_logit(y, d, X, *, names=None, treatment: str = "d",
     se0 = float(np.sqrt(max(refit1.cov_sandwich[1, 1], 0.0)))
 
     # Step 2: treatment-side selection with weights f_hat.
-    lam2_pilot = plugin_lambda(n, max(p, 1), penalty)
-    lam2, fit2 = _select(_Design(X), d, "linear", f_hat, lam2_pilot, penalty,
-                         (), cfg.seed)
+    lam2, fit2 = _select(_Design(X), d, "linear", f_hat, cfg.penalty, (), cfg.seed)
     notes.extend(fit2.warnings)
     refit2 = post_refit(X, d, fit2, "linear", w=f_hat * f_hat, names=names)
     theta_tilde = refit2.coef
     resid2 = d - refit2.intercept - X @ theta_tilde
     v_hat = f_hat * resid2
-    step2_support = tuple(names[j] for j in fit2.support)
 
     ref_scale = float(np.mean((f_hat * d) ** 2))
     if float(np.mean(v_hat * v_hat)) <= 1e-10 * max(ref_scale, 1e-300):
@@ -388,7 +389,7 @@ def dml_logit(y, d, X, *, names=None, treatment: str = "d",
         )
     bl = grid[max(i_best - 1, 0)]
     bh = grid[min(i_best + 1, cfg.grid_points - 1)]
-    refined = _golden_min(score, bl, bh, cfg.refine_tol)
+    refined = _golden_min(score, bl, bh, _REFINE_TOL)
     candidates = [(float(values[i_best]), float(grid[i_best])), (score(refined), float(refined))]
     obj_check, alpha_check = min(candidates)
     grid_gap = obj_check - float(values.min())
@@ -403,7 +404,6 @@ def dml_logit(y, d, X, *, names=None, treatment: str = "d",
         )
     sigma_n = math.sqrt(den) / abs(jac)
     se = sigma_n / math.sqrt(n)
-    q, ci_low, ci_high, p_value = _inference(alpha_check, se, cfg.level)
 
     artifacts = NuisanceArtifacts(
         eta_tilde=eta_tilde, w_hat=w_hat, sigma2_hat=sigma2, f_hat=f_hat,
@@ -411,9 +411,8 @@ def dml_logit(y, d, X, *, names=None, treatment: str = "d",
         intercept_tilde=float(refit1.intercept), beta_tilde=beta_tilde,
         theta_tilde=theta_tilde, theta_intercept=float(refit2.intercept),
     )
-    orth_cols = refit2.cols
     orth_max = 0.0
-    for j in orth_cols:
+    for j in refit2.cols:
         xj = X[:, j]
         denom = math.sqrt(float(np.mean(v_hat * v_hat)) * float(np.mean((f_hat * xj) ** 2)))
         if denom > 0:
@@ -432,27 +431,30 @@ def dml_logit(y, d, X, *, names=None, treatment: str = "d",
         "weight_identity_err": float(np.max(np.abs(f_hat * f_hat * sigma2 - w_hat * w_hat))),
         "step2_orth_max": float(orth_max),
         "mean_z2": float(np.mean(z_hat * z_hat)),
-        "ci_width_err": abs((ci_high - ci_low) - 2.0 * q * se),
         "w_hat_min": float(w_hat.min()),
         "w_hat_max": float(w_hat.max()),
         "w_hat_mean": float(w_hat.mean()),
     }
-    return DmlEstimate(
-        treatment=treatment, family="logit", method="dml", n=n,
-        alpha=float(alpha_check), std_error=se, ci_low=ci_low, ci_high=ci_high,
-        p_value=p_value, level=cfg.level,
-        step1_support=step1_support, step2_support=step2_support,
-        warnings=tuple(dict.fromkeys(notes)), diagnostics=diagnostics,
-        artifacts=artifacts,
-    )
+    return _estimate(cfg, treatment, "logit", "dml", n, float(alpha_check), se,
+                     step1_support, tuple(names[j] for j in fit2.support), notes,
+                     diagnostics, artifacts)
 
 
-def _hc1_cov(Z, resid):
-    n, k = Z.shape
-    ginv, _ = solve_spd(Z.T @ Z, np.eye(k))
+def _ols_hc1(y, d, X, cols, names, treatment):
+    """Least squares of y on (1, d, X[:, cols]); returns d's (coef, HC1 se)."""
+    n = y.size
+    ones = np.ones(n)
+    Z = np.column_stack([ones, d, X[:, cols]]) if cols else np.column_stack([ones, d])
+    sub_names = ["(intercept)", treatment] + [names[j] for j in cols]
+    G = Z.T @ Z
+    coef = solve_spd(G, Z.T @ y, names=sub_names)
+    resid = y - Z @ coef
+    k = Z.shape[1]
+    ginv = solve_spd(G, np.eye(k))
     meat = (Z * (resid * resid)[:, None]).T @ Z
     scale = n / (n - k) if n > k else 1.0
-    return ginv @ meat @ ginv * scale
+    cov = ginv @ meat @ ginv * scale
+    return float(coef[1]), float(np.sqrt(max(cov[1, 1], 0.0)))
 
 
 def dml_linear(y, d, X, *, names=None, treatment: str = "d",
@@ -465,46 +467,28 @@ def dml_linear(y, d, X, *, names=None, treatment: str = "d",
     standard errors.
     """
     cfg = config or DmlConfig()
-    y, d, X = _as_fit_inputs(y, d, X)
-    _check_degenerate(y, d, "linear")
-    names = _names_for(X, names)
-    n, p = X.shape
-    penalty = cfg.penalty
-    ones = np.ones(n)
+    y, d, X, names = _fit_inputs(y, d, X, names, "linear")
+    ones = np.ones(y.size)
     notes: list[str] = []
 
-    lam_pilot = plugin_lambda(n, max(p, 1), penalty)
     # Both selections regress on the same X, so they share one design.
     design = _Design(X)
-    lam_y, fit_y = _select(design, y, "linear", ones, lam_pilot, penalty, (), cfg.seed)
+    lam_y, fit_y = _select(design, y, "linear", ones, cfg.penalty, (), cfg.seed)
     notes.extend(fit_y.warnings)
-    lam_d, fit_d = _select(design, d, "linear", ones, lam_pilot, penalty, (), cfg.seed)
+    lam_d, fit_d = _select(design, d, "linear", ones, cfg.penalty, (), cfg.seed)
     notes.extend(fit_d.warnings)
     del design
 
     union = sorted(set(fit_y.support) | set(fit_d.support))
-    Z = np.column_stack([ones, d, X[:, union]]) if union else np.column_stack([ones, d])
-    sub_names = ["(intercept)", treatment] + [names[j] for j in union]
-    coef, _ = solve_spd(Z.T @ Z, Z.T @ y, names=sub_names)
-    resid = y - Z @ coef
-    cov = _hc1_cov(Z, resid)
-    alpha = float(coef[1])
-    se = float(np.sqrt(max(cov[1, 1], 0.0)))
-    q, ci_low, ci_high, p_value = _inference(alpha, se, cfg.level)
+    alpha, se = _ols_hc1(y, d, X, union, names, treatment)
     diagnostics = {
         "lambda_outcome": float(lam_y),
         "lambda_treatment": float(lam_d),
         "union_size": len(union),
-        "ci_width_err": abs((ci_high - ci_low) - 2.0 * q * se),
     }
-    return DmlEstimate(
-        treatment=treatment, family="linear", method="dml", n=n, alpha=alpha,
-        std_error=se, ci_low=ci_low, ci_high=ci_high, p_value=p_value,
-        level=cfg.level,
-        step1_support=tuple(names[j] for j in fit_y.support),
-        step2_support=tuple(names[j] for j in fit_d.support),
-        warnings=tuple(dict.fromkeys(notes)), diagnostics=diagnostics,
-    )
+    return _estimate(cfg, treatment, "linear", "dml", y.size, alpha, se,
+                     tuple(names[j] for j in fit_y.support),
+                     tuple(names[j] for j in fit_d.support), notes, diagnostics)
 
 
 def naive_logit(y, d, X, *, names=None, treatment: str = "d",
@@ -517,73 +501,27 @@ def naive_logit(y, d, X, *, names=None, treatment: str = "d",
     benchmark that the orthogonalized procedure is measured against.
     """
     cfg = config or DmlConfig()
-    y, d, X = _as_fit_inputs(y, d, X)
-    _check_degenerate(y, d, "logit")
-    names = _names_for(X, names)
-    n, p = X.shape
-    penalty = cfg.penalty
+    y, d, X, names = _fit_inputs(y, d, X, names, "logit")
     notes: list[str] = []
-
-    Z = np.column_stack([d, X])
-    lam_pilot = plugin_lambda(n, max(p, 1), penalty)
-    lam, fit = _select(_Design(Z), y, "logistic", None, lam_pilot, penalty, (0,),
-                       cfg.seed, treatment_index=0)
-    notes.extend(fit.warnings)
-    refit = post_refit(Z, y, fit, "logistic", keep=(0,), names=(treatment,) + names)
-    notes.extend(refit.warnings)
-    alpha = float(refit.coef[0])
+    lam, support, refit = _logit_outcome_step(y, d, X, names, treatment, cfg, notes)
     se = float(np.sqrt(max(refit.cov[1, 1], 0.0)))
-    q, ci_low, ci_high, p_value = _inference(alpha, se, cfg.level)
-    support = tuple(names[j - 1] for j in fit.support)
-    diagnostics = {
-        "lambda": float(lam),
-        "ci_width_err": abs((ci_high - ci_low) - 2.0 * q * se),
-    }
-    return DmlEstimate(
-        treatment=treatment, family="logit", method="naive", n=n, alpha=alpha,
-        std_error=se, ci_low=ci_low, ci_high=ci_high, p_value=p_value,
-        level=cfg.level, step1_support=support, step2_support=(),
-        warnings=tuple(dict.fromkeys(notes)), diagnostics=diagnostics,
-    )
+    return _estimate(cfg, treatment, "logit", "naive", y.size, float(refit.coef[0]), se,
+                     support, (), notes, {"lambda": float(lam)})
 
 
 def naive_linear(y, d, X, *, names=None, treatment: str = "d",
                  config: DmlConfig | None = None) -> DmlEstimate:
     """Single selection then ordinary least squares with HC1 errors."""
     cfg = config or DmlConfig()
-    y, d, X = _as_fit_inputs(y, d, X)
-    _check_degenerate(y, d, "linear")
-    names = _names_for(X, names)
-    n, p = X.shape
-    penalty = cfg.penalty
-    ones = np.ones(n)
-    notes: list[str] = []
-
+    y, d, X, names = _fit_inputs(y, d, X, names, "linear")
     Z = np.column_stack([d, X])
-    lam_pilot = plugin_lambda(n, max(p, 1), penalty)
-    lam, fit = _select(_Design(Z), y, "linear", ones, lam_pilot, penalty, (0,),
-                       cfg.seed, treatment_index=0)
-    notes.extend(fit.warnings)
-    cols = [0] + [j for j in fit.support]
-    Zr = np.column_stack([ones, Z[:, cols]])
-    sub_names = ["(intercept)", treatment] + [names[j - 1] for j in fit.support]
-    coef, _ = solve_spd(Zr.T @ Zr, Zr.T @ y, names=sub_names)
-    resid = y - Zr @ coef
-    cov = _hc1_cov(Zr, resid)
-    alpha = float(coef[1])
-    se = float(np.sqrt(max(cov[1, 1], 0.0)))
-    q, ci_low, ci_high, p_value = _inference(alpha, se, cfg.level)
-    support = tuple(names[j - 1] for j in fit.support)
-    diagnostics = {
-        "lambda": float(lam),
-        "ci_width_err": abs((ci_high - ci_low) - 2.0 * q * se),
-    }
-    return DmlEstimate(
-        treatment=treatment, family="linear", method="naive", n=n, alpha=alpha,
-        std_error=se, ci_low=ci_low, ci_high=ci_high, p_value=p_value,
-        level=cfg.level, step1_support=support, step2_support=(),
-        warnings=tuple(dict.fromkeys(notes)), diagnostics=diagnostics,
-    )
+    lam, fit = _select(_Design(Z), y, "linear", np.ones(y.size), cfg.penalty, (0,),
+                       cfg.seed)
+    cols = [j - 1 for j in fit.support]
+    alpha, se = _ols_hc1(y, d, X, cols, names, treatment)
+    return _estimate(cfg, treatment, "linear", "naive", y.size, alpha, se,
+                     tuple(names[j] for j in cols), (), list(fit.warnings),
+                     {"lambda": float(lam)})
 
 
 _FITTERS = {

@@ -19,7 +19,7 @@ import ast
 import csv
 import io
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 import yaml
@@ -569,23 +569,17 @@ def interact(dataset: Dataset, pairs, roles=None) -> Dataset:
     Returns a new Dataset; the input is untouched. Product values are exact
     elementwise products of the encoded (post-standardization) parents, so
     processing pairs in any order yields identical columns. The role of each
-    product defaults to control unless `roles` (a sequence aligned with
-    `pairs`, or a mapping from product name to role) says treatment.
+    product defaults to control unless `roles`, a sequence aligned with
+    `pairs`, says treatment.
     """
     pairs = [(str(a), str(b)) for a, b in pairs]
-    if roles is None:
-        role_of = {}
-    elif isinstance(roles, dict):
-        role_of = {str(k): v for k, v in roles.items()}
-    else:
-        roles = list(roles)
-        if len(roles) != len(pairs):
-            raise ValueError("roles must align with pairs")
-        role_of = {f"{a}*{b}": r for (a, b), r in zip(pairs, roles)}
+    roles = ["control"] * len(pairs) if roles is None else list(roles)
+    if len(roles) != len(pairs):
+        raise ValueError("roles must align with pairs")
     existing = set(dataset.column_names)
     new_cols = list(dataset.columns)
     blocks = [dataset.design]
-    for a, b in pairs:
+    for (a, b), role in zip(pairs, roles):
         name = f"{a}*{b}"
         if a not in existing:
             raise ValueError(f"interaction parent {a!r} is not a design column")
@@ -595,7 +589,6 @@ def interact(dataset: Dataset, pairs, roles=None) -> Dataset:
             raise ValueError(f"interaction column {name!r} already exists")
         va = dataset.design[:, dataset.index_of(a)]
         vb = dataset.design[:, dataset.index_of(b)]
-        role = role_of.get(name, "control")
         if role not in ("treatment", "control"):
             raise ValueError(f"bad interaction role {role!r}")
         new_cols.append(ColumnInfo(name=name, role=role, source=name, level=None))
@@ -824,9 +817,11 @@ def load_dataset(path) -> Dataset:
                 raise ParseError(f"row {i}: {exc}") from None
             y.append(vals[0])
             rows.append(vals[1:])
+    if not rows:
+        raise EmptyDatasetError(f"{path} has no data rows")
     return Dataset(
         y=np.asarray(y),
-        design=np.asarray(rows) if rows else np.empty((0, len(infos))),
+        design=np.asarray(rows),
         columns=infos,
         outcome_name=outcome,
         n_dropped=int(meta.get("n_dropped", 0)),

@@ -1,12 +1,10 @@
-"""Shared numerical primitives: logistic link, logistic loss, weighted LS.
+"""Shared numerical primitives: logistic link, Gram solves, weighted LS.
 
 Every function here is pure and allocation-local, so the module is safe to use
 from any number of threads.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg
@@ -19,7 +17,7 @@ from .errors import RankDeficiencyError
 PROB_EPS = 1e-10
 
 # Relative pivot floor for Gram solves: 1e-10 * trace(G) / k.
-RIDGE_FLOOR_REL = 1e-10
+PIVOT_FLOOR_REL = 1e-10
 
 
 def _finite_array(t, name: str) -> np.ndarray:
@@ -52,70 +50,26 @@ def link_deriv(t):
     return float(out) if arr.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class CoefficientVector:
-    """Intercept, optional treatment coefficient, and control coefficients."""
-
-    intercept: float
-    alpha: float | None
-    beta: np.ndarray
-
-    def __post_init__(self):
-        beta = np.asarray(self.beta, dtype=float)
-        object.__setattr__(self, "beta", beta)
-        head = [self.intercept] if self.alpha is None else [self.intercept, self.alpha]
-        if not (np.all(np.isfinite(head)) and np.all(np.isfinite(beta))):
-            raise ValueError("coefficients must be finite")
-
-
-def neg_loglik(coef: CoefficientVector, y, d, X) -> float:
-    """Mean logistic loss: average of log(1 + exp(eta_i)) - y_i * eta_i.
-
-    eta_i = intercept + alpha * d_i + x_i . beta. The softplus term is
-    evaluated through logaddexp, so huge |eta| neither overflows nor rounds
-    the loss to zero (a single y=0 observation at eta=-50 still contributes
-    ~1.93e-22).
-    """
-    y = _finite_array(y, "y")
-    X = np.asarray(X, dtype=float)
-    if y.ndim != 1 or y.size == 0:
-        raise ValueError("y must be a nonempty vector")
-    if X.shape != (y.size, coef.beta.size):
-        raise ValueError("X has the wrong shape for y and beta")
-    eta = coef.intercept + X @ coef.beta
-    if coef.alpha is not None:
-        d = _finite_array(d, "d")
-        if d.shape != y.shape:
-            raise ValueError("d must match y in length")
-        eta = eta + coef.alpha * d
-    return float(np.mean(np.logaddexp(0.0, eta) - y * eta))
-
-
-def solve_spd(G, b, *, names=None, rescue: bool = False):
+def solve_spd(G, b, *, names=None):
     """Solve G x = b for a symmetric PSD Gram matrix with a pivot check.
 
-    Returns (x, note). A Cholesky pivot at or below the relative floor
-    1e-10 * trace(G)/k means rank deficiency: by default the offending
-    columns are identified and RankDeficiencyError is raised; with
-    rescue=True the floor is added to the diagonal instead and the note
-    reports that the ridge floor activated.
+    A Cholesky pivot at or below the relative floor 1e-10 * trace(G)/k
+    means rank deficiency: the offending columns are identified and
+    RankDeficiencyError is raised.
     """
     G = np.asarray(G, dtype=float)
     b = np.asarray(b, dtype=float)
     k = G.shape[0]
     if k == 0:
-        return np.zeros(0), None
-    floor = RIDGE_FLOOR_REL * float(np.trace(G)) / k
+        return np.zeros(0)
+    floor = PIVOT_FLOOR_REL * float(np.trace(G)) / k
     try:
         cf = linalg.cho_factor(G, check_finite=False)
         piv_sq = np.diag(cf[0]) ** 2
         if np.all(piv_sq > floor):
-            return linalg.cho_solve(cf, b, check_finite=False), None
+            return linalg.cho_solve(cf, b, check_finite=False)
     except linalg.LinAlgError:
         pass
-    if rescue:
-        x = linalg.solve(G + floor * np.eye(k), b, assume_a="pos", check_finite=False)
-        return x, "ridge floor activated in rank-deficient solve"
     raise RankDeficiencyError(_offending_columns(G, floor, names))
 
 
@@ -158,21 +112,5 @@ def wls_fit(X, y, w, *, names=None) -> np.ndarray:
     sw = np.sqrt(w[keep])
     Xw = Xk * sw[:, None]
     yw = y[keep] * sw
-    coef, _ = solve_spd(Xw.T @ Xw, Xw.T @ yw, names=names)
-    return coef
+    return solve_spd(Xw.T @ Xw, Xw.T @ yw, names=names)
 
-
-def wls_fit_rescued(X, y, w, *, names=None):
-    """Like wls_fit, but a deficient Gram gets the documented ridge floor.
-
-    Returns (coef, note); note is None on the clean path and the activation
-    report when the floor was added.
-    """
-    X = np.asarray(X, dtype=float)
-    y = _finite_array(y, "y")
-    w = _finite_array(w, "w")
-    keep = w > 0
-    Xk = X[keep]
-    sw = np.sqrt(w[keep])
-    Xw = Xk * sw[:, None]
-    return solve_spd(Xw.T @ Xw, Xw.T @ (y[keep] * sw), names=names, rescue=True)

@@ -19,31 +19,15 @@ from __future__ import annotations
 
 import math
 import warnings as _warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import RankDeficiencyError
-from .glm import PROB_EPS, CoefficientVector, link, solve_spd
+from .glm import PROB_EPS, link, solve_spd
 
 _OBJ_SLACK = 1e-12  # relative slack when comparing recorded objective values
-
-
-def soft_threshold(z: float, t: float) -> float:
-    """Soft-thresholding: sign(z) * max(|z| - t, 0), exactly 0 in the dead zone."""
-    z = float(z)
-    t = float(t)
-    if not (math.isfinite(z) and math.isfinite(t)):
-        raise ValueError("arguments must be finite")
-    if t < 0:
-        raise ValueError("threshold must be nonnegative")
-    if z > t:
-        return z - t
-    if z < -t:
-        return z + t
-    return 0.0
 
 
 @dataclass(frozen=True)
@@ -53,6 +37,7 @@ class PenaltyConfig:
     method "plugin" uses c * sqrt(n) * PhiInv(1 - gamma / (2 p)); gamma=None
     means the default 0.1 / log(n). method "cv" selects the level by K-fold
     cross-validation on a geometric grid below the smallest all-zero level.
+    Either way the fitters' penalty loadings take one refinement.
     """
 
     method: str = "plugin"
@@ -62,7 +47,6 @@ class PenaltyConfig:
     cv_grid: int = 30
     cv_min_ratio: float = 1e-3
     one_se: bool = False
-    loading_refinements: int = 1
 
     def __post_init__(self):
         if self.method not in ("plugin", "cv"):
@@ -75,8 +59,6 @@ class PenaltyConfig:
             raise ValueError("cv_folds must be at least 2")
         if self.cv_grid < 2 or not 0.0 < self.cv_min_ratio < 1.0:
             raise ValueError("bad cross-validation grid settings")
-        if self.loading_refinements < 0:
-            raise ValueError("loading_refinements must be nonnegative")
         if self.method == "plugin" and self.c < 1.0:
             _warnings.warn(
                 "plug-in penalty constant c below 1.0 voids its theoretical guarantee",
@@ -129,16 +111,6 @@ class LassoFit:
     objective: float
     objective_path: np.ndarray
     warnings: tuple[str, ...] = ()
-    treatment_index: int | None = None
-
-    @property
-    def coefficients(self) -> CoefficientVector:
-        if self.treatment_index is None:
-            return CoefficientVector(self.intercept, None, self.coef)
-        t = self.treatment_index
-        return CoefficientVector(
-            self.intercept, float(self.coef[t]), np.delete(self.coef, t)
-        )
 
 
 class _Design:
@@ -298,7 +270,7 @@ def _cd_solve(Xf, XWf, Wvec, r, coef, intercept, col_sq, thr, penal, fit_interce
 
 def lasso_wls(X, y, w, lam, loadings=None, *, fit_intercept: bool = True,
               unpenalized=(), tol: float = 1e-8, max_sweeps: int = 10_000,
-              treatment_index: int | None = None, init=None) -> LassoFit:
+              init=None) -> LassoFit:
     """Weighted-linear lasso by cyclic coordinate descent with active-set cycling.
 
     Minimizes mean_i w_i^2 (y_i - c - x_i.theta)^2 + (lam/n) sum_j loading_j
@@ -350,13 +322,12 @@ def lasso_wls(X, y, w, lam, loadings=None, *, fit_intercept: bool = True,
         objective=path[-1],
         objective_path=np.asarray(path),
         warnings=notes,
-        treatment_index=treatment_index,
     )
 
 
 def lasso_logistic(X, y, lam, loadings=None, *, unpenalized=(), fit_intercept: bool = True,
                    tol: float = 1e-8, max_sweeps: int = 10_000, max_outer: int = 200,
-                   treatment_index: int | None = None, init=None) -> LassoFit:
+                   init=None) -> LassoFit:
     """Penalized logistic regression by iteratively reweighted coordinate descent.
 
     Each outer pass builds the curvature-weighted quadratic at the current
@@ -466,7 +437,6 @@ def lasso_logistic(X, y, lam, loadings=None, *, unpenalized=(), fit_intercept: b
         objective=path[-1],
         objective_path=np.asarray(path),
         warnings=tuple(notes),
-        treatment_index=treatment_index,
     )
 
 
@@ -552,7 +522,7 @@ def _lambda_max_logistic(X, y, loadings, fit_intercept):
     return float(np.max(np.abs(score) / loadings))
 
 
-def cv_lambda(X, y, family: str, *, w=None, loadings=None,
+def cv_lambda(X, y, family: str, *, loadings, w=None,
               config: PenaltyConfig | None = None, unpenalized=(),
               fit_intercept: bool = True, seed: int = 0) -> float:
     """K-fold cross-validated penalty level on a geometric grid.
@@ -567,31 +537,20 @@ def cv_lambda(X, y, family: str, *, w=None, loadings=None,
     rounding alone (1e-9 relative) count as tied, and ties go to the largest
     level, so warm and cold starts select the same one. With config.one_se
     the largest level within one standard error of that minimizer is
-    returned instead. `X` may be a prepared `_Design`, which the pilot
-    loadings then share; each fold's training rows get a design of their
-    own, reused along that fold's path.
+    returned instead. `loadings` are the penalty loadings every fold
+    solve uses. `X` may be a prepared `_Design`; each fold's training rows
+    get a design of their own, reused along that fold's path.
     """
     if family not in ("linear", "logistic"):
         raise ValueError(f"unknown family {family!r}")
     if config is None:
         config = PenaltyConfig(method="cv")
-    design = _design(X)
-    X = design.X
+    X = _design(X).X
     y = np.asarray(y, dtype=float)
-    n, p = X.shape
+    n = X.shape[0]
     if w is None:
         w = np.ones(n)
     w = np.asarray(w, dtype=float)
-    if loadings is None:
-        pilot = plugin_lambda(n, p, PenaltyConfig())
-        if family == "linear":
-            loadings = wls_lasso_loadings(design, y, w, pilot, fit_intercept=fit_intercept,
-                                          unpenalized=unpenalized,
-                                          refinements=config.loading_refinements)
-        else:
-            loadings = logistic_lasso_loadings(design, y, pilot, fit_intercept=fit_intercept,
-                                               unpenalized=unpenalized,
-                                               refinements=config.loading_refinements)
     loadings = np.asarray(loadings, dtype=float)
     if family == "linear":
         top = lambda_max_wls(X, y, w, loadings, fit_intercept=fit_intercept)
@@ -648,7 +607,6 @@ class RefitResult:
     coef: np.ndarray
     cols: tuple[int, ...]
     objective: float
-    has_intercept: bool
     cov: np.ndarray | None = None
     cov_sandwich: np.ndarray | None = None
     warnings: tuple[str, ...] = ()
@@ -671,7 +629,7 @@ def _logit_mle(Z, y, *, names=None, tol: float = 1e-10, max_iter: int = 100):
         om = prob * (1.0 - prob)
         score = Z.T @ (y - prob)
         H = Z.T @ (Z * om[:, None])
-        step, _ = solve_spd(H, score, names=names)
+        step = solve_spd(H, score, names=names)
         t = 1.0
         while True:
             new_coef = coef + t * step
@@ -692,7 +650,7 @@ def _logit_mle(Z, y, *, names=None, tol: float = 1e-10, max_iter: int = 100):
     om = prob * (1.0 - prob)
     H = Z.T @ (Z * om[:, None])
     eye = np.eye(k)
-    Hinv, _ = solve_spd(H, eye, names=names)
+    Hinv = solve_spd(H, eye, names=names)
     B = Z.T @ (Z * ((y - prob) ** 2)[:, None])
     cov_sand = Hinv @ B @ Hinv
     return coef, Hinv, cov_sand, float(f0 / n), tuple(notes)
@@ -756,7 +714,6 @@ def post_refit(X, y, fit_or_support, family: str, *, w=None, keep=(),
         coef=coef,
         cols=tuple(cols),
         objective=loss,
-        has_intercept=fit_intercept,
         cov=cov,
         cov_sandwich=cov_sand,
         warnings=tuple(notes),

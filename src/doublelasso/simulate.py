@@ -203,26 +203,6 @@ def _estimation_family(dgp_family: str) -> str:
     return "logit" if dgp_family == "logistic" else "linear"
 
 
-def _infer_family(dataset: Dataset) -> str:
-    return "logit" if np.isin(np.unique(dataset.y), (0.0, 1.0)).all() else "linear"
-
-
-def dml_fit(dataset: Dataset, treatment: str = "d",
-            config: DmlConfig | None = None, *, family: str | None = None) -> DmlEstimate:
-    """Orthogonalized fit of one treatment; family inferred from y if omitted."""
-    fam = family or _infer_family(dataset)
-    return dml_multi(dataset, family=fam, method="dml", treatments=(treatment,),
-                     config=config, fail_fast=True)[0]
-
-
-def naive_fit(dataset: Dataset, treatment: str = "d",
-              config: DmlConfig | None = None, *, family: str | None = None) -> DmlEstimate:
-    """Single-selection comparator fit; family inferred from y if omitted."""
-    fam = family or _infer_family(dataset)
-    return dml_multi(dataset, family=fam, method="naive", treatments=(treatment,),
-                     config=config, fail_fast=True)[0]
-
-
 # ---------------------------------------------------------------------------
 # Studies
 

@@ -3,7 +3,11 @@
 Nothing here calls into the package's solvers: quantiles come from mpmath's
 erfinv, the logistic MLE from a plain Newton iteration on numpy, and the
 stationarity (KKT) gaps are computed directly from the objective definitions.
+The scalar soft-threshold, the logistic loss and the ridge-floored weighted
+least squares are numpy-only references for the solvers' building blocks.
 """
+
+from dataclasses import dataclass
 
 import mpmath
 import numpy as np
@@ -93,3 +97,83 @@ def orthonormal_solution(Q, y, lam, loadings):
     rho = Q.T @ np.asarray(y, dtype=float)
     t = lam * np.asarray(loadings, dtype=float) / 2.0
     return np.sign(rho) * np.maximum(np.abs(rho) - t, 0.0)
+
+
+def soft_threshold(z: float, t: float) -> float:
+    """Soft-thresholding: sign(z) * max(|z| - t, 0), exactly 0 in the dead zone."""
+    z = float(z)
+    t = float(t)
+    if not (np.isfinite(z) and np.isfinite(t)):
+        raise ValueError("arguments must be finite")
+    if t < 0:
+        raise ValueError("threshold must be nonnegative")
+    if z > t:
+        return z - t
+    if z < -t:
+        return z + t
+    return 0.0
+
+
+@dataclass(frozen=True)
+class CoefficientVector:
+    """Intercept, optional treatment coefficient, and control coefficients."""
+
+    intercept: float
+    alpha: float | None
+    beta: np.ndarray
+
+    def __post_init__(self):
+        beta = np.asarray(self.beta, dtype=float)
+        object.__setattr__(self, "beta", beta)
+        head = [self.intercept] if self.alpha is None else [self.intercept, self.alpha]
+        if not (np.all(np.isfinite(head)) and np.all(np.isfinite(beta))):
+            raise ValueError("coefficients must be finite")
+
+
+def neg_loglik(coef: CoefficientVector, y, d, X) -> float:
+    """Mean logistic loss: average of log(1 + exp(eta_i)) - y_i * eta_i.
+
+    eta_i = intercept + alpha * d_i + x_i . beta. The softplus term is
+    evaluated through logaddexp, so huge |eta| neither overflows nor rounds
+    the loss to zero (a single y=0 observation at eta=-50 still contributes
+    ~1.93e-22).
+    """
+    y = np.asarray(y, dtype=float)
+    X = np.asarray(X, dtype=float)
+    if y.ndim != 1 or y.size == 0 or not np.all(np.isfinite(y)):
+        raise ValueError("y must be a nonempty finite vector")
+    if X.shape != (y.size, coef.beta.size):
+        raise ValueError("X has the wrong shape for y and beta")
+    eta = coef.intercept + X @ coef.beta
+    if coef.alpha is not None:
+        d = np.asarray(d, dtype=float)
+        if d.shape != y.shape or not np.all(np.isfinite(d)):
+            raise ValueError("d must be finite and match y in length")
+        eta = eta + coef.alpha * d
+    return float(np.mean(np.logaddexp(0.0, eta) - y * eta))
+
+
+def wls_fit_rescued(X, y, w, *, floor_rel=1e-10):
+    """Weighted least squares whose deficient Gram gets a ridge floor.
+
+    Solves the weighted normal equations by Cholesky. When a pivot falls at
+    or below floor_rel * trace(G) / k, the floor is added to the diagonal
+    instead of raising. Returns (coef, note); note is None on the clean
+    path and reports the activation otherwise.
+    """
+    X = np.asarray(X, dtype=float)
+    w = np.asarray(w, dtype=float)
+    keep = w > 0
+    sw = np.sqrt(w[keep])
+    Xw = X[keep] * sw[:, None]
+    G = Xw.T @ Xw
+    b = Xw.T @ (np.asarray(y, dtype=float)[keep] * sw)
+    floor = floor_rel * float(np.trace(G)) / G.shape[0]
+    try:
+        L = np.linalg.cholesky(G)
+        if np.all(np.diag(L) ** 2 > floor):
+            return np.linalg.solve(L.T, np.linalg.solve(L, b)), None
+    except np.linalg.LinAlgError:
+        pass
+    coef = np.linalg.solve(G + floor * np.eye(G.shape[0]), b)
+    return coef, "ridge floor activated in rank-deficient solve"

@@ -310,6 +310,18 @@ def test_fit_encoded_without_sidecar_exits_2(ws, tmp_path):
     assert "sidecar" in proc.stderr
 
 
+def test_fit_header_only_dataset_exits_2(ws, tmp_path):
+    empty = tmp_path / "empty.tsv"
+    header = ws["encoded"].read_text(encoding="utf-8").splitlines()[0]
+    empty.write_text(header + "\n", encoding="utf-8")
+    with open(sidecar_path(str(ws["encoded"])), "rb") as src, \
+            open(sidecar_path(str(empty)), "wb") as dst:
+        dst.write(src.read())
+    proc = run_cli("fit", "--data", str(empty))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and "no data rows" in proc.stderr
+
+
 def test_fit_bad_level_exits_2(ws):
     proc = run_cli("fit", "--data", str(ws["encoded"]), "--level", "1.5")
     assert proc.returncode == 2

@@ -261,6 +261,11 @@ class TestDmlLogit:
         with pytest.raises(WeakInstrumentError):
             dml_logit(y, d, X)
 
+    @pytest.mark.parametrize("fitter", [dml_logit, naive_logit, dml_linear, naive_linear])
+    def test_zero_rows_rejected(self, fitter):
+        with pytest.raises(ValueError, match="no observations"):
+            fitter(np.zeros(0), np.zeros(0), np.zeros((0, 3)))
+
     def test_names_length_mismatch_rejected(self):
         y, d, X = _logit_dgp(15, n=60, p=3)
         with pytest.raises(ValueError):

@@ -397,6 +397,14 @@ class TestDatasetRoundTrip:
         assert back.outcome_name == ds.outcome_name
         assert back.n_dropped == ds.n_dropped
 
+    def test_header_only_file_is_an_empty_dataset(self, tmp_path):
+        ds = encode(load_table(io.StringIO(_SURVEY_TEXT)), _survey_spec())
+        out = tmp_path / "data.tsv"
+        save_dataset(ds, out)
+        out.write_text(out.read_text().splitlines()[0] + "\n")
+        with pytest.raises(EmptyDatasetError, match="no data rows"):
+            load_dataset(out)
+
     def test_header_sidecar_mismatch_rejected(self, tmp_path):
         ds = encode(load_table(io.StringIO(_SURVEY_TEXT)), _survey_spec())
         out = tmp_path / "data.tsv"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import soft_threshold
 from doublelasso import lasso
 from doublelasso.lasso import _Design
 from doublelasso import (
@@ -17,7 +18,6 @@ from doublelasso import (
     logistic_lasso_loadings,
     plugin_lambda,
     post_refit,
-    soft_threshold,
     wls_fit,
     wls_lasso_loadings,
 )
@@ -461,12 +461,12 @@ class TestCvLambda:
         rng = np.random.default_rng(22)
         X = rng.normal(size=(90, 5))
         y = (rng.random(90) < 0.5).astype(float)
-        lam = cv_lambda(X, y, "logistic", seed=1)
+        lam = cv_lambda(X, y, "logistic", loadings=np.ones(5), seed=1)
         assert lam >= 0
 
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):
-            cv_lambda(np.ones((4, 1)), np.ones(4), "poisson")
+            cv_lambda(np.ones((4, 1)), np.ones(4), "poisson", loadings=np.ones(1))
 
 
 def _bits(a):
@@ -536,9 +536,9 @@ class TestPreparedDesign:
     @pytest.mark.parametrize("family", ["linear", "logistic"])
     @pytest.mark.parametrize("unpenalized", [(), (0,)])
     def test_cv_lambda_returns_the_same_level(self, family, unpenalized):
-        X, y, w, _ = _cv_instance(family, 66, (1.0, -0.7))
+        X, y, w, g = _cv_instance(family, 66, (1.0, -0.7))
         config = PenaltyConfig(method="cv", cv_folds=4, cv_grid=8)
-        opts = dict(w=w, config=config, unpenalized=unpenalized, seed=3)
+        opts = dict(w=w, loadings=g, config=config, unpenalized=unpenalized, seed=3)
         got = cv_lambda(_Design(X), y, family, **opts)
         assert _bits(got) == _bits(cv_lambda(X, y, family, **opts))
 

@@ -18,10 +18,8 @@ from doublelasso import (
     coverage_reports_from_yaml,
     coverage_reports_to_yaml,
     dataset_checksum,
-    dml_fit,
     dml_multi,
     gen_dgp,
-    naive_fit,
     null_logistic_benchmark,
     run_replications,
     run_study,
@@ -146,20 +144,6 @@ class TestDgpSpecValidation:
     def test_rho_must_be_a_proper_correlation(self):
         with pytest.raises(ValueError, match="rho"):
             _linear_spec(x_corr="ar1", rho=1.0)
-
-
-class TestFitHelpers:
-    def test_family_is_inferred_from_the_outcome(self):
-        ds_bin, _ = gen_dgp(LOGIT_NULL, seed=10)
-        ds_lin, _ = gen_dgp(_linear_spec(), seed=10)
-        assert dml_fit(ds_bin).family == "logit"
-        assert dml_fit(ds_lin).family == "linear"
-        assert naive_fit(ds_lin).method == "naive"
-
-    def test_explicit_family_wins(self):
-        ds_bin, _ = gen_dgp(LOGIT_NULL, seed=11)
-        est = dml_fit(ds_bin, family="linear")
-        assert est.family == "linear"
 
 
 class TestRunReplications:
