@@ -223,30 +223,47 @@ def _golden_min(fn, lo: float, hi: float, tol: float) -> float:
 
 
 def _fit_inputs(y, d, X, names, family: str):
-    """Checked float copies of (y, d, X) and one name per control column."""
-    y = np.ascontiguousarray(y, dtype=float)
-    d = np.ascontiguousarray(d, dtype=float)
-    X = np.ascontiguousarray(X, dtype=float)
+    """Checked (y, d, design of Z = [d | X], control names) for one fit.
+
+    Column 0 of Z is the treatment and columns 1.. are the controls, in the
+    order given; Z is a fresh C-ordered float array.
+    """
+    y = np.asarray(y, dtype=float)
+    d = np.asarray(d, dtype=float)
+    X = np.asarray(X, dtype=float)
     if y.ndim != 1 or d.shape != y.shape:
         raise ValueError("y and d must be equal-length vectors")
     if X.ndim != 2 or X.shape[0] != y.size:
         raise ValueError("X must be a matrix with one row per observation")
+    return _checked_inputs(y, np.column_stack([d, X]), names, family)
+
+
+def _checked_inputs(y, Z, names, family: str):
+    """_fit_inputs for a stacked Z = [d | X] with one row per entry of y.
+
+    Z is used in C order, which keeps every product with it on the BLAS
+    kernel that the plain C-ordered controls would take.
+    """
+    y = np.ascontiguousarray(y, dtype=float)
     if y.size == 0:
         raise ValueError("no observations to fit")
-    if not (np.all(np.isfinite(y)) and np.all(np.isfinite(d)) and np.all(np.isfinite(X))):
+    design = _Design(np.ascontiguousarray(Z, dtype=float))
+    if not (np.all(np.isfinite(y)) and design.finite):
         raise ValueError("inputs must be finite")
+    d = np.ascontiguousarray(Z[:, 0])
     if np.all(d == d[0]):
         raise DegenerateTreatmentError("treatment column is constant")
     if np.all(y == y[0]):
         raise DegenerateOutcomeError("outcome column is constant")
     if family == "logit" and not np.isin(np.unique(y), (0.0, 1.0)).all():
         raise ValueError("outcome must be binary 0/1 for the logit family")
+    p = Z.shape[1] - 1
     if names is None:
-        return y, d, X, tuple(f"x{j}" for j in range(X.shape[1]))
+        return y, d, design, tuple(f"x{j}" for j in range(p))
     names = tuple(str(s) for s in names)
-    if len(names) != X.shape[1]:
+    if len(names) != p:
         raise ValueError("names must match the number of control columns")
-    return y, d, X, names
+    return y, d, design, names
 
 
 def _estimate(cfg: DmlConfig, treatment, family, method, n, alpha, se, support1,
@@ -304,16 +321,15 @@ def _select(design, y, family, w, penalty, unpen, seed):
     return lam, fit
 
 
-def _logit_outcome_step(y, d, X, names, treatment, cfg, notes):
-    """Penalized logistic fit of y on (d, X) with d unpenalized, then refit.
+def _logit_outcome_step(y, design, names, treatment, cfg, notes):
+    """Penalized logistic fit of y on Z = [d | X] with d unpenalized, then refit.
 
     Returns (penalty level, selected control names, RefitResult); the refit
     keeps d in column 0.
     """
-    Z = np.column_stack([d, X])
-    lam, fit = _select(_Design(Z), y, "logistic", None, cfg.penalty, (0,), cfg.seed)
+    lam, fit = _select(design, y, "logistic", None, cfg.penalty, (0,), cfg.seed)
     notes.extend(fit.warnings)
-    refit = post_refit(Z, y, fit, "logistic", keep=(0,), names=(treatment,) + names)
+    refit = post_refit(design.X, y, fit, "logistic", keep=(0,), names=(treatment,) + names)
     notes.extend(refit.warnings)
     return lam, tuple(names[j - 1] for j in fit.support), refit
 
@@ -331,13 +347,18 @@ def dml_logit(y, d, X, *, names=None, treatment: str = "d",
     score over an interval centered at the step-1 coefficient and reads the
     standard error off the sandwich of the scoring moment.
     """
+    return _dml_logit(*_fit_inputs(y, d, X, names, "logit"), treatment, config)
+
+
+def _dml_logit(y, d, design, names, treatment, config):
     cfg = config or DmlConfig()
-    y, d, X, names = _fit_inputs(y, d, X, names, "logit")
     n = y.size
     notes: list[str] = []
 
     # Step 1: outcome-side selection and refit.
-    lam1, step1_support, refit1 = _logit_outcome_step(y, d, X, names, treatment, cfg, notes)
+    lam1, step1_support, refit1 = _logit_outcome_step(y, design, names, treatment, cfg, notes)
+    controls = design.tail()
+    X = controls.X
     alpha_tilde = float(refit1.coef[0])
     beta_tilde = refit1.coef[1:]
     eta_tilde = refit1.intercept + X @ beta_tilde
@@ -355,7 +376,7 @@ def dml_logit(y, d, X, *, names=None, treatment: str = "d",
     se0 = float(np.sqrt(max(refit1.cov_sandwich[1, 1], 0.0)))
 
     # Step 2: treatment-side selection with weights f_hat.
-    lam2, fit2 = _select(_Design(X), d, "linear", f_hat, cfg.penalty, (), cfg.seed)
+    lam2, fit2 = _select(controls, d, "linear", f_hat, cfg.penalty, (), cfg.seed)
     notes.extend(fit2.warnings)
     refit2 = post_refit(X, d, fit2, "linear", w=f_hat * f_hat, names=names)
     theta_tilde = refit2.coef
@@ -466,21 +487,23 @@ def dml_linear(y, d, X, *, names=None, treatment: str = "d",
     the treatment plus the union of both supports, with HC1 sandwich
     standard errors.
     """
+    return _dml_linear(*_fit_inputs(y, d, X, names, "linear"), treatment, config)
+
+
+def _dml_linear(y, d, design, names, treatment, config):
     cfg = config or DmlConfig()
-    y, d, X, names = _fit_inputs(y, d, X, names, "linear")
     ones = np.ones(y.size)
     notes: list[str] = []
 
-    # Both selections regress on the same X, so they share one design.
-    design = _Design(X)
-    lam_y, fit_y = _select(design, y, "linear", ones, cfg.penalty, (), cfg.seed)
+    # Both selections regress on the same controls, so they share one design.
+    controls = design.tail()
+    lam_y, fit_y = _select(controls, y, "linear", ones, cfg.penalty, (), cfg.seed)
     notes.extend(fit_y.warnings)
-    lam_d, fit_d = _select(design, d, "linear", ones, cfg.penalty, (), cfg.seed)
+    lam_d, fit_d = _select(controls, d, "linear", ones, cfg.penalty, (), cfg.seed)
     notes.extend(fit_d.warnings)
-    del design
 
     union = sorted(set(fit_y.support) | set(fit_d.support))
-    alpha, se = _ols_hc1(y, d, X, union, names, treatment)
+    alpha, se = _ols_hc1(y, d, controls.X, union, names, treatment)
     diagnostics = {
         "lambda_outcome": float(lam_y),
         "lambda_treatment": float(lam_d),
@@ -500,10 +523,13 @@ def naive_logit(y, d, X, *, names=None, treatment: str = "d",
     error is the conventional observed-information one. Kept as the
     benchmark that the orthogonalized procedure is measured against.
     """
+    return _naive_logit(*_fit_inputs(y, d, X, names, "logit"), treatment, config)
+
+
+def _naive_logit(y, d, design, names, treatment, config):
     cfg = config or DmlConfig()
-    y, d, X, names = _fit_inputs(y, d, X, names, "logit")
     notes: list[str] = []
-    lam, support, refit = _logit_outcome_step(y, d, X, names, treatment, cfg, notes)
+    lam, support, refit = _logit_outcome_step(y, design, names, treatment, cfg, notes)
     se = float(np.sqrt(max(refit.cov[1, 1], 0.0)))
     return _estimate(cfg, treatment, "logit", "naive", y.size, float(refit.coef[0]), se,
                      support, (), notes, {"lambda": float(lam)})
@@ -512,23 +538,26 @@ def naive_logit(y, d, X, *, names=None, treatment: str = "d",
 def naive_linear(y, d, X, *, names=None, treatment: str = "d",
                  config: DmlConfig | None = None) -> DmlEstimate:
     """Single selection then ordinary least squares with HC1 errors."""
+    return _naive_linear(*_fit_inputs(y, d, X, names, "linear"), treatment, config)
+
+
+def _naive_linear(y, d, design, names, treatment, config):
     cfg = config or DmlConfig()
-    y, d, X, names = _fit_inputs(y, d, X, names, "linear")
-    Z = np.column_stack([d, X])
-    lam, fit = _select(_Design(Z), y, "linear", np.ones(y.size), cfg.penalty, (0,),
-                       cfg.seed)
+    lam, fit = _select(design, y, "linear", np.ones(y.size), cfg.penalty, (0,), cfg.seed)
     cols = [j - 1 for j in fit.support]
-    alpha, se = _ols_hc1(y, d, X, cols, names, treatment)
+    alpha, se = _ols_hc1(y, d, design.X[:, 1:], cols, names, treatment)
     return _estimate(cfg, treatment, "linear", "naive", y.size, alpha, se,
                      tuple(names[j] for j in cols), (), list(fit.warnings),
                      {"lambda": float(lam)})
 
 
+# Each takes (y, d, design of [d | X], names, treatment, config) from
+# _fit_inputs or _checked_inputs.
 _FITTERS = {
-    ("logit", "dml"): dml_logit,
-    ("logit", "naive"): naive_logit,
-    ("linear", "dml"): dml_linear,
-    ("linear", "naive"): naive_linear,
+    ("logit", "dml"): _dml_logit,
+    ("logit", "naive"): _naive_logit,
+    ("linear", "dml"): _dml_linear,
+    ("linear", "naive"): _naive_linear,
 }
 
 
@@ -539,14 +568,15 @@ _ESTIMATION_ERRORS = (DoubleLassoError, ValueError, np.linalg.LinAlgError)
 
 def _fit_treatment(shared, t: str):
     """One dml_multi row; module level so worker processes can run it."""
-    dataset, fitter, config, fail_fast = shared
+    dataset, family, fitter, config, fail_fast = shared
     ti = dataset.index_of(t)
     keep = [j for j in range(dataset.p) if j != ti]
     all_names = dataset.column_names
+    names = tuple(all_names[j] for j in keep)
     try:
-        return fitter(dataset.y, dataset.design[:, ti], dataset.design[:, keep],
-                      names=tuple(all_names[j] for j in keep), treatment=t,
-                      config=config)
+        # One gather builds Z = [d | X] in C order from the C-ordered design.
+        Z = np.take(dataset.design, [ti] + keep, axis=1)
+        return fitter(*_checked_inputs(dataset.y, Z, names, family), t, config)
     except _ESTIMATION_ERRORS as exc:
         if fail_fast:
             raise
@@ -577,5 +607,5 @@ def dml_multi(dataset, *, family: str = "logit", method: str = "dml",
     for t in wanted:
         dataset.index_of(t)
     solves = lasso_solves((config or DmlConfig()).penalty)
-    return tuple(parallel_map(_fit_treatment, (dataset, fitter, config, fail_fast),
+    return tuple(parallel_map(_fit_treatment, (dataset, family, fitter, config, fail_fast),
                               wanted, jobs, cells_per_item=dataset.n * dataset.p * solves))

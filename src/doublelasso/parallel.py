@@ -14,10 +14,11 @@ non-main thread, the job runs serially in the calling process. Items and
 results still cross between processes by pickle, so `fn` must be a
 module-level function and the items and results must pickle.
 
-Every item is submitted to the pool in order, and the pool claims items
-from the front. The caller walks the items from the back and runs each one
-whose pool copy it can still cancel, so no item runs twice, the two sides
-meet in the middle, and results and errors keep item order.
+The caller and the workers claim items in order from one cursor, and a
+worker holds one item at a time, so no item waits queued behind a busy
+worker while the caller runs out of work. Each item runs once, results
+keep item order, and the first failure in item order is raised and stops
+further claims. A worker that dies fails its item with BrokenProcessPool.
 
 Every process fits on one BLAS thread. At these problem sizes a BLAS
 thread pool buys no wall time and burns CPU spinning, and in a pool it
@@ -149,28 +150,49 @@ def parallel_map(fn, shared, items, jobs: int, *, cells_per_item: int) -> list:
 
 
 def _pooled_map(fn, shared, items, workers: int) -> list:
+    futures: list = [None] * len(items)
+    lock, stop = threading.Lock(), threading.Event()
+    cursor = 0
+
+    def claim(start):
+        """Claim the next item k, set futures[k] = start(items[k]) and return k.
+
+        None once every item is claimed or `stop` is set. A pool item is
+        submitted under the lock, so no claim outlives the shutdown below.
+        """
+        nonlocal cursor
+        with lock:
+            if stop.is_set() or cursor == len(items):
+                return None
+            cursor += 1
+            futures[cursor - 1] = start(items[cursor - 1])
+            return cursor - 1
+
+    def feed(done=None) -> None:
+        """Hand a worker its next item; called again as each of its items ends."""
+        if done is not None and (done.cancelled() or done.exception() is not None):
+            stop.set()
+        elif (k := claim(lambda item: pool.submit(_run_item, item))) is not None:
+            futures[k].add_done_callback(feed)
+
     pool = ProcessPoolExecutor(
         max_workers=workers - 1, mp_context=multiprocessing.get_context("fork"),
         initializer=_start_worker, initargs=(fn, shared),
     )
     try:
-        futures = [pool.submit(_run_item, item) for item in items]
-        # The pool claims items from the front; the caller takes them from the
-        # back, each one only if it can still cancel the pool's copy.
-        for k in reversed(range(len(items))):
-            if not futures[k].cancel():
-                break
-            futures[k] = _run_here(fn, shared, items[k])
+        for _ in range(workers - 1):
+            feed()
+        while (k := claim(lambda item: Future())) is not None:
+            try:
+                futures[k].set_result(fn(shared, items[k]))
+            except Exception as exc:  # raised in item order by the walk below
+                stop.set()
+                futures[k].set_exception(exc)
+        # Items are claimed in order, so every item before the first failure
+        # has a future, and this walk raises that failure before it reaches
+        # an unclaimed item.
         return [f.result() for f in futures]
     finally:
+        with lock:
+            stop.set()
         pool.shutdown(wait=True, cancel_futures=True)
-
-
-def _run_here(fn, shared, item) -> Future:
-    """fn(shared, item) in this process, its outcome held like a pool item's."""
-    done = Future()
-    try:
-        done.set_result(fn(shared, item))
-    except Exception as exc:  # raised in item order by the caller's result()
-        done.set_exception(exc)
-    return done

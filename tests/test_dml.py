@@ -379,6 +379,27 @@ class TestDmlMulti:
         )
         assert res[0].alpha == direct.alpha
 
+    @pytest.mark.parametrize("family, method, public", [
+        ("logit", "dml", dml_logit), ("logit", "naive", naive_logit),
+        ("linear", "dml", dml_linear), ("linear", "naive", naive_linear),
+    ])
+    def test_rows_match_the_public_fitter_to_the_bit(self, family, method, public):
+        # dml_multi gathers [d | X] in one pass from the dataset's design;
+        # the public fitters stack the d and X they are given.
+        ds = _toy_dataset(seed=17, n=203, n_treat=3, n_ctrl=12, family=family)
+        rows = dml_multi(ds, family=family, method=method)
+        for ti, row in enumerate(rows):
+            keep = [j for j in range(ds.p) if j != ti]
+            direct = public(ds.y, ds.design[:, ti], ds.design[:, keep],
+                            names=tuple(ds.column_names[j] for j in keep),
+                            treatment=ds.column_names[ti])
+            for name in ("alpha", "std_error", "ci_low", "ci_high", "p_value"):
+                assert getattr(row, name).hex() == getattr(direct, name).hex(), name
+            assert (row.treatment, row.step1_support, row.step2_support, row.warnings) == (
+                direct.treatment, direct.step1_support, direct.step2_support, direct.warnings)
+            assert repr(sorted(row.diagnostics.items())) == repr(
+                sorted(direct.diagnostics.items()))
+
     def test_results_come_back_in_request_order(self):
         ds = _toy_dataset(seed=3, n_treat=3)
         res = dml_multi(ds, treatments=("t2", "t0"))

@@ -533,6 +533,32 @@ class TestPreparedDesign:
         got = logistic_lasso_loadings(design, yb, lam, **opts)
         assert np.array_equal(_bits(got), _bits(logistic_lasso_loadings(X, yb, lam, **opts)))
 
+    @pytest.mark.parametrize("fit_intercept, unpenalized, warm", CASES)
+    def test_tail_views_match_a_copy_of_the_columns(self, fit_intercept, unpenalized, warm):
+        # n = 101 is not a multiple of 8, so the Fortran tail's columns
+        # start at a different alignment than a fresh copy's.
+        X, y, yb, w, g = _design_instance(50 + len(unpenalized) + 2 * warm, "C")
+        Z = np.column_stack([y - X[:, 0], X])
+        parent = _Design(Z)
+        tail = parent.tail()
+        copy = _Design(np.ascontiguousarray(Z[:, 1:]))
+        for name in ("X", "Xf", "Xsq"):
+            assert np.shares_memory(getattr(tail, name), getattr(parent, name)), name
+        assert vars(tail)["finite"]
+        lam_w = 0.3 * lambda_max_wls(X, y, w, g, fit_intercept=fit_intercept)
+        lam_l = 0.3 * plugin_lambda(*X.shape)
+        opts = dict(fit_intercept=fit_intercept, unpenalized=unpenalized)
+        init = (0.1 if fit_intercept else 0.0, np.linspace(-0.2, 0.2, X.shape[1])) if warm else None
+        _assert_same_fit(lasso_wls(tail, y, w, lam_w, g, init=init, **opts),
+                         lasso_wls(copy, y, w, lam_w, g, init=init, **opts))
+        _assert_same_fit(lasso_logistic(tail, yb, lam_l, g, init=init, **opts),
+                         lasso_logistic(copy, yb, lam_l, g, init=init, **opts))
+        opts["refinements"] = 2
+        assert np.array_equal(_bits(wls_lasso_loadings(tail, y, w, lam_l, **opts)),
+                              _bits(wls_lasso_loadings(copy, y, w, lam_l, **opts)))
+        assert np.array_equal(_bits(logistic_lasso_loadings(tail, yb, lam_l, **opts)),
+                              _bits(logistic_lasso_loadings(copy, yb, lam_l, **opts)))
+
     @pytest.mark.parametrize("family", ["linear", "logistic"])
     @pytest.mark.parametrize("unpenalized", [(), (0,)])
     def test_cv_lambda_returns_the_same_level(self, family, unpenalized):

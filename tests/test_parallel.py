@@ -170,6 +170,27 @@ def test_many_tiny_items_each_run_once_in_order(tmp_path):
     assert 1 < len({pid for _, pid in got}) <= 2
 
 
+def _die_in_worker(caller_pid, item):
+    if os.getpid() != caller_pid:
+        os._exit(3)
+    time.sleep(0.01)
+    return item
+
+
+@needs_two_cpus
+def test_a_dead_worker_raises_instead_of_hanging():
+    got = _run_bounded(
+        "import json, os\n"
+        "from test_parallel import _die_in_worker\n"
+        "from doublelasso.parallel import SERIAL_BELOW_CELLS, parallel_map\n"
+        "try:\n"
+        "    parallel_map(_die_in_worker, os.getpid(), range(20), 2,\n"
+        "                 cells_per_item=SERIAL_BELOW_CELLS)\n"
+        "except Exception as exc:\n"
+        "    print(json.dumps(type(exc).__name__))\n")
+    assert got == "BrokenProcessPool"
+
+
 @needs_blas_control
 @needs_two_cpus
 def test_pool_forks_after_a_threaded_blas_call():
