@@ -18,6 +18,7 @@ from __future__ import annotations
 import ast
 import csv
 import io
+import math
 import os
 from dataclasses import dataclass
 
@@ -85,7 +86,7 @@ def _sniff_cell(text: str, missing_tokens) -> object:
         value = float(stripped)
     except ValueError:
         return stripped
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         return stripped
     return value
 
@@ -121,6 +122,15 @@ def load_table(source, *, delimiter: str | None = None,
         raise ParseError("empty input: no header row") from None
     columns = tuple(h.strip() for h in header)
     tokens = tuple(missing_tokens)
+    # Survey tables repeat a few labels across many cells; parse each
+    # distinct cell text once.
+    parsed: dict[str, object] = {}
+
+    def sniff(cell: str) -> object:
+        if cell not in parsed:
+            parsed[cell] = _sniff_cell(cell, tokens)
+        return parsed[cell]
+
     rows = []
     for i, raw in enumerate(reader, start=1):
         if not raw:
@@ -129,7 +139,7 @@ def load_table(source, *, delimiter: str | None = None,
             raise ParseError(
                 f"row {i}: expected {len(columns)} cells, found {len(raw)}"
             )
-        rows.append(tuple(_sniff_cell(c, tokens) for c in raw))
+        rows.append(tuple(map(sniff, raw)))
     return RawTable(columns=columns, rows=tuple(rows))
 
 

@@ -22,15 +22,18 @@ further claims. A worker that dies fails its item with BrokenProcessPool.
 
 Every process fits on one BLAS thread. At these problem sizes a BLAS
 thread pool buys no wall time and burns CPU spinning, and in a pool it
-would spin against the other workers. numpy and scipy each bundle their
-own OpenBLAS; the caller holds both to one thread through their
-thread-control functions while `fn` runs, and restores the previous counts
-afterwards. The pool forks inside that hold, so every worker starts with
-both counts at one; setting them again in a worker would only restart the
-thread pools that fork shut down. On a build without these functions (a
-system BLAS, MKL), set `OPENBLAS_NUM_THREADS=1` or its equivalent before
-starting Python: a forked worker inherits an initialised BLAS, which no
-longer reads the environment.
+would spin against the other workers. The command-line entry point
+(`doublelasso.__main__`) sets `OPENBLAS_NUM_THREADS=1`, unless it is already
+set, before numpy loads, so a CLI process never builds a thread pool. For
+library use, numpy and scipy each bundle their own OpenBLAS; the caller
+holds both to one thread through their thread-control functions while `fn`
+runs, and restores the previous counts afterwards. The pool forks inside
+that hold, so every worker starts with both counts at one; setting them
+again in a worker would only restart the thread pools that fork shut down.
+For library use on a build without these functions (a system BLAS, MKL),
+set `OPENBLAS_NUM_THREADS=1` or its equivalent before starting Python: a
+forked worker inherits an initialised BLAS, which no longer reads the
+environment.
 """
 
 from __future__ import annotations

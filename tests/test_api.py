@@ -8,9 +8,11 @@ name and its workloads call top-level names, so those must stay too.
 
 import os
 import re
+import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 import doublelasso
 
@@ -95,3 +97,33 @@ def test_benchmark_trace_points_and_workload_names_exist():
     assert {"dml.score", "lasso.loadings", "lasso.logistic", "lasso.wls",
             "lasso.post_refit", "glm.solve_spd"} <= seen
     assert tracing.summarize_spans(tracer.spans)["dml.score"]["n"] > 2
+
+
+def test_package_root_imports_no_numpy_and_sets_no_environment():
+    # Names load on first use, so the CLI entry point can set the BLAS
+    # thread count before numpy starts; library users keep their environment.
+    code = ("import os, sys, doublelasso; print('numpy' in sys.modules); doublelasso.dml_logit; "
+            "print(os.environ.get('OPENBLAS_NUM_THREADS'))")
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "None"]
+
+
+def test_every_public_name_resolves_and_is_listed():
+    listed = dir(doublelasso)
+    for name in doublelasso.__all__:
+        assert name in listed, name
+        assert getattr(doublelasso, name) is not None, name
+
+
+def test_unknown_name_raises_the_standard_attribute_error():
+    with pytest.raises(AttributeError, match=r"^module 'doublelasso' has no attribute 'nope'$"):
+        doublelasso.nope
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from doublelasso import *", namespace)
+    assert set(doublelasso.__all__) <= set(namespace)
+    assert namespace["dml_multi"] is doublelasso.dml_multi

@@ -5,6 +5,7 @@ argument parsing, exit statuses, stdout/stderr routing, and byte-level
 determinism of written files are all exercised for real.
 """
 
+import json
 import os
 import re
 import subprocess
@@ -155,6 +156,51 @@ def test_version_flag_prints_config_fingerprint():
         "[instrument=sqrt-sigma;penalty=plugin(c=1.1);grid=401;level=0.05]"
     )
     assert proc.stdout.strip() == version_string()
+
+
+# Runs the entry point in a child interpreter, then reports what its start
+# left behind: the BLAS thread counts and the thread-count variable.
+ENTRY_PROBE = """\
+import contextlib, io, json, os, sys
+import doublelasso.__main__ as entry
+numpy_before_main = "numpy" in sys.modules
+with contextlib.redirect_stdout(io.StringIO()):
+    status = entry.main(["--version"])
+from doublelasso import parallel
+print(json.dumps({
+    "numpy_before_main": numpy_before_main, "status": status,
+    "env": os.environ.get("OPENBLAS_NUM_THREADS"),
+    "threads": [get() for get, _ in parallel._blas_thread_control().values()],
+}))
+"""
+
+
+def _entry_probe(openblas_threads=None) -> dict:
+    env = os.environ.copy()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if openblas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = openblas_threads
+    proc = subprocess.run([sys.executable, "-c", ENTRY_PROBE], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_entry_point_module_loads_no_numpy_before_main():
+    assert _entry_probe()["numpy_before_main"] is False
+
+
+def test_entry_point_starts_every_bundled_blas_on_one_thread():
+    probe = _entry_probe()
+    assert probe["status"] == 0
+    assert probe["env"] == "1"
+    if not probe["threads"]:
+        pytest.skip("no BLAS thread-control functions in this build")
+    assert probe["threads"] == [1] * len(probe["threads"])
+
+
+def test_entry_point_keeps_an_explicit_blas_thread_count():
+    assert _entry_probe("3")["env"] == "3"
 
 
 # ---------------------------------------------------------------- encode
@@ -425,9 +471,10 @@ def test_simulate_above_the_pool_cutoff_is_byte_identical_across_jobs(tmp_path):
 
 
 def test_package_import_leaves_scipy_stats_out():
-    # Every CLI call and every pool worker pays for what the package imports.
+    # Every CLI call pays for what the package imports. The package root
+    # loads names on first use, so import what the CLI loads.
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, doublelasso; print('scipy.stats' in sys.modules)"],
+        [sys.executable, "-c", "import sys, doublelasso.cli; print('scipy.stats' in sys.modules)"],
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr

@@ -67,6 +67,24 @@ class TestLoadTable:
         t = load_table(io.StringIO("a\ninf\n"))
         assert t.rows[0] == ("inf",)
 
+    def test_repeated_cells_parse_as_each_cell_alone(self):
+        # load_table parses each distinct cell text once per call; every
+        # cell must still read as a parse of that cell on its own would.
+        parse = {
+            "north": "north", " north": "north", "north ": "north", "south": "south",
+            "": None, "NA": None, " NA ": None, "nan": "nan", "NaN": "NaN", "inf": "inf",
+            "-inf": "-inf", " 3 ": 3.0, "3": 3.0, "01": 1.0, "1": 1.0, "1.0": 1.0,
+            "-0": -0.0, "0": 0.0, "1e3": 1000.0, "x y": "x y",
+        }
+        cells = list(parse)
+        rng = np.random.default_rng(0)
+        grid = [[cells[i] for i in rng.integers(0, len(cells), size=4)] for _ in range(200)]
+        text = "a\tb\tc\td\n" + "".join("\t".join(row) + "\n" for row in grid)
+        t = load_table(io.StringIO(text))
+        assert t.n_rows == len(grid)
+        assert [[repr(v) for v in row] for row in t.rows] == \
+            [[repr(parse[c]) for c in row] for row in grid]
+
 
 def _survey_spec(**kw):
     columns = (
