@@ -19,9 +19,10 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
+    "config": ("DmlConfig", "PenaltyConfig"),
     "dml": (
-        "DmlConfig", "DmlEstimate", "FitFailure", "NuisanceArtifacts", "dml_linear",
-        "dml_logit", "dml_multi", "iv_logit_objective", "naive_linear", "naive_logit",
+        "DmlEstimate", "FitFailure", "NuisanceArtifacts", "dml_linear", "dml_logit",
+        "dml_multi", "iv_logit_objective", "naive_linear", "naive_logit",
     ),
     "encoding": (
         "CategoricalRule", "ColumnInfo", "Dataset", "DerivedRule", "EncodingSpec",
@@ -36,9 +37,9 @@ _EXPORTS = {
     ),
     "glm": ("link", "link_deriv", "solve_spd", "wls_fit"),
     "lasso": (
-        "LassoFit", "PenaltyConfig", "RefitResult", "cv_lambda", "lambda_max_wls",
-        "lasso_logistic", "lasso_wls", "logistic_lasso_loadings", "plugin_lambda",
-        "post_refit", "wls_lasso_loadings",
+        "LassoFit", "RefitResult", "cv_lambda", "lambda_max_wls", "lasso_logistic",
+        "lasso_wls", "logistic_lasso_loadings", "plugin_lambda", "post_refit",
+        "wls_lasso_loadings",
     ),
     "report": (
         "MULTIPLICITY_NOTE", "REPORT_VERSION", "percent_labels", "render_coverage_reports",

@@ -8,26 +8,23 @@ decimals, and parallel execution never reorders results. The default job
 count can be set through the DOUBLELASSO_JOBS environment variable; an
 explicit --jobs flag wins over the environment, which wins over the
 default of 1.
+
+Only `fit` and `simulate` load the fitting stack (`--version` imports no
+numpy, `encode` no scipy). Each command reads the _LAZY names from this
+module when it runs, so a name set on the module is the one it calls.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import os
 import sys
 from dataclasses import replace
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .dml import DmlConfig, dml_multi
-from .encoding import (
-    Dataset,
-    encode,
-    encoding_spec_from_yaml,
-    load_dataset,
-    load_table,
-    save_dataset,
-    sidecar_path,
-)
+from .config import DmlConfig, PenaltyConfig
 from .errors import (
     DoubleLassoError,
     EmptyDatasetError,
@@ -35,18 +32,31 @@ from .errors import (
     ParseError,
     SchemaError,
 )
-from .lasso import PenaltyConfig
-from .parallel import SERIAL_BELOW_CELLS
-from .report import render_coverage_reports, render_fit_results
-from .simulate import coverage_reports_to_yaml, run_study, study_spec_from_yaml
+
+if TYPE_CHECKING:
+    from .encoding import Dataset
+
+_LAZY = {
+    "dml": ("dml_multi",),
+    "encoding": ("Dataset", "encode", "encoding_spec_from_yaml", "load_dataset",
+                 "load_table", "save_dataset", "sidecar_path"),
+    "report": ("render_coverage_reports", "render_fit_results"),
+    "simulate": ("coverage_reports_to_yaml", "run_study", "study_spec_from_yaml"),
+}
+_OWNER = {name: module for module, names in _LAZY.items() for name in names}
+_cli = sys.modules[__name__]
 
 JOBS_ENV_VAR = "DOUBLELASSO_JOBS"
-JOBS_HELP = (
-    f"processes that fit: this one plus JOBS-1 workers, each on one BLAS thread "
-    f"(default: ${JOBS_ENV_VAR} or 1); jobs under {SERIAL_BELOW_CELLS / 1e6:g}M design "
-    f"cells (times the lasso solves per step under --penalty cv) run in this process"
-)
 PENALTY_HELP = "penalty level rule: plug-in formula, or 10-fold cross-validation (default: plugin)"
+
+
+def __getattr__(name):
+    module = _OWNER.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __package__), name)
+    globals()[name] = value
+    return value
 
 
 def version_string() -> str:
@@ -109,15 +119,15 @@ def _subset_dataset(ds: Dataset, treatments, controls) -> Dataset:
                 role="treatment" if name in tset else "control")
         for name in keep
     )
-    return Dataset(y=ds.y, design=ds.design[:, idx], columns=infos,
-                   outcome_name=ds.outcome_name, n_dropped=ds.n_dropped)
+    return _cli.Dataset(y=ds.y, design=ds.design[:, idx], columns=infos,
+                        outcome_name=ds.outcome_name, n_dropped=ds.n_dropped)
 
 
 def cmd_encode(args) -> int:
-    table = load_table(args.data)
-    spec = encoding_spec_from_yaml(_read_text(args.spec))
-    dataset = encode(table, spec)
-    side = save_dataset(dataset, args.out)
+    table = _cli.load_table(args.data)
+    spec = _cli.encoding_spec_from_yaml(_read_text(args.spec))
+    dataset = _cli.encode(table, spec)
+    side = _cli.save_dataset(dataset, args.out)
     print(f"n={dataset.n} p={dataset.p} dropped={dataset.n_dropped}")
     print(f"wrote {args.out}")
     print(f"wrote {side}")
@@ -126,21 +136,23 @@ def cmd_encode(args) -> int:
 
 def _load_fit_dataset(args) -> Dataset:
     if args.spec:
-        table = load_table(args.data)
-        spec = encoding_spec_from_yaml(_read_text(args.spec))
-        return encode(table, spec)
-    side = sidecar_path(args.data)
+        table = _cli.load_table(args.data)
+        spec = _cli.encoding_spec_from_yaml(_read_text(args.spec))
+        return _cli.encode(table, spec)
+    side = _cli.sidecar_path(args.data)
     if not os.path.exists(args.data):
         raise FileNotFoundError(f"no such file: {args.data}")
     if not os.path.exists(side):
         raise SchemaError(
             f"{args.data} has no metadata sidecar ({side}); pass --spec to encode raw data"
         )
-    return load_dataset(args.data)
+    return _cli.load_dataset(args.data)
 
 
 def cmd_fit(args) -> int:
     jobs = _resolve_jobs(args.jobs)
+    if args.decimals < 0:  # the renderer checks too, but only after every fit
+        raise ValueError("decimals must be nonnegative")
     dataset = _load_fit_dataset(args)
     if args.outcome and args.outcome != dataset.outcome_name:
         raise SchemaError(
@@ -169,17 +181,19 @@ def cmd_fit(args) -> int:
         level=args.level,
         seed=args.seed,
     )
-    results = dml_multi(dataset, family=family, method="dml", config=config,
-                        fail_fast=args.fail_fast, jobs=jobs)
-    text = render_fit_results(results, level=args.level, fmt=args.format,
-                              decimals=args.decimals)
+    results = _cli.dml_multi(dataset, family=family, method="dml", config=config,
+                             fail_fast=args.fail_fast, jobs=jobs)
+    text = _cli.render_fit_results(results, level=args.level, fmt=args.format,
+                                   decimals=args.decimals)
     _emit(text, args.out)
     return 0
 
 
 def cmd_simulate(args) -> int:
     jobs = _resolve_jobs(args.jobs)
-    study = study_spec_from_yaml(_read_text(args.spec))
+    if args.out and args.format != "structured" and args.decimals < 0:
+        raise ValueError("decimals must be nonnegative")
+    study = _cli.study_spec_from_yaml(_read_text(args.spec))
     if args.seed is not None:
         study = replace(study, base_seed=args.seed)
     if args.level is not None:
@@ -189,13 +203,13 @@ def cmd_simulate(args) -> int:
         level=study.level,
         seed=study.base_seed,
     )
-    reports = run_study(study, config=config, jobs=jobs)
+    reports = _cli.run_study(study, config=config, jobs=jobs)
     if args.out:
         if args.format == "structured":
-            text = coverage_reports_to_yaml(reports)
+            text = _cli.coverage_reports_to_yaml(reports)
         else:
-            text = render_coverage_reports(reports, fmt=args.format,
-                                           decimals=args.decimals)
+            text = _cli.render_coverage_reports(reports, fmt=args.format,
+                                                decimals=args.decimals)
         _emit(text, args.out)
     for r in reports:
         print(
@@ -215,6 +229,13 @@ def cmd_simulate(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .parallel import SERIAL_BELOW_CELLS
+
+    jobs_help = (
+        f"processes that fit: this one plus JOBS-1 workers, each on one BLAS thread "
+        f"(default: ${JOBS_ENV_VAR} or 1); jobs under {SERIAL_BELOW_CELLS / 1e6:g}M design "
+        f"cells (times the lasso solves per step under --penalty cv) run in this process"
+    )
     ap = argparse.ArgumentParser(
         prog="doublelasso",
         description="Post-selection inference for treatment effects with "
@@ -250,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--fail-fast", action="store_true",
                      help="stop on the first estimation failure (exit 3)")
     fit.add_argument("--jobs", type=int, default=None,
-                     help=JOBS_HELP)
+                     help=jobs_help)
     fit.set_defaults(func=cmd_fit)
 
     sim = sub.add_parser("simulate", help="run a Monte Carlo study from a spec")
@@ -264,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--penalty", choices=("plugin", "cv"), default="plugin",
                      help=PENALTY_HELP)
     sim.add_argument("--jobs", type=int, default=None,
-                     help=JOBS_HELP)
+                     help=jobs_help)
     sim.set_defaults(func=cmd_simulate)
     return ap
 

@@ -30,6 +30,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 from scipy.special import ndtr, ndtri
 
+from .config import DmlConfig, PenaltyConfig
 from .errors import (
     DegenerateMomentError,
     DegenerateOutcomeError,
@@ -39,7 +40,6 @@ from .errors import (
 )
 from .glm import link, link_deriv, solve_spd
 from .lasso import (
-    PenaltyConfig,
     _Design,
     cv_lambda,
     lasso_logistic,
@@ -51,53 +51,8 @@ from .lasso import (
 )
 from .parallel import parallel_map
 
-_SCALINGS = ("sqrt-sigma", "sigma")
-
 # Width of the bracket at which the step-3 golden-section search stops.
 _REFINE_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class DmlConfig:
-    """Estimator settings shared by the fitting entry points.
-
-    level is the significance level (0.05 gives 95% intervals). The
-    instrument scaling divides the step-2 residual by sqrt(sigma_i) by
-    default; "sigma" selects the v_i/sigma_i variant. search_width rescales
-    the step-3 search interval, whose base radius is
-    max(1/log n, 10 * pilot standard error); grid_points spaced evenly
-    across it bracket the minimizer, which a golden-section search then
-    refines to within _REFINE_TOL. The treatment is never penalized. seed
-    fixes the cross-validation folds under penalty method "cv".
-    """
-
-    penalty: PenaltyConfig = field(default_factory=PenaltyConfig)
-    level: float = 0.05
-    instrument_scaling: str = "sqrt-sigma"
-    search_width: float = 1.0
-    grid_points: int = 401
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 0.0 < self.level < 1.0:
-            raise ValueError("level must lie in (0, 1)")
-        if self.instrument_scaling not in _SCALINGS:
-            raise ValueError(f"instrument_scaling must be one of {_SCALINGS}")
-        if self.search_width <= 0:
-            raise ValueError("search_width must be positive")
-        if self.grid_points < 3:
-            raise ValueError("grid_points must be at least 3")
-
-    def fingerprint(self) -> str:
-        pen = self.penalty
-        if pen.method == "plugin":
-            pen_txt = f"plugin(c={pen.c:g})"
-        else:
-            pen_txt = f"cv(folds={pen.cv_folds},one_se={str(pen.one_se).lower()})"
-        return (
-            f"instrument={self.instrument_scaling};penalty={pen_txt};"
-            f"grid={self.grid_points};level={self.level:g}"
-        )
 
 
 @dataclass(eq=False, frozen=True)

@@ -18,53 +18,16 @@ Conventions used throughout:
 from __future__ import annotations
 
 import math
-import warnings as _warnings
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 from scipy.special import ndtri
 
+from .config import PenaltyConfig
 from .glm import PROB_EPS, link, solve_spd
 
 _OBJ_SLACK = 1e-12  # relative slack when comparing recorded objective values
-
-
-@dataclass(frozen=True)
-class PenaltyConfig:
-    """How the penalty level is chosen.
-
-    method "plugin" uses c * sqrt(n) * PhiInv(1 - gamma / (2 p)); gamma=None
-    means the default 0.1 / log(n). method "cv" selects the level by K-fold
-    cross-validation on a geometric grid below the smallest all-zero level.
-    Either way the fitters' penalty loadings take one refinement.
-    """
-
-    method: str = "plugin"
-    c: float = 1.1
-    gamma: float | None = None
-    cv_folds: int = 10
-    cv_grid: int = 30
-    cv_min_ratio: float = 1e-3
-    one_se: bool = False
-
-    def __post_init__(self):
-        if self.method not in ("plugin", "cv"):
-            raise ValueError(f"unknown penalty method {self.method!r}")
-        if not math.isfinite(self.c) or self.c < 0:
-            raise ValueError("c must be a nonnegative real")
-        if self.gamma is not None and not 0.0 < self.gamma < 1.0:
-            raise ValueError("gamma must lie in (0, 1)")
-        if self.cv_folds < 2:
-            raise ValueError("cv_folds must be at least 2")
-        if self.cv_grid < 2 or not 0.0 < self.cv_min_ratio < 1.0:
-            raise ValueError("bad cross-validation grid settings")
-        if self.method == "plugin" and self.c < 1.0:
-            _warnings.warn(
-                "plug-in penalty constant c below 1.0 voids its theoretical guarantee",
-                UserWarning,
-                stacklevel=2,
-            )
 
 
 def plugin_lambda(n: int, p: int, config: PenaltyConfig | None = None,

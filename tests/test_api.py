@@ -7,6 +7,7 @@ name and its workloads call top-level names, so those must stay too.
 """
 
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -127,3 +128,20 @@ def test_star_import_binds_every_public_name():
     exec("from doublelasso import *", namespace)
     assert set(doublelasso.__all__) <= set(namespace)
     assert namespace["dml_multi"] is doublelasso.dml_multi
+
+
+def test_config_classes_keep_their_old_import_paths():
+    from doublelasso import config, dml, lasso
+
+    assert dml.DmlConfig is config.DmlConfig is doublelasso.DmlConfig
+    assert lasso.PenaltyConfig is config.PenaltyConfig is doublelasso.PenaltyConfig
+
+
+def test_config_pickle_round_trip_keeps_the_fingerprint():
+    cfg = doublelasso.DmlConfig(
+        penalty=doublelasso.PenaltyConfig(method="cv", cv_folds=4, one_se=True),
+        level=0.1, instrument_scaling="sigma", grid_points=51, seed=3,
+    )
+    back = pickle.loads(pickle.dumps(cfg))
+    assert back == cfg
+    assert back.fingerprint() == cfg.fingerprint() != doublelasso.DmlConfig().fingerprint()

@@ -2,12 +2,15 @@
 
 Each test invokes `python -m doublelasso ...` exactly as a user would, so
 argument parsing, exit statuses, stdout/stderr routing, and byte-level
-determinism of written files are all exercised for real.
+determinism of written files are all exercised for real. The tests near
+the end call `cli.main` in this process instead, so that they can replace
+a name the command calls.
 """
 
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 
@@ -16,8 +19,11 @@ import pytest
 import yaml
 
 from doublelasso import ColumnInfo, Dataset, link, save_dataset, sidecar_path
+from doublelasso import cli
 from doublelasso.cli import JOBS_ENV_VAR, version_string
 from doublelasso.parallel import SERIAL_BELOW_CELLS
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def run_cli(*args, env=None):
@@ -201,6 +207,55 @@ def test_entry_point_starts_every_bundled_blas_on_one_thread():
 
 def test_entry_point_keeps_an_explicit_blas_thread_count():
     assert _entry_probe("3")["env"] == "3"
+
+
+# ---------------------------------------------------------------- imports
+# Each probe runs in a child interpreter, so nothing this test process has
+# already imported can hide what a fresh start loads.
+
+
+def _child(code: str, cwd=None) -> list[str]:
+    # The child imports the package this process imports, from any directory.
+    env = os.environ.copy()
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.dirname(os.path.dirname(cli.__file__)), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          cwd=cwd, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def test_cli_module_import_loads_no_numpy():
+    assert _child("import sys, doublelasso.cli; print('numpy' in sys.modules)") == ["False"]
+
+
+def test_version_loads_no_numpy():
+    code = ("import sys; from doublelasso.__main__ import main; status = main(['--version']); "
+            "print(status, 'numpy' in sys.modules)")
+    assert _child(code) == [
+        "doublelasso 0.1.0 [instrument=sqrt-sigma;penalty=plugin(c=1.1);grid=401;level=0.05]",
+        "0 False",
+    ]
+
+
+def _read_readme() -> str:
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        return fh.read()
+
+
+def test_encode_loads_no_scipy_and_prints_the_readme_lines(tmp_path):
+    match = re.search(r"^\$ doublelasso encode (.+)\n((?:.+\n)+)", _read_readme(), re.MULTILINE)
+    argv, expected = ["encode", *match.group(1).split()], match.group(2).splitlines()
+    shutil.copytree(os.path.join(ROOT, "demo"), tmp_path / "demo")
+    code = ("import sys; from doublelasso.__main__ import main; "
+            f"status = main({argv!r}); print(status, 'scipy' in sys.modules)")
+    assert _child(code, cwd=tmp_path) == [*expected, "0 False"]
+
+
+def test_config_import_and_lazy_root_config_load_no_numpy():
+    code = ("import sys, doublelasso.config, doublelasso; doublelasso.DmlConfig; "
+            "print('numpy' in sys.modules)")
+    assert _child(code) == ["False"]
 
 
 # ---------------------------------------------------------------- encode
@@ -512,3 +567,91 @@ def test_simulate_missing_version_exits_2(ws, tmp_path):
     proc = run_cli("simulate", "--spec", str(bad))
     assert proc.returncode == 2
     assert "version" in proc.stderr
+
+
+# ---------------------------------------------------------------- decimals
+# A bad --decimals fails before any fitting, in the cases the renderer
+# would reject it; the stand-ins below raise if a fit or study starts.
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("fitting started before --decimals was checked")
+
+
+def test_fit_rejects_bad_decimals_before_fitting(ws, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "dml_multi", _must_not_run)
+    status = cli.main(["fit", "--data", str(ws["encoded"]), "--decimals", "-1"])
+    assert status == 2
+    assert capsys.readouterr().err == "error: decimals must be nonnegative\n"
+
+
+def test_simulate_rejects_bad_decimals_before_the_study(ws, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run_study", _must_not_run)
+    status = cli.main(["simulate", "--spec", str(ws["study"]), "--out", str(tmp_path / "r.txt"),
+                       "--format", "aligned", "--decimals", "-2"])
+    assert status == 2
+    assert capsys.readouterr().err == "error: decimals must be nonnegative\n"
+    assert not (tmp_path / "r.txt").exists()
+
+
+@pytest.mark.parametrize("extra", [[], ["--format", "structured", "--out", "r.yaml"]])
+def test_simulate_ignores_decimals_it_does_not_render(ws, tmp_path, monkeypatch, extra):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "run_study", lambda *args, **kwargs: [])
+    assert cli.main(["simulate", "--spec", str(ws["study"]), "--decimals", "-2", *extra]) == 0
+
+
+# ---------------------------------------------------------------- tracing
+# perfbench/tracing.py times the CLI's layers by setting wrappers on the cli
+# module, so every command must call what the module holds when it runs.
+
+
+def _cli_trace_names() -> set[str]:
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    try:
+        import tracing
+    finally:
+        sys.path.pop(0)
+    return {attr for mod, attr, _ in tracing.instrumentation(tracing.Tracer()) if mod is cli}
+
+
+def test_every_name_the_tracer_wraps_is_a_cli_attribute():
+    names = _cli_trace_names()
+    assert len(names) == 11
+    for name in names:
+        assert hasattr(cli, name), name
+
+
+ENCODE_NAMES = {"load_table", "encoding_spec_from_yaml", "encode"}
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["encode", "--data", "{data}", "--spec", "{spec}", "--out", "{tmp}/enc.tsv"],
+     ENCODE_NAMES | {"save_dataset"}),
+    (["fit", "--data", "{encoded}"], {"load_dataset", "dml_multi", "render_fit_results"}),
+    (["fit", "--data", "{data}", "--spec", "{spec}"],
+     ENCODE_NAMES | {"dml_multi", "render_fit_results"}),
+    (["simulate", "--spec", "{study}", "--format", "aligned", "--out", "{tmp}/r.txt"],
+     {"study_spec_from_yaml", "run_study", "render_coverage_reports"}),
+    (["simulate", "--spec", "{study}", "--out", "{tmp}/r.yaml"],
+     {"study_spec_from_yaml", "run_study", "coverage_reports_to_yaml"}),
+], ids=["encode", "fit", "fit-spec", "simulate-aligned", "simulate-structured"])
+def test_commands_call_the_names_set_on_the_cli_module(ws, tmp_path, monkeypatch, capsys,
+                                                        argv, expected):
+    called = set()
+
+    def spy(name):
+        original = getattr(cli, name)
+
+        def wrapper(*args, **kwargs):
+            called.add(name)
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in _cli_trace_names():
+        monkeypatch.setattr(cli, name, spy(name))
+    paths = {key: str(ws[key]) for key in ("data", "spec", "encoded", "study")}
+    assert cli.main([arg.format(tmp=tmp_path, **paths) for arg in argv]) == 0
+    capsys.readouterr()
+    assert called == expected
