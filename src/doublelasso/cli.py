@@ -24,7 +24,7 @@ from dataclasses import replace
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .config import DmlConfig, PenaltyConfig
+from .config import SERIAL_BELOW_CELLS, DmlConfig, PenaltyConfig
 from .errors import (
     DoubleLassoError,
     EmptyDatasetError,
@@ -153,6 +153,11 @@ def cmd_fit(args) -> int:
     jobs = _resolve_jobs(args.jobs)
     if args.decimals < 0:  # the renderer checks too, but only after every fit
         raise ValueError("decimals must be nonnegative")
+    config = DmlConfig(
+        penalty=PenaltyConfig(method=args.penalty),
+        level=args.level,
+        seed=args.seed,
+    )
     dataset = _load_fit_dataset(args)
     if args.outcome and args.outcome != dataset.outcome_name:
         raise SchemaError(
@@ -176,11 +181,6 @@ def cmd_fit(args) -> int:
         import numpy as np
 
         family = "logit" if np.isin(np.unique(dataset.y), (0.0, 1.0)).all() else "linear"
-    config = DmlConfig(
-        penalty=PenaltyConfig(method=args.penalty),
-        level=args.level,
-        seed=args.seed,
-    )
     results = _cli.dml_multi(dataset, family=family, method="dml", config=config,
                              fail_fast=args.fail_fast, jobs=jobs)
     text = _cli.render_fit_results(results, level=args.level, fmt=args.format,
@@ -229,8 +229,6 @@ def cmd_simulate(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from .parallel import SERIAL_BELOW_CELLS
-
     jobs_help = (
         f"processes that fit: this one plus JOBS-1 workers, each on one BLAS thread "
         f"(default: ${JOBS_ENV_VAR} or 1); jobs under {SERIAL_BELOW_CELLS / 1e6:g}M design "
@@ -263,7 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help=PENALTY_HELP)
     fit.add_argument("--level", type=float, default=0.05,
                      help="significance level (default 0.05)")
-    fit.add_argument("--seed", type=int, default=0)
+    fit.add_argument("--seed", type=int, default=0,
+                     help="cross-validation fold seed (used only with --penalty cv)")
     fit.add_argument("--format", choices=("aligned", "tsv", "structured"),
                      default="aligned")
     fit.add_argument("--decimals", type=int, default=3)

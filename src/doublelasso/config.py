@@ -1,4 +1,8 @@
-"""Estimator and penalty settings; this module imports no numpy."""
+"""Estimator and penalty settings and the process pool's size cutoff.
+
+This module imports no numpy, so the CLI's parser, `--version` and `encode`
+read it without loading the fitting stack.
+"""
 
 from __future__ import annotations
 
@@ -7,6 +11,29 @@ import warnings
 from dataclasses import dataclass, field
 
 _SCALINGS = ("sqrt-sigma", "sigma")
+
+# Jobs smaller than this many design cells (items x rows x design columns,
+# times the lasso solves per selection step, dml.lasso_solves) run serially.
+# Measured on a 2-core host: a forked worker boots in 10-25 ms of wall time
+# and 4-8 ms of CPU, so the boot does not set the break-even. What does is
+# that each of two processes fitting side by side fits slower. At a 250k
+# cutoff the four benchmark regimes' 20-replication studies (0.5-4M cells,
+# well under 1 s of fitting each) kept their bytes, but a fresh CLI call
+# took -16% to +50% wall time (median +3%) and 5-32% more CPU (median +16%)
+# over 4 rounds, so they stay serial. Above the cutoff the pool pays: the
+# README's 200-replication logistic study (8.2M cells) takes 2.9-3.6 s of
+# wall time and 5.1-5.4 s of CPU at two jobs against 3.9-5.1 s and 4.1-5.3 s
+# at one, and the 26-treatment survey fit (17M cells) 2.6-3.7 s (median
+# 2.8 s, 4.3 s of CPU) against 3.6-4.4 s (median 4.1 s, 4.2 s of CPU).
+# A plug-in logistic fit costs 0.11-0.14 us of CPU per cell at n=2000,
+# p=329 and 0.22-0.25 us at n=500, p=100, linear fits 0.10-0.18 us. A CV
+# fit (10 folds x 30 levels, 301 solves per step, on centered folds with
+# extrapolated starts) costs 0.26-0.38 us (logistic) and 0.13-0.17 us
+# (linear) per cell-solve at n=500, p=100, and 0.59-0.71 us and 0.18-0.30 us
+# at n=200, p=20, over 3 seeds each with Gaussian or 0/1 controls. So a job
+# at the cutoff holds about 1-2 s of single-threaded fitting under the
+# plug-in rule and 1-6 s under CV, the most for small logistic designs.
+SERIAL_BELOW_CELLS = 8_000_000
 
 
 @dataclass(frozen=True)
@@ -76,6 +103,10 @@ class DmlConfig:
             raise ValueError("search_width must be positive")
         if self.grid_points < 3:
             raise ValueError("grid_points must be at least 3")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
+        if self.seed >= 2**64:
+            raise ValueError("seed must be below 2**64")
 
     def fingerprint(self) -> str:
         pen = self.penalty

@@ -506,18 +506,32 @@ def cv_lambda(X, y, family: str, *, loadings, w=None,
     """K-fold cross-validated penalty level on a geometric grid.
 
     Folds come from a counter-based generator seeded by `seed`, so the split
-    is reproducible across platforms and job counts. Each fold solves the
-    grid as a path, from the largest level (which zeroes every penalized
-    coordinate) down, starting each level from the previous level's solution.
+    is reproducible across platforms and job counts. The grid is set on the
+    full design. Each fold solves it as a path, from the largest level
+    (which zeroes every penalized coordinate) down, as glmnet does:
+
+    * With an intercept, the fold's training columns are centered at their
+      training means, and its held-out rows by the same means. The
+      unpenalized intercept absorbs the shift, so the problem is unchanged,
+      but the intercept no longer zig-zags against uncentered columns. A
+      column constant on the training rows becomes exact zeros, so the
+      solvers skip it as they skip any zero-variance column.
+    * The first two levels start from zero and from the first solution.
+      From the third on, a level starts from the linear extrapolation of
+      the previous two solutions in lambda, intercept included; a
+      coordinate that is zero at the previous level starts at zero. The
+      weighted linear solution is affine in lambda while its active set
+      holds, so such a start is exact there.
+
     Held-out loss is the family deviance (weighted squared error for
     "linear", mean logistic loss for "logistic"). The minimizer of the mean
     loss is returned; levels whose mean losses differ from the minimum by
     rounding alone (1e-9 relative) count as tied, and ties go to the largest
-    level, so warm and cold starts select the same one. With config.one_se
+    level, so path and cold starts select the same one. With config.one_se
     the largest level within one standard error of that minimizer is
-    returned instead. `loadings` are the penalty loadings every fold
-    solve uses. `X` may be a prepared `_Design`; each fold's training rows
-    get a design of their own, reused along that fold's path.
+    returned instead. Only the level leaves this function: the caller's
+    final fit at it is cold-started on the raw design. `loadings` are the
+    penalty loadings every fold solve uses. `X` may be a prepared `_Design`.
     """
     if family not in ("linear", "logistic"):
         raise ValueError(f"unknown family {family!r}")
@@ -537,6 +551,7 @@ def cv_lambda(X, y, family: str, *, loadings, w=None,
     if top <= 0:
         return 0.0
     grid = np.geomspace(top, top * config.cv_min_ratio, config.cv_grid)
+    q = float(grid[1] / grid[0])  # (lam[k+1] - lam[k]) / (lam[k] - lam[k-1])
 
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     perm = rng.permutation(n)
@@ -545,10 +560,15 @@ def cv_lambda(X, y, family: str, *, loadings, w=None,
     for fi, test_idx in enumerate(folds):
         mask = np.ones(n, dtype=bool)
         mask[test_idx] = False
-        train = _Design(X[mask])
+        Xtr, Xte = X[mask], X[test_idx]
+        if fit_intercept:
+            # A constant column's "mean" is its value, so it centers to 0.0.
+            mu = np.where(np.all(Xtr == Xtr[0], axis=0), Xtr[0], Xtr.mean(axis=0))
+            Xtr, Xte = Xtr - mu, Xte - mu
+        train = _Design(Xtr)
         ytr, wtr = y[mask], w[mask]
-        Xte, yte, wte = X[test_idx], y[test_idx], w[test_idx]
-        init = None
+        yte, wte = y[test_idx], w[test_idx]
+        init = prev = None
         for gi, lam in enumerate(grid):
             if family == "linear":
                 fit = lasso_wls(train, ytr, wtr, float(lam), loadings, init=init,
@@ -560,7 +580,12 @@ def cv_lambda(X, y, family: str, *, loadings, w=None,
                                      fit_intercept=fit_intercept, unpenalized=unpenalized)
                 eta = fit.intercept + Xte @ fit.coef
                 losses[fi, gi] = float(np.mean(np.logaddexp(0.0, eta) - yte * eta))
-            init = (fit.intercept, fit.coef)
+            if prev is None:
+                init = (fit.intercept, fit.coef)
+            else:
+                init = (fit.intercept + q * (fit.intercept - prev.intercept),
+                        np.where(fit.coef != 0.0, fit.coef + q * (fit.coef - prev.coef), 0.0))
+            prev = fit
     mean_loss = losses.mean(axis=0)
     low = float(mean_loss.min())
     # grid descends, so the first qualifying entry is the largest level

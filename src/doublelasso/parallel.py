@@ -48,26 +48,8 @@ import sys
 import threading
 from concurrent.futures import Future, ProcessPoolExecutor
 
-# Jobs smaller than this many design cells (items x rows x design columns,
-# times the lasso solves per selection step, dml.lasso_solves) run serially.
-# Measured on a 2-core host: a forked worker boots in 10-25 ms of wall time
-# and 4-8 ms of CPU, so the boot does not set the break-even. What does is
-# that each of two processes fitting side by side fits slower. At a 250k
-# cutoff the four benchmark regimes' 20-replication studies (0.5-4M cells,
-# well under 1 s of fitting each) kept their bytes, but a fresh CLI call
-# took -16% to +50% wall time (median +3%) and 5-32% more CPU (median +16%)
-# over 4 rounds, so they stay serial. Above the cutoff the pool pays: the
-# README's 200-replication logistic study (8.2M cells) takes 2.9-3.6 s of
-# wall time and 5.1-5.4 s of CPU at two jobs against 3.9-5.1 s and 4.1-5.3 s
-# at one, and the 26-treatment survey fit (17M cells) 2.6-3.7 s (median
-# 2.8 s, 4.3 s of CPU) against 3.6-4.4 s (median 4.1 s, 4.2 s of CPU).
-# A plug-in logistic fit costs 0.11-0.14 us of CPU per cell at n=2000,
-# p=329 and 0.22-0.25 us at n=500, p=100, linear fits 0.10-0.18 us, and a
-# warm-started CV fit (10 folds x 30 levels, 301 solves per step) 0.49 us
-# (logistic) and 0.21 us (linear) per cell-solve at n=500, p=100 and
-# 0.77 us and 0.39 us at n=200, p=20: the same range, so counting solves
-# keeps the cutoff near 1-2 s of single-threaded fitting.
-SERIAL_BELOW_CELLS = 8_000_000
+# parallel_map reads the cutoff from this module, so a test may set it here.
+from .config import SERIAL_BELOW_CELLS
 
 # Extension module and symbol suffix of each bundled OpenBLAS's thread
 # control: numpy links a 64-bit-integer build, scipy a 32-bit one.

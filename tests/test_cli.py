@@ -252,6 +252,18 @@ def test_encode_loads_no_scipy_and_prints_the_readme_lines(tmp_path):
     assert _child(code, cwd=tmp_path) == [*expected, "0 False"]
 
 
+def test_encode_loads_no_process_pool(tmp_path):
+    # The --jobs help quotes the pool's size cutoff; reading it must not
+    # load the pool itself.
+    shutil.copytree(os.path.join(ROOT, "demo"), tmp_path / "demo")
+    code = ("import sys, contextlib, io; from doublelasso.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    status = main(['encode', '--data', 'demo/toy_survey.csv', '--spec',\n"
+            "                   'demo/encoding.yaml', '--out', 'demo/encoded.tsv'])\n"
+            "print(status, 'multiprocessing' in sys.modules, 'doublelasso.parallel' in sys.modules)")
+    assert _child(code, cwd=tmp_path) == ["0 False False"]
+
+
 def test_config_import_and_lazy_root_config_load_no_numpy():
     code = ("import sys, doublelasso.config, doublelasso; doublelasso.DmlConfig; "
             "print('numpy' in sys.modules)")
@@ -583,6 +595,18 @@ def test_fit_rejects_bad_decimals_before_fitting(ws, monkeypatch, capsys):
     status = cli.main(["fit", "--data", str(ws["encoded"]), "--decimals", "-1"])
     assert status == 2
     assert capsys.readouterr().err == "error: decimals must be nonnegative\n"
+
+
+@pytest.mark.parametrize("seed, problem", [("-1", "nonnegative"), (str(2**64), "below 2**64")])
+def test_fit_rejects_a_bad_seed_before_loading_or_fitting(ws, monkeypatch, capsys, seed, problem):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the dataset was loaded or fitted before --seed was checked")
+
+    monkeypatch.setattr(cli, "load_dataset", must_not_run)
+    monkeypatch.setattr(cli, "dml_multi", must_not_run)
+    status = cli.main(["fit", "--data", str(ws["encoded"]), "--penalty", "cv", "--seed", seed])
+    assert status == 2
+    assert capsys.readouterr().err == f"error: seed must be {problem}\n"
 
 
 def test_simulate_rejects_bad_decimals_before_the_study(ws, tmp_path, monkeypatch, capsys):

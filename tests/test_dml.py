@@ -538,3 +538,9 @@ class TestDmlConfig:
     def test_bad_grid_rejected(self):
         with pytest.raises(ValueError):
             DmlConfig(grid_points=2)
+
+    @pytest.mark.parametrize("seed, message", [(-1, "nonnegative"), (2**64, "below 2\\*\\*64")])
+    def test_seed_outside_the_fold_generator_key_rejected(self, seed, message):
+        with pytest.raises(ValueError, match=message):
+            DmlConfig(seed=seed)
+        assert DmlConfig(seed=2**64 - 1).seed == 2**64 - 1

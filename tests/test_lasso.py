@@ -1,6 +1,10 @@
 """Penalized regression engine: thresholding, penalty level, solvers, refits."""
 
+import dataclasses
+import functools
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -427,6 +431,48 @@ def _cv_instance(family, seed, beta, n=80, p=6):
     return X, y, w, rng.uniform(0.5, 2.0, size=p)
 
 
+def _uncentered_instance(family, seed, n=90, p=8):
+    """Uncentered columns: 0/1 dummies, an offset column and a 1..11 count.
+
+    Column 0 carries the signal, so it can be left unpenalized.
+    """
+    rng = np.random.default_rng(seed)
+    X = np.empty((n, p))
+    X[:, :3] = (rng.random((n, 3)) < [0.5, 0.2, 0.8]).astype(float)
+    X[:, 3] = rng.normal(size=n) + 5.0
+    X[:, 4] = rng.integers(1, 12, size=n)
+    X[:, 5:] = rng.normal(size=(n, p - 5)) + 0.5 * X[:, :1]
+    eta = 1.2 * (X[:, 0] - 0.5) - 0.3 * (X[:, 3] - 5.0) + 0.1 * (X[:, 4] - 6.0)
+    if family == "linear":
+        y = eta + rng.normal(size=n)
+    else:
+        y = (rng.random(n) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
+    w = rng.uniform(0.2, 3.0, size=n) if family == "linear" else np.ones(n)
+    return X, y, w, rng.uniform(0.5, 2.0, size=p)
+
+
+def _spy_on_solvers(monkeypatch):
+    """Record every fit that the lasso module's own solver names return."""
+    fits = []
+    for name in ("lasso_wls", "lasso_logistic"):
+        def spy(*args, _solve=getattr(lasso, name), **kwargs):
+            fit = _solve(*args, **kwargs)
+            fits.append(fit)
+            return fit
+        monkeypatch.setattr(lasso, name, spy)
+    return fits
+
+
+def _assert_cold_level(X, y, family, w, g, seed, unpenalized=(), **opts):
+    config = PenaltyConfig(method="cv", cv_folds=5)
+    grid, losses = _cold_cv_losses(X, y, family, w, g, config, seed, unpenalized)
+    for one_se in (False, True):
+        config = PenaltyConfig(method="cv", cv_folds=5, one_se=one_se)
+        got = cv_lambda(X, y, family, w=w, loadings=g, config=config,
+                        unpenalized=unpenalized, seed=seed, **opts)
+        assert got == _selected_level(grid, losses, one_se), one_se
+
+
 class TestCvLambda:
     @pytest.mark.parametrize("family, seed, beta, unpenalized", [
         ("linear", 60, (1.0, -0.7), ()),
@@ -449,6 +495,86 @@ class TestCvLambda:
             assert got == _selected_level(grid, losses, one_se)
             if len(beta) == 1:
                 assert got == grid[0]
+
+    @pytest.mark.parametrize("family", ["linear", "logistic"])
+    @pytest.mark.parametrize("unpenalized", [(), (0,)])
+    def test_uncentered_columns_select_the_cold_start_level(self, family, unpenalized):
+        X, y, w, g = _uncentered_instance(family, 70 + len(unpenalized))
+        _assert_cold_level(X, y, family, w, g, 5, unpenalized)
+
+    def test_weighted_linear_selects_the_cold_start_level(self):
+        X, y, _, g = _cv_instance("linear", 72, (0.8, -0.5, 0.3), n=120, p=10)
+        X[:, 1] += 4.0
+        w = np.random.default_rng(73).uniform(0.1, 4.0, size=y.size)
+        _assert_cold_level(X, y, "linear", w, g, 8)
+
+    @pytest.mark.parametrize("family", ["linear", "logistic"])
+    def test_no_intercept_selects_the_cold_start_level(self, family, monkeypatch):
+        X, y, w, g = _uncentered_instance(family, 74)
+        if family == "logistic":
+            # Exactly half ones: the reference's grid top centers y at its
+            # mean, which then equals the 0.5 a no-intercept top uses.
+            latent = X[:, 0] - 0.3 * X[:, 3] + np.random.default_rng(75).logistic(size=y.size)
+            y = (latent > np.median(latent)).astype(float)
+            assert y.mean() == 0.5
+        module = sys.modules[__name__]
+        for name in ("lasso_wls", "lasso_logistic", "lambda_max_wls"):
+            monkeypatch.setattr(module, name,
+                                functools.partial(getattr(lasso, name), fit_intercept=False))
+        _assert_cold_level(X, y, family, w, g, 9, fit_intercept=False)
+
+    @pytest.mark.parametrize("family", ["linear", "logistic"])
+    @pytest.mark.parametrize("unpenalized", [(), (2,)])
+    def test_columns_constant_on_training_rows_select_the_cold_start_level(
+            self, family, unpenalized, monkeypatch):
+        X, y, w, g = _uncentered_instance(family, 76, n=93)
+        X[:, 1] = 0.0
+        X[17, 1] = 1.0  # constant on the training rows of the fold holding row 17
+        X[:, 2] = 0.3
+        fits = _spy_on_solvers(monkeypatch)
+        _assert_cold_level(X, y, family, w, g, 10, unpenalized)
+        # A rounding residue of 0.3's mean left in an unpenalized column
+        # would trade places with the intercept until the sweep cap.
+        assert len(fits) == 2 * 5 * 30
+        assert all(fit.converged for fit in fits)
+        assert all(fit.coef[2] == 0.0 for fit in fits)
+
+    @pytest.mark.parametrize("unpenalized", [(), (0,)])
+    def test_centered_design_is_a_reparametrization(self, unpenalized):
+        X, y, w, g = _uncentered_instance("linear", 78)
+        yb = (y > np.median(y)).astype(float)
+        mu = X.mean(axis=0)
+        Xc = X - mu
+        lam_w = 0.2 * lambda_max_wls(X, y, w, g)
+        lam_l = 0.2 * float(np.max(np.abs((yb - yb.mean()) @ X) / g))
+        opts = dict(unpenalized=unpenalized, tol=1e-12)
+        for raw, cen, check in (
+            (lasso_wls(X, y, w, lam_w, g, **opts), lasso_wls(Xc, y, w, lam_w, g, **opts),
+             lambda fit: oracles.wls_kkt_gaps(X, y, w, fit)),
+            (lasso_logistic(X, yb, lam_l, g, **opts), lasso_logistic(Xc, yb, lam_l, g, **opts),
+             lambda fit: oracles.logistic_kkt_gaps(X, yb, fit)),
+        ):
+            assert raw.support and raw.support == cen.support
+            np.testing.assert_allclose(cen.coef, raw.coef, rtol=0, atol=1e-7)
+            assert cen.intercept - raw.intercept == pytest.approx(mu @ raw.coef, abs=1e-7)
+            mapped = dataclasses.replace(cen, intercept=cen.intercept - float(mu @ cen.coef))
+            assert max(check(mapped)) <= 1e-6
+
+    def test_demo_cv_fit_takes_few_sweeps(self, monkeypatch):
+        from doublelasso import (DmlConfig, dml_multi, encode, encoding_spec_from_yaml,
+                                 load_table)
+
+        demo = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "demo")
+        with open(os.path.join(demo, "encoding.yaml"), encoding="utf-8") as fh:
+            spec = encoding_spec_from_yaml(fh.read())
+        dataset = encode(load_table(os.path.join(demo, "toy_survey.csv")), spec)
+        fits = _spy_on_solvers(monkeypatch)
+        dml_multi(dataset, family="logit",
+                  config=DmlConfig(penalty=PenaltyConfig(method="cv")))
+        # 2 loadings refits + 2 x 10 folds x 30 levels; a path warm-started
+        # from the previous level alone took 31,373 sweeps here.
+        assert len(fits) == 602
+        assert sum(fit.iterations for fit in fits) <= 10_000
 
     def test_same_seed_reproduces_the_level(self):
         X, y, w, g = _wls_instance(20, n=80, p=6)
