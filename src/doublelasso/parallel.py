@@ -12,7 +12,10 @@ copies only the calling thread, so the pool forks only on Linux and only
 when no other Python thread is alive; elsewhere, including a call from a
 non-main thread, the job runs serially in the calling process. Items and
 results still cross between processes by pickle, so `fn` must be a
-module-level function and the items and results must pickle.
+module-level function and the items and results must pickle. A forked
+worker also inherits the caller's garbage-collector state (off in a CLI
+process, see `doublelasso.__main__`) and ends through `os._exit`, as every
+forked multiprocessing child does, so it runs no collection at exit.
 
 The caller and the workers claim items in order from one cursor, and a
 worker holds one item at a time, so no item waits queued behind a busy
@@ -181,3 +184,9 @@ def _pooled_map(fn, shared, items, workers: int) -> list:
         with lock:
             stop.set()
         pool.shutdown(wait=True, cancel_futures=True)
+        # `feed` holds itself, and each future's callbacks hold `feed`, which
+        # holds the futures and the pool (and so `shared`). Unlinking both
+        # frees all of it on return instead of at the next collection, which a
+        # CLI process never runs.
+        futures.clear()
+        del feed

@@ -153,6 +153,8 @@ def gen_dgp(spec: DgpSpec, seed: int) -> tuple[Dataset, TruthRecord]:
     seed = int(seed)
     if seed < 0:
         raise ValueError("seed must be nonnegative")
+    if seed >= 2**64:
+        raise ValueError("seed must be below 2**64")
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     n, p = spec.n, spec.p
     E = rng.standard_normal((n, p))
@@ -233,6 +235,9 @@ class StudySpec:
             raise ValueError("level must lie in (0, 1)")
         if self.base_seed < 0:
             raise ValueError("base_seed must be nonnegative")
+        if self.base_seed + self.reps - 1 >= 2**64:
+            # replication r draws from seed base_seed + r
+            raise ValueError("base_seed + reps - 1 must be below 2**64")
         if not 0.0 <= self.max_failure_rate <= 1.0:
             raise ValueError("max_failure_rate must lie in [0, 1]")
 

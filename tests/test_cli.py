@@ -21,7 +21,7 @@ import yaml
 from doublelasso import ColumnInfo, Dataset, link, save_dataset, sidecar_path
 from doublelasso import cli
 from doublelasso.cli import JOBS_ENV_VAR, version_string
-from doublelasso.parallel import SERIAL_BELOW_CELLS
+from doublelasso.parallel import SERIAL_BELOW_CELLS, usable_cpus
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -268,6 +268,83 @@ def test_config_import_and_lazy_root_config_load_no_numpy():
     code = ("import sys, doublelasso.config, doublelasso; doublelasso.DmlConfig; "
             "print('numpy' in sys.modules)")
     assert _child(code) == ["False"]
+
+
+# ---------------------------------------------------------------- collector
+# A command's process runs with cyclic garbage collection off and freezes
+# what is left at exit; `cli.main` called from Python leaves the collector
+# alone. Each probe runs in a child interpreter, whose collector state is
+# its own.
+
+DEMO_FIT = ["fit", "--data", os.path.join(ROOT, "demo", "toy_survey.csv"),
+            "--spec", os.path.join(ROOT, "demo", "encoding.yaml")]
+
+GC_STATE_PROBE = """\
+import contextlib, gc, io
+from doublelasso.{module} import main
+with contextlib.redirect_stdout(io.StringIO()):
+    status = main({argv!r})
+print(status, gc.isenabled(), gc.get_freeze_count() > 0)
+"""
+
+
+@pytest.mark.parametrize("argv", [["--version"], DEMO_FIT], ids=["version", "fit"])
+def test_entry_point_turns_the_collector_off_and_freezes_at_exit(argv):
+    assert _child(GC_STATE_PROBE.format(module="__main__", argv=argv)) == ["0 False True"]
+
+
+@pytest.mark.parametrize("argv", [["--version"], DEMO_FIT], ids=["version", "fit"])
+def test_cli_main_leaves_the_collector_alone(argv):
+    assert _child(GC_STATE_PROBE.format(module="cli", argv=argv)) == ["0 True False"]
+
+
+# Runs a command twice under a disabled collector: the first run loads every
+# module it needs (imports leave garbage of their own), the second saves all
+# the cyclic garbage it leaves. The bound is what building the argument
+# parser alone leaves, since a parse leaves nothing else.
+GARBAGE_PROBE = """\
+import contextlib, gc, io, json
+gc.disable()
+from doublelasso import cli, parallel
+parallel.SERIAL_BELOW_CELLS = {cutoff}
+pooled = []
+pooled_map = parallel._pooled_map
+parallel._pooled_map = lambda *args: pooled.append(1) or pooled_map(*args)
+
+def run():
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return cli.main({argv!r})
+
+run()
+gc.collect()
+cli.build_parser()
+parser = gc.collect()
+del pooled[:]
+gc.set_debug(gc.DEBUG_SAVEALL)
+status = run()
+gc.collect()
+print(json.dumps({{"status": status, "pooled": bool(pooled), "parser": parser,
+                  "garbage": len(gc.garbage),
+                  "types": sorted({{type(o).__name__ for o in gc.garbage}})}}))
+"""
+
+RUN_STATE = {"Dataset", "DmlEstimate", "FitFailure", "Future", "ProcessPoolExecutor"}
+
+
+@pytest.mark.parametrize("argv, status, pooled", [
+    (["fit", "--data", "{data}", "--spec", "{spec}", "--penalty", "cv"], 0, False),
+    (["simulate", "--spec", "{study_fail}"], 4, False),
+    pytest.param(["simulate", "--spec", "{study}", "--jobs", "2"], 0, True,
+                 marks=pytest.mark.skipif(usable_cpus() < 2, reason="a pool needs two CPUs")),
+], ids=["fit-cv", "simulate-failures", "simulate-pooled"])
+def test_a_run_leaves_no_cyclic_garbage_beyond_the_parser(ws, argv, status, pooled):
+    paths = {key: str(ws[key]) for key in ("data", "spec", "study", "study_fail")}
+    code = GARBAGE_PROBE.format(cutoff=0 if pooled else SERIAL_BELOW_CELLS,
+                                argv=[arg.format(**paths) for arg in argv])
+    probe = json.loads(_child(code)[-1])
+    assert (probe["status"], probe["pooled"]) == (status, pooled)
+    assert RUN_STATE.isdisjoint(probe["types"]), probe["types"]
+    assert probe["garbage"] <= probe["parser"] < 1000, probe
 
 
 # ---------------------------------------------------------------- encode
@@ -616,6 +693,17 @@ def test_simulate_rejects_bad_decimals_before_the_study(ws, tmp_path, monkeypatc
     assert status == 2
     assert capsys.readouterr().err == "error: decimals must be nonnegative\n"
     assert not (tmp_path / "r.txt").exists()
+
+
+def test_simulate_rejects_a_seed_past_2_to_the_64_before_the_study(ws, monkeypatch, capsys):
+    # 4 replications from this base seed would draw from seeds up to 2**64 + 2.
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a replication ran before the seed range was checked")
+
+    monkeypatch.setattr(cli, "run_study", must_not_run)
+    status = cli.main(["simulate", "--spec", str(ws["study"]), "--seed", str(2**64 - 1)])
+    assert status == 2
+    assert capsys.readouterr().err == "error: base_seed + reps - 1 must be below 2**64\n"
 
 
 @pytest.mark.parametrize("extra", [[], ["--format", "structured", "--out", "r.yaml"]])

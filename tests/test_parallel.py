@@ -1,5 +1,6 @@
 """The process pool behind --jobs: when it starts and what crosses into it."""
 
+import gc
 import json
 import os
 import pickle
@@ -8,6 +9,7 @@ import subprocess
 import sys
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -128,6 +130,39 @@ def test_first_error_in_item_order_wins_over_the_callers():
         parallel_map(_fail_low_and_last, os.getpid(), range(12), 2,
                      cells_per_item=SERIAL_BELOW_CELLS)
     assert str(info.value) != f"item 0 in pid {os.getpid()}"  # the pool ran item 0
+
+
+class _Shared:
+    """A `shared` argument that a weak reference can follow."""
+
+    def __init__(self):
+        self.caller = os.getpid()
+
+
+def _pid_of(shared, item):
+    if os.getpid() == shared.caller:
+        time.sleep(0.05)  # let the pool claim the front items first
+    return os.getpid()
+
+
+@needs_two_cpus
+def test_pooled_job_frees_its_state_without_a_collection(pool_always):
+    # A CLI process runs with the collector off, so anything a pooled job
+    # leaves in a reference cycle (the pool, its futures, `shared`) would
+    # live until the process exits.
+    shared = _Shared()
+    ref = weakref.ref(shared)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        pids = parallel_map(_pid_of, shared, range(6), 2, cells_per_item=1)
+        del shared
+        freed = ref() is None
+    finally:
+        if enabled:
+            gc.enable()
+    assert set(pids) - {os.getpid()}, "no item ran in a worker"
+    assert freed
 
 
 def _claim(directory, item):

@@ -62,6 +62,10 @@ class TestGenDgp:
         with pytest.raises(ValueError):
             gen_dgp(_linear_spec(), seed=-1)
 
+    def test_seed_of_2_to_the_64_rejected(self):
+        with pytest.raises(ValueError, match=r"below 2\*\*64"):
+            gen_dgp(_linear_spec(), seed=2**64)
+
     def test_column_layout(self):
         ds, _ = gen_dgp(_linear_spec(p=4), seed=0)
         assert ds.column_names == ("d", "x1", "x2", "x3", "x4")
@@ -203,6 +207,11 @@ class TestStudySpecValidation:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="unknown method"):
             StudySpec(dgp=_linear_spec(), reps=1, methods=("bayes",))
+
+    def test_last_replication_seed_must_be_below_2_to_the_64(self):
+        assert StudySpec(dgp=_linear_spec(), reps=3, base_seed=2**64 - 3).base_seed == 2**64 - 3
+        with pytest.raises(ValueError, match=r"base_seed \+ reps - 1 must be below 2\*\*64"):
+            StudySpec(dgp=_linear_spec(), reps=3, base_seed=2**64 - 2)
 
 
 class TestSummarize:
