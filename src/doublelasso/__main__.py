@@ -9,18 +9,66 @@ A command's process also runs without cyclic garbage collection. `main`
 turns the collector off before it imports the rest of the package, and
 freezes every object left at the end, so that the collection the
 interpreter runs at shutdown skips what numpy, scipy and the package built
-(~44k live objects after a demo `fit`), which the OS frees anyway. Beyond
-the garbage their imports leave, a whole `fit` or `simulate` leaves only
-the argument parser, a few hundred objects, as cyclic garbage, so the
-collector would have little to reclaim while the command runs. The policy
-belongs to the process, so it lives here and nowhere else: `import
-doublelasso`, `cli.main` called from Python and every library call leave
-the interpreter's collector as they find it.
+(~58k tracked objects after a demo `fit`), which the OS frees anyway.
+Beyond the garbage their imports leave, a whole `fit` or `simulate` leaves
+only the argument parser, a few hundred objects, as cyclic garbage, so the
+collector would have little to reclaim while the command runs.
+
+A command's process also defers the numpy modules that nothing it runs
+uses. scipy's array-API shim clones the numpy namespace with `from numpy
+import *`, which executes every submodule numpy otherwise loads on first
+use: `numpy.f2py`, `numpy.testing`, `numpy.polynomial` and
+`numpy.ctypeslib` among them, with `unittest`, `email`, `charset_normalizer`
+and more behind them. `main` puts a one-shot finder on `sys.meta_path`
+that, on the first `import scipy`, removes itself and installs those four
+as `importlib.util.LazyLoader` modules. Each one runs in full on its first
+attribute access, so whoever uses one sees no change. Measured on a 2-core
+host (CPython 3.11, numpy 2.4, scipy 1.17), a demo `fit` loads 434 modules
+instead of 611 and peaks at 57 MB of RSS instead of 65 MB, and importing
+the fitting stack takes 0.42 s of CPU instead of 0.54 s. `numpy.ma` and
+`numpy.random` stay eager: fits use both. `--version` loads no numpy and
+`encode` no scipy, so neither fires the finder.
+
+This policy belongs to the process, so it lives here and nowhere else:
+`import doublelasso`, `cli.main` called from Python and every library call
+leave the interpreter's collector, `sys.meta_path` and numpy's modules as
+they find them.
 """
 
 import gc
 import os
 import sys
+
+# numpy submodules that `from numpy import *` executes and that neither the
+# package nor the scipy functions it calls use.
+_DEFERRED = ("numpy.f2py", "numpy.testing", "numpy.polynomial", "numpy.ctypeslib")
+
+
+class _DeferNumpyExtras:
+    """Install `_DEFERRED` as lazy modules when scipy is first imported."""
+
+    def find_spec(self, fullname, path=None, target=None):
+        if fullname != "scipy":
+            return None
+        # A new list: the import system is iterating the current one.
+        sys.meta_path = [finder for finder in sys.meta_path if finder is not self]
+        import importlib.util
+
+        import numpy
+
+        for name in _DEFERRED:
+            if name in sys.modules:
+                continue
+            spec = importlib.util.find_spec(name)
+            spec.loader = importlib.util.LazyLoader(spec.loader)
+            module = importlib.util.module_from_spec(spec)
+            sys.modules[name] = module
+            spec.loader.exec_module(module)
+            # Without the attribute, numpy's module `__getattr__` imports the
+            # name again, and the import system's `__spec__` check runs the
+            # module at once.
+            setattr(numpy, name.rpartition(".")[2], module)
+        return None
 
 
 def main(argv=None) -> int:
@@ -29,6 +77,9 @@ def main(argv=None) -> int:
     # from main returning to the process ending from 103 ms to about 20 ms.
     gc.disable()
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    if "scipy" not in sys.modules and not any(
+            isinstance(finder, _DeferNumpyExtras) for finder in sys.meta_path):
+        sys.meta_path.insert(0, _DeferNumpyExtras())
     from . import cli
 
     try:

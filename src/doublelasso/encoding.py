@@ -35,6 +35,9 @@ from .errors import (
 SPEC_VERSION = 1
 DEFAULT_MISSING_TOKENS = ("", "NA")
 _ROLES = ("control", "treatment")
+# libyaml's loader where PyYAML was built with it: the same documents, parsed
+# about 8x faster. Dumps stay on the pure emitter, whose bytes are pinned.
+YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 def _slug(text) -> str:
@@ -407,7 +410,7 @@ def _reject_unknown(entry: dict, allowed: set, where: str) -> None:
 def encoding_spec_from_yaml(text: str) -> EncodingSpec:
     """Parse the YAML spec document; the version field is mandatory."""
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=YAML_LOADER)
     except yaml.YAMLError as exc:
         raise SchemaError(f"spec is not valid YAML: {exc}") from None
     if not isinstance(doc, dict):
@@ -794,7 +797,10 @@ def load_dataset(path) -> Dataset:
     path = os.fspath(path)
     side = sidecar_path(path)
     with open(side, "r", encoding="utf-8") as fh:
-        meta = yaml.safe_load(fh)
+        try:
+            meta = yaml.load(fh, Loader=YAML_LOADER)
+        except yaml.YAMLError as exc:
+            raise SchemaError(f"dataset sidecar {side!r} is not valid YAML: {exc}") from None
     if not isinstance(meta, dict) or "columns" not in meta or "version" not in meta:
         raise SchemaError(f"bad dataset sidecar {side!r}")
     if meta["version"] != SPEC_VERSION:

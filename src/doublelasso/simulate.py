@@ -26,7 +26,7 @@ import numpy as np
 import yaml
 
 from .dml import DmlConfig, DmlEstimate, FitFailure, dml_multi, lasso_solves
-from .encoding import ColumnInfo, Dataset, _reject_unknown
+from .encoding import YAML_LOADER, ColumnInfo, Dataset, _reject_unknown
 from .errors import SchemaError
 from .glm import link
 from .parallel import parallel_map
@@ -383,7 +383,7 @@ def _pattern_fields(m, what: str) -> dict:
 
 def study_spec_from_yaml(text: str) -> StudySpec:
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=YAML_LOADER)
     except yaml.YAMLError as exc:
         raise SchemaError(f"study spec is not valid YAML: {exc}") from None
     if not isinstance(doc, dict):
@@ -496,7 +496,7 @@ def coverage_reports_to_yaml(reports) -> str:
 
 def coverage_reports_from_yaml(text: str) -> tuple[CoverageReport, ...]:
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=YAML_LOADER)
     except yaml.YAMLError as exc:
         raise SchemaError(f"coverage report is not valid YAML: {exc}") from None
     if not isinstance(doc, dict) or "reports" not in doc or "version" not in doc:

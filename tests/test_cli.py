@@ -347,6 +347,81 @@ def test_a_run_leaves_no_cyclic_garbage_beyond_the_parser(ws, argv, status, pool
     assert probe["garbage"] <= probe["parser"] < 1000, probe
 
 
+# ---------------------------------------------------------------- deferred numpy modules
+# A command's process fits without executing the numpy modules that scipy's
+# array-API shim star-imports, and runs each one in full on first use;
+# library use leaves `sys.meta_path` and numpy's modules alone.
+
+# One module that each deferred package executes as soon as it runs.
+DEFERRED_BODIES = ["numpy.f2py.crackfortran", "numpy.testing._private.utils",
+                   "numpy.polynomial.polynomial", "numpy.ctypeslib._ctypeslib"]
+
+DEFERRED_PROBE = """\
+import contextlib, io, json, sys
+import doublelasso.__main__ as entry
+fired = []
+find_spec = entry._DeferNumpyExtras.find_spec
+
+def counted(self, name, *args):
+    if name == "scipy":
+        fired.append(name)
+    return find_spec(self, name, *args)
+
+entry._DeferNumpyExtras.find_spec = counted
+statuses, finders = [], []
+for argv in {argvs!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        statuses.append(entry.main(argv))
+    finders.append(sum(isinstance(f, entry._DeferNumpyExtras) for f in sys.meta_path))
+executed = [name for name in {bodies!r} if name in sys.modules]
+import numpy
+numpy.testing.assert_equal(1, 1)
+print(json.dumps({{"statuses": statuses, "finders": finders, "fired": len(fired),
+                  "executed": executed, "polynomial": bool(numpy.polynomial.Polynomial([1, 2])(1) == 3),
+                  "loaded": [name for name in {bodies!r} if name in sys.modules]}}))
+"""
+
+
+def _deferred_probe(*argvs) -> dict:
+    return json.loads(_child(DEFERRED_PROBE.format(argvs=list(argvs),
+                                                   bodies=DEFERRED_BODIES))[-1])
+
+
+@pytest.mark.parametrize("argv", [
+    DEMO_FIT, [*DEMO_FIT, "--penalty", "cv"], ["simulate", "--spec", "{study}"],
+], ids=["fit", "fit-cv", "simulate"])
+def test_entry_point_fits_without_executing_the_deferred_numpy_modules(ws, argv):
+    probe = _deferred_probe([arg.format(study=ws["study"]) for arg in argv])
+    assert (probe["statuses"], probe["finders"], probe["fired"]) == ([0], [0], 1)
+    assert probe["executed"] == []
+    # Used after the command, each deferred module runs and works as usual.
+    assert probe["polynomial"] is True
+    assert "numpy.testing._private.utils" in probe["loaded"]
+    assert "numpy.polynomial.polynomial" in probe["loaded"]
+
+
+def test_entry_point_installs_one_finder_however_often_it_runs():
+    probe = _deferred_probe(["--version"], ["--version"], DEMO_FIT)
+    assert probe["statuses"] == [0, 0, 0]
+    assert probe["finders"] == [1, 1, 0]
+    assert probe["fired"] == 1
+    assert probe["executed"] == []
+
+
+def test_library_use_leaves_the_import_system_and_numpy_alone():
+    code = f"""\
+import contextlib, importlib.util, io, sys
+meta_path = list(sys.meta_path)
+import doublelasso.dml
+from doublelasso import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    status = cli.main({DEMO_FIT!r})
+lazy = [name for name, m in sys.modules.items() if type(m) is importlib.util._LazyModule]
+print(status, sys.meta_path == meta_path, lazy)
+"""
+    assert _child(code) == ["0 True []"]
+
+
 # ---------------------------------------------------------------- encode
 
 

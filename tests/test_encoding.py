@@ -2,6 +2,7 @@
 
 import io
 import math
+import os
 
 import numpy as np
 import pytest
@@ -29,6 +30,26 @@ from doublelasso import (
     synthetic_survey_schema,
     synthetic_survey_table,
 )
+from doublelasso import simulate
+from doublelasso.encoding import YAML_LOADER
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _yaml_documents() -> dict:
+    docs = {}
+    for name in ("encoding.yaml", "study.yaml"):
+        with open(os.path.join(ROOT, "demo", name), encoding="utf-8") as fh:
+            docs[name] = fh.read()
+    docs["survey"] = encoding_spec_to_yaml(synthetic_survey_schema())
+    for name in ("confounded_benchmark", "sparse_logistic_benchmark",
+                 "sparse_linear_benchmark", "null_logistic_benchmark"):
+        docs[name] = simulate.study_spec_to_yaml(getattr(simulate, name)())
+    return docs
+
+
+# The shipped demo specs, the survey spec and the benchmark studies.
+YAML_DOCUMENTS = _yaml_documents()
 
 
 class TestLoadTable:
@@ -356,6 +377,18 @@ class TestSpecYaml:
         with pytest.raises(SchemaError, match="valid YAML"):
             encoding_spec_from_yaml("version: [unclosed\n")
 
+    @pytest.mark.parametrize("text", YAML_DOCUMENTS.values(), ids=YAML_DOCUMENTS.keys())
+    def test_the_package_loader_reads_what_the_pure_loader_reads(self, text):
+        assert yaml.load(text, Loader=YAML_LOADER) == yaml.safe_load(text)
+
+    @pytest.mark.parametrize("parse", [
+        encoding_spec_from_yaml, simulate.study_spec_from_yaml,
+        simulate.coverage_reports_from_yaml,
+    ])
+    def test_invalid_yaml_is_a_schema_error_for_every_parser(self, parse):
+        with pytest.raises(SchemaError, match="not valid YAML"):
+            parse("version: 1\nreports: [unclosed\n")
+
 
 class TestInteract:
     def _toy(self):
@@ -421,6 +454,15 @@ class TestDatasetRoundTrip:
         save_dataset(ds, out)
         out.write_text(out.read_text().splitlines()[0] + "\n")
         with pytest.raises(EmptyDatasetError, match="no data rows"):
+            load_dataset(out)
+
+    def test_invalid_sidecar_yaml_is_a_schema_error(self, tmp_path):
+        ds = encode(load_table(io.StringIO(_SURVEY_TEXT)), _survey_spec())
+        out = tmp_path / "data.tsv"
+        side = save_dataset(ds, out)
+        with open(side, "w", encoding="utf-8") as fh:
+            fh.write("version: [1\n")
+        with pytest.raises(SchemaError, match="not valid YAML"):
             load_dataset(out)
 
     def test_header_sidecar_mismatch_rejected(self, tmp_path):
