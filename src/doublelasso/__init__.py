@@ -12,6 +12,10 @@ Public names load on first use: `import doublelasso` imports no submodule
 (and so no numpy), and `doublelasso.dml_logit` imports `doublelasso.dml`
 the first time it is read. This lets the command-line entry point set the
 BLAS thread count before numpy starts.
+
+The exports are what the README's examples, the benchmark's workloads and
+the golden and acceptance tests use, plus the result, settings and error
+types. Every other name is reached through its module.
 """
 
 import importlib
@@ -21,36 +25,24 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "config": ("DmlConfig", "PenaltyConfig"),
     "dml": (
-        "DmlEstimate", "FitFailure", "NuisanceArtifacts", "dml_linear", "dml_logit",
-        "dml_multi", "iv_logit_objective", "naive_linear", "naive_logit",
+        "DmlEstimate", "FitFailure", "dml_linear", "dml_logit", "dml_multi", "naive_linear",
+        "naive_logit",
     ),
     "encoding": (
-        "CategoricalRule", "ColumnInfo", "Dataset", "DerivedRule", "EncodingSpec",
-        "InteractionRule", "NumericRule", "RawTable", "encode", "encoding_spec_from_yaml",
-        "encoding_spec_to_yaml", "interact", "load_dataset", "load_table", "save_dataset",
-        "sidecar_path", "synthetic_survey_schema", "synthetic_survey_table",
+        "encode", "encoding_spec_from_yaml", "encoding_spec_to_yaml", "load_table",
+        "save_dataset", "synthetic_survey_schema", "synthetic_survey_table",
     ),
     "errors": (
         "DegenerateMomentError", "DegenerateOutcomeError", "DegenerateTreatmentError",
         "DoubleLassoError", "EmptyDatasetError", "EncodingError", "ParseError",
         "RankDeficiencyError", "SchemaError", "WeakInstrumentError",
     ),
-    "glm": ("link", "link_deriv", "solve_spd", "wls_fit"),
-    "lasso": (
-        "LassoFit", "RefitResult", "cv_lambda", "lambda_max_wls", "lasso_logistic",
-        "lasso_wls", "logistic_lasso_loadings", "plugin_lambda", "post_refit",
-        "wls_lasso_loadings",
-    ),
-    "report": (
-        "MULTIPLICITY_NOTE", "REPORT_VERSION", "percent_labels", "render_coverage_reports",
-        "render_fit_results",
-    ),
+    "lasso": ("lambda_max_wls", "lasso_logistic", "lasso_wls", "plugin_lambda"),
+    "report": ("render_coverage_reports", "render_fit_results"),
     "simulate": (
-        "CoverageReport", "DgpSpec", "StudySpec", "TruthRecord", "confounded_benchmark",
-        "coverage_reports_from_yaml", "coverage_reports_to_yaml", "dataset_checksum",
-        "gen_dgp", "null_logistic_benchmark", "run_replications", "run_study",
-        "sparse_linear_benchmark", "sparse_logistic_benchmark", "study_spec_from_yaml",
-        "study_spec_to_yaml", "summarize",
+        "DgpSpec", "StudySpec", "confounded_benchmark", "gen_dgp", "null_logistic_benchmark",
+        "run_study", "sparse_linear_benchmark", "sparse_logistic_benchmark",
+        "study_spec_to_yaml",
     ),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -123,10 +123,14 @@ def _subset_dataset(ds: Dataset, treatments, controls) -> Dataset:
                         outcome_name=ds.outcome_name, n_dropped=ds.n_dropped)
 
 
-def cmd_encode(args) -> int:
-    table = _cli.load_table(args.data)
+def _encode_raw(args) -> Dataset:
     spec = _cli.encoding_spec_from_yaml(_read_text(args.spec))
-    dataset = _cli.encode(table, spec)
+    table = _cli.load_table(args.data, missing_tokens=spec.missing_tokens)
+    return _cli.encode(table, spec)
+
+
+def cmd_encode(args) -> int:
+    dataset = _encode_raw(args)
     side = _cli.save_dataset(dataset, args.out)
     print(f"n={dataset.n} p={dataset.p} dropped={dataset.n_dropped}")
     print(f"wrote {args.out}")
@@ -136,9 +140,7 @@ def cmd_encode(args) -> int:
 
 def _load_fit_dataset(args) -> Dataset:
     if args.spec:
-        table = _cli.load_table(args.data)
-        spec = _cli.encoding_spec_from_yaml(_read_text(args.spec))
-        return _cli.encode(table, spec)
+        return _encode_raw(args)
     side = _cli.sidecar_path(args.data)
     if not os.path.exists(args.data):
         raise FileNotFoundError(f"no such file: {args.data}")

@@ -52,7 +52,6 @@ class PenaltyConfig:
     cv_folds: int = 10
     cv_grid: int = 30
     cv_min_ratio: float = 1e-3
-    one_se: bool = False
 
     def __post_init__(self):
         if self.method not in ("plugin", "cv"):
@@ -113,7 +112,7 @@ class DmlConfig:
         if pen.method == "plugin":
             pen_txt = f"plugin(c={pen.c:g})"
         else:
-            pen_txt = f"cv(folds={pen.cv_folds},one_se={str(pen.one_se).lower()})"
+            pen_txt = f"cv(folds={pen.cv_folds})"
         return (
             f"instrument={self.instrument_scaling};penalty={pen_txt};"
             f"grid={self.grid_points};level={self.level:g}"

@@ -268,7 +268,7 @@ def _select(design, y, family, w, penalty, unpen, seed):
         loadings = wls_lasso_loadings(design, y, w, lam, unpenalized=unpen)
     if penalty.method == "cv":
         lam = cv_lambda(design, y, family, w=w, loadings=loadings, config=penalty,
-                        unpenalized=unpen, fit_intercept=True, seed=seed)
+                        unpenalized=unpen, seed=seed)
     if family == "logistic":
         fit = lasso_logistic(design, y, lam, loadings, unpenalized=unpen)
     else:

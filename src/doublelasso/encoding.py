@@ -94,13 +94,13 @@ def _sniff_cell(text: str, missing_tokens) -> object:
     return value
 
 
-def load_table(source, *, delimiter: str | None = None,
-               missing_tokens=DEFAULT_MISSING_TOKENS) -> RawTable:
+def load_table(source, *, missing_tokens=DEFAULT_MISSING_TOKENS) -> RawTable:
     """Parse a delimited text file (path or file object) into a RawTable.
 
     The delimiter is sniffed from the header row (tab wins over comma when
-    both appear) unless given. Cells parse as numbers when possible, the
-    configured missing tokens become None, and everything else stays text.
+    both appear). Cells parse as numbers when possible, the given missing
+    tokens (an encoding spec's `missing_tokens`) become None, and
+    everything else stays text.
     Ragged rows raise ParseError with the 1-based data row index.
     """
     if hasattr(source, "read"):
@@ -115,9 +115,8 @@ def load_table(source, *, delimiter: str | None = None,
         lines.pop()
     if not lines:
         raise ParseError("empty input: no header row")
-    if delimiter is None:
-        head = lines[0]
-        delimiter = "\t" if head.count("\t") > head.count(",") else ","
+    head = lines[0]
+    delimiter = "\t" if head.count("\t") > head.count(",") else ","
     reader = csv.reader(io.StringIO("\n".join(lines)), delimiter=delimiter)
     try:
         header = next(reader)

@@ -10,8 +10,8 @@ Conventions used throughout:
   + (lam/n) * sum_j loading_j |theta_j|  -- note the weights enter squared;
 * the logistic objective is  mean_i [log(1+exp(eta_i)) - y_i eta_i]
   + (lam/n) * sum_j loading_j |theta_j|;
-* the intercept is always present and never penalized unless
-  fit_intercept=False;
+* the intercept is always present and never penalized; only lasso_wls
+  can leave it out (fit_intercept=False);
 * `unpenalized` columns take no penalty but are not counted in the support.
 """
 
@@ -28,30 +28,35 @@ from .config import PenaltyConfig
 from .glm import PROB_EPS, link, solve_spd
 
 _OBJ_SLACK = 1e-12  # relative slack when comparing recorded objective values
+_MAX_SWEEPS = 10_000  # coordinate sweeps per solve, across all logistic passes
+_MAX_OUTER = 200  # reweighting passes per logistic solve
 
 
-def plugin_lambda(n: int, p: int, config: PenaltyConfig | None = None,
-                  *, c: float | None = None, gamma: float | None = None) -> float:
+def _prob(eta):
+    """Clamped 1 / (1 + exp(-eta)) for the solvers' curvature weights.
+
+    Not glm.link: numpy's exp and scipy's expit differ in the last bits,
+    and every solver output is pinned to this arithmetic.
+    """
+    return np.clip(1.0 / (1.0 + np.exp(-np.clip(eta, -700, 700))), PROB_EPS, 1.0 - PROB_EPS)
+
+
+def plugin_lambda(n: int, p: int, config: PenaltyConfig | None = None) -> float:
     """Plug-in penalty level c * sqrt(n) * PhiInv(1 - gamma / (2 p)).
 
-    `c` and `gamma` override the config when given; gamma defaults to
-    0.1 / log(n), which requires n >= 2.
+    c and gamma come from the config (which validates them); gamma=None
+    means 0.1 / log(n), which requires n >= 2.
     """
     if n < 1 or p < 1:
         raise ValueError("n and p must be positive")
     if config is None:
         config = PenaltyConfig()
-    cc = config.c if c is None else float(c)
-    gg = config.gamma if gamma is None else float(gamma)
-    if gg is None:
+    gamma = config.gamma
+    if gamma is None:
         if n < 2:
             raise ValueError("gamma must be given explicitly when n < 2")
-        gg = 0.1 / math.log(n)
-    if not 0.0 < gg < 1.0:
-        raise ValueError("gamma must lie in (0, 1)")
-    if cc < 0 or not math.isfinite(cc):
-        raise ValueError("c must be a nonnegative real")
-    return cc * math.sqrt(n) * float(ndtri(1.0 - gg / (2.0 * p)))
+        gamma = 0.1 / math.log(n)
+    return config.c * math.sqrt(n) * float(ndtri(1.0 - gamma / (2.0 * p)))
 
 
 @dataclass(frozen=True)
@@ -247,13 +252,12 @@ def _cd_solve(Xf, XWf, Wvec, r, coef, intercept, col_sq, thr, penal, fit_interce
 
 
 def lasso_wls(X, y, w, lam, loadings=None, *, fit_intercept: bool = True,
-              unpenalized=(), tol: float = 1e-8, max_sweeps: int = 10_000,
-              init=None) -> LassoFit:
+              unpenalized=(), tol: float = 1e-8, init=None) -> LassoFit:
     """Weighted-linear lasso by cyclic coordinate descent with active-set cycling.
 
     Minimizes mean_i w_i^2 (y_i - c - x_i.theta)^2 + (lam/n) sum_j loading_j
     |theta_j|. Stops when the largest coefficient change in a sweep falls
-    below `tol` or after `max_sweeps` sweeps (then converged=False and a
+    below `tol` or after _MAX_SWEEPS sweeps (then converged=False and a
     warning is attached). `init=(intercept, coef)` starts the descent from
     that point instead of zero (a warm start along a path). Zero-variance
     columns keep their starting coefficient, which is 0 unless `init` says
@@ -283,11 +287,11 @@ def lasso_wls(X, y, w, lam, loadings=None, *, fit_intercept: bool = True,
     path = [objective()]
     intercept, sweeps, converged = _cd_solve(
         Xf, XWf, W, r, coef, intercept, col_sq, thr, penal, fit_intercept,
-        tol, max_sweeps, lambda: path.append(objective()),
+        tol, _MAX_SWEEPS, lambda: path.append(objective()),
     )
     notes: tuple[str, ...] = ()
     if not converged:
-        notes = (f"weighted lasso stopped at the sweep cap ({max_sweeps}) before reaching tol={tol:g}",)
+        notes = (f"weighted lasso stopped at the sweep cap ({_MAX_SWEEPS}) before reaching tol={tol:g}",)
     support = tuple(int(j) for j in np.flatnonzero(coef) if penal[j])
     return LassoFit(
         intercept=float(intercept),
@@ -303,8 +307,7 @@ def lasso_wls(X, y, w, lam, loadings=None, *, fit_intercept: bool = True,
     )
 
 
-def lasso_logistic(X, y, lam, loadings=None, *, unpenalized=(), fit_intercept: bool = True,
-                   tol: float = 1e-8, max_sweeps: int = 10_000, max_outer: int = 200,
+def lasso_logistic(X, y, lam, loadings=None, *, unpenalized=(), tol: float = 1e-8,
                    init=None) -> LassoFit:
     """Penalized logistic regression by iteratively reweighted coordinate descent.
 
@@ -315,8 +318,9 @@ def lasso_logistic(X, y, lam, loadings=None, *, unpenalized=(), fit_intercept: b
     every coordinate, so the recorded objective sequence is nonincreasing.
     The descent starts from the log-odds intercept and zero coefficients,
     or from `init=(intercept, coef)` when given (a warm start along a path).
-    `X` may be a prepared `_Design`, whose derived arrays are then reused
-    instead of rebuilt.
+    It stops after _MAX_OUTER passes or _MAX_SWEEPS sweeps in all, with a
+    warning. `X` may be a prepared `_Design`, whose derived arrays are then
+    reused instead of rebuilt.
     """
     design, y, lam, loadings, unpen = _validate_common(X, y, lam, loadings, unpenalized)
     X = design.X
@@ -330,8 +334,8 @@ def lasso_logistic(X, y, lam, loadings=None, *, unpenalized=(), fit_intercept: b
     thr = np.where(penal, lam * loadings, 0.0)  # quadratic carries a 1/2 factor
     pen_load = np.where(penal, loadings, 0.0)
 
-    intercept, coef = _start(init, p, fit_intercept)
-    if init is None and fit_intercept:
+    intercept, coef = _start(init, p, True)
+    if init is None:
         ybar = float(np.mean(y))
         intercept = float(np.log((ybar + PROB_EPS) / (1.0 - ybar + PROB_EPS)))
     eta = np.full(n, intercept) + X @ coef
@@ -346,21 +350,21 @@ def lasso_logistic(X, y, lam, loadings=None, *, unpenalized=(), fit_intercept: b
     total_sweeps = 0
     converged = False
 
-    for _ in range(max_outer):
+    for _ in range(_MAX_OUTER):
         prev_intercept = intercept
         prev_coef = coef.copy()
         prev_obj = path[-1]
-        p_hat = np.clip(1.0 / (1.0 + np.exp(-np.clip(eta, -700, 700))), PROB_EPS, 1.0 - PROB_EPS)
+        p_hat = _prob(eta)
 
         def quad_pass(om, inner_cap):
             nonlocal intercept, total_sweeps, eta
             r = (y - p_hat) / om
             XWf = Xf * om[:, None]
             col_sq = om @ Xsq
-            budget = min(inner_cap, max(1, max_sweeps - total_sweeps))
+            budget = min(inner_cap, max(1, _MAX_SWEEPS - total_sweeps))
             intercept, used, _ = _cd_solve(
                 Xf, XWf, om, r, coef, intercept, col_sq, thr, penal,
-                fit_intercept, tol, budget, None,
+                True, tol, budget, None,
             )
             total_sweeps += used
             eta = intercept + X @ coef
@@ -397,11 +401,15 @@ def lasso_logistic(X, y, lam, loadings=None, *, unpenalized=(), fit_intercept: b
             converged = True
         if converged:
             break
-        if total_sweeps >= max_sweeps:
+        if total_sweeps >= _MAX_SWEEPS:
             notes.append(
-                f"logistic lasso stopped at the sweep cap ({max_sweeps}) before reaching tol={tol:g}"
+                f"logistic lasso stopped at the sweep cap ({_MAX_SWEEPS}) before reaching tol={tol:g}"
             )
             break
+    else:
+        notes.append(
+            f"logistic lasso stopped at the pass cap ({_MAX_OUTER}) before reaching tol={tol:g}"
+        )
 
     support = tuple(int(j) for j in np.flatnonzero(coef) if penal[j])
     return LassoFit(
@@ -425,14 +433,14 @@ def _floor_loadings(g: np.ndarray) -> np.ndarray:
     return np.maximum(g, 1e-10 * top)
 
 
-def wls_lasso_loadings(X, y, w, lam, *, refinements: int = 1, fit_intercept: bool = True,
-                       unpenalized=(), tol: float = 1e-8) -> np.ndarray:
+def wls_lasso_loadings(X, y, w, lam, *, unpenalized=()) -> np.ndarray:
     """Heteroskedasticity-matched loadings sqrt(mean[w^2 x_j^2 u^2]) for lasso_wls.
 
-    The initial u is the weighted intercept-only residual, which makes the
-    pilot loading a weighted column norm times the response scale; each
-    refinement refits and recomputes u from the pilot's residuals. `X` may
-    be a prepared `_Design`, which the refits then share.
+    The pilot u is the weighted intercept-only residual, which makes the
+    pilot loading a weighted column norm times the response scale; one
+    refinement refits with the pilot loadings and recomputes u from that
+    fit's residuals. `X` may be a prepared `_Design`, which the refit then
+    shares.
     """
     design = _design(X)
     X = design.X
@@ -441,47 +449,38 @@ def wls_lasso_loadings(X, y, w, lam, *, refinements: int = 1, fit_intercept: boo
     W = w * w
     n = y.size
     sumW = float(W.sum())
-    ybar = float(W @ y) / sumW if (fit_intercept and sumW > 0) else 0.0
+    ybar = float(W @ y) / sumW if sumW > 0 else 0.0
     u = w * (y - ybar)
     col = np.sqrt(W @ design.Xsq / n)
-    g = _floor_loadings(col * math.sqrt(float(np.mean(u * u))))
-    for _ in range(refinements):
-        fit = lasso_wls(design, y, w, lam, g, fit_intercept=fit_intercept,
-                        unpenalized=unpenalized, tol=tol)
-        u = w * (y - fit.intercept - X @ fit.coef)
-        g = _floor_loadings(np.sqrt((W * u * u) @ design.Xsq / n))
-    return g
+    pilot = _floor_loadings(col * math.sqrt(float(np.mean(u * u))))
+    fit = lasso_wls(design, y, w, lam, pilot, unpenalized=unpenalized)
+    u = w * (y - fit.intercept - X @ fit.coef)
+    return _floor_loadings(np.sqrt((W * u * u) @ design.Xsq / n))
 
 
-def logistic_lasso_loadings(X, y, lam, *, refinements: int = 1, unpenalized=(),
-                            fit_intercept: bool = True, tol: float = 1e-8) -> np.ndarray:
+def logistic_lasso_loadings(X, y, lam, *, unpenalized=()) -> np.ndarray:
     """Score-matched loadings sqrt(mean[(y - p_hat)^2 x_j^2]) for lasso_logistic.
 
-    The pilot uses the intercept-only residual (y - ybar); refinements use
-    the fitted probabilities from a pilot penalized fit. `X` may be a
-    prepared `_Design`, which the refits then share.
+    The pilot uses the intercept-only residual (y - ybar); one refinement
+    uses the fitted probabilities of a penalized fit with the pilot
+    loadings. `X` may be a prepared `_Design`, which the refit then shares.
     """
     design = _design(X)
     X = design.X
     y = np.asarray(y, dtype=float)
     n = y.size
     u2 = (y - float(np.mean(y))) ** 2
-    g = _floor_loadings(np.sqrt(u2 @ design.Xsq / n))
-    for _ in range(refinements):
-        fit = lasso_logistic(design, y, lam, g, unpenalized=unpenalized,
-                             fit_intercept=fit_intercept, tol=tol)
-        p_hat = link(fit.intercept + X @ fit.coef)
-        u2 = (y - p_hat) ** 2
-        g = _floor_loadings(np.sqrt(u2 @ design.Xsq / n))
-    return g
+    pilot = _floor_loadings(np.sqrt(u2 @ design.Xsq / n))
+    fit = lasso_logistic(design, y, lam, pilot, unpenalized=unpenalized)
+    u2 = (y - link(fit.intercept + X @ fit.coef)) ** 2
+    return _floor_loadings(np.sqrt(u2 @ design.Xsq / n))
 
 
-def lambda_max_wls(X, y, w, loadings, *, fit_intercept: bool = True) -> float:
+def lambda_max_wls(X, y, w, loadings) -> float:
     """Smallest penalty that zeroes every penalized coordinate of lasso_wls.
 
-    With an intercept the response is first centered at its weighted mean;
-    the level is max_j |2 sum_i w_i^2 y_i x_ij| / loading_j on the centered
-    response.
+    The response is first centered at its weighted mean; the level is
+    max_j |2 sum_i w_i^2 y_i x_ij| / loading_j on the centered response.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -489,20 +488,20 @@ def lambda_max_wls(X, y, w, loadings, *, fit_intercept: bool = True) -> float:
     loadings = np.asarray(loadings, dtype=float)
     W = w * w
     sumW = float(W.sum())
-    yc = y - (float(W @ y) / sumW if (fit_intercept and sumW > 0) else 0.0)
+    yc = y - (float(W @ y) / sumW if sumW > 0 else 0.0)
     score = 2.0 * ((W * yc) @ X)
     return float(np.max(np.abs(score) / loadings))
 
 
-def _lambda_max_logistic(X, y, loadings, fit_intercept):
-    yc = y - (float(np.mean(y)) if fit_intercept else 0.5)
+def _lambda_max_logistic(X, y, loadings):
+    yc = y - float(np.mean(y))
     score = yc @ X  # n * mean[(y - ybar) x_j]
     return float(np.max(np.abs(score) / loadings))
 
 
 def cv_lambda(X, y, family: str, *, loadings, w=None,
               config: PenaltyConfig | None = None, unpenalized=(),
-              fit_intercept: bool = True, seed: int = 0) -> float:
+              seed: int = 0) -> float:
     """K-fold cross-validated penalty level on a geometric grid.
 
     Folds come from a counter-based generator seeded by `seed`, so the split
@@ -510,12 +509,12 @@ def cv_lambda(X, y, family: str, *, loadings, w=None,
     full design. Each fold solves it as a path, from the largest level
     (which zeroes every penalized coordinate) down, as glmnet does:
 
-    * With an intercept, the fold's training columns are centered at their
-      training means, and its held-out rows by the same means. The
-      unpenalized intercept absorbs the shift, so the problem is unchanged,
-      but the intercept no longer zig-zags against uncentered columns. A
-      column constant on the training rows becomes exact zeros, so the
-      solvers skip it as they skip any zero-variance column.
+    * The fold's training columns are centered at their training means,
+      and its held-out rows by the same means. The unpenalized intercept
+      absorbs the shift, so the problem is unchanged, but the intercept no
+      longer zig-zags against uncentered columns. A column constant on the
+      training rows becomes exact zeros, so the solvers skip it as they
+      skip any zero-variance column.
     * The first two levels start from zero and from the first solution.
       From the third on, a level starts from the linear extrapolation of
       the previous two solutions in lambda, intercept included; a
@@ -527,11 +526,10 @@ def cv_lambda(X, y, family: str, *, loadings, w=None,
     "linear", mean logistic loss for "logistic"). The minimizer of the mean
     loss is returned; levels whose mean losses differ from the minimum by
     rounding alone (1e-9 relative) count as tied, and ties go to the largest
-    level, so path and cold starts select the same one. With config.one_se
-    the largest level within one standard error of that minimizer is
-    returned instead. Only the level leaves this function: the caller's
-    final fit at it is cold-started on the raw design. `loadings` are the
-    penalty loadings every fold solve uses. `X` may be a prepared `_Design`.
+    level, so path and cold starts select the same one. Only the level
+    leaves this function: the caller's final fit at it is cold-started on
+    the raw design. `loadings` are the penalty loadings every fold solve
+    uses. `X` may be a prepared `_Design`.
     """
     if family not in ("linear", "logistic"):
         raise ValueError(f"unknown family {family!r}")
@@ -545,9 +543,9 @@ def cv_lambda(X, y, family: str, *, loadings, w=None,
     w = np.asarray(w, dtype=float)
     loadings = np.asarray(loadings, dtype=float)
     if family == "linear":
-        top = lambda_max_wls(X, y, w, loadings, fit_intercept=fit_intercept)
+        top = lambda_max_wls(X, y, w, loadings)
     else:
-        top = _lambda_max_logistic(X, y, loadings, fit_intercept)
+        top = _lambda_max_logistic(X, y, loadings)
     if top <= 0:
         return 0.0
     grid = np.geomspace(top, top * config.cv_min_ratio, config.cv_grid)
@@ -561,23 +559,22 @@ def cv_lambda(X, y, family: str, *, loadings, w=None,
         mask = np.ones(n, dtype=bool)
         mask[test_idx] = False
         Xtr, Xte = X[mask], X[test_idx]
-        if fit_intercept:
-            # A constant column's "mean" is its value, so it centers to 0.0.
-            mu = np.where(np.all(Xtr == Xtr[0], axis=0), Xtr[0], Xtr.mean(axis=0))
-            Xtr, Xte = Xtr - mu, Xte - mu
-        train = _Design(Xtr)
+        # A constant column's "mean" is its value, so it centers to 0.0.
+        mu = np.where(np.all(Xtr == Xtr[0], axis=0), Xtr[0], Xtr.mean(axis=0))
+        train = _Design(Xtr - mu)
+        Xte = Xte - mu
         ytr, wtr = y[mask], w[mask]
         yte, wte = y[test_idx], w[test_idx]
         init = prev = None
         for gi, lam in enumerate(grid):
             if family == "linear":
                 fit = lasso_wls(train, ytr, wtr, float(lam), loadings, init=init,
-                                fit_intercept=fit_intercept, unpenalized=unpenalized)
+                                unpenalized=unpenalized)
                 resid = yte - fit.intercept - Xte @ fit.coef
                 losses[fi, gi] = float(np.mean((wte * resid) ** 2))
             else:
                 fit = lasso_logistic(train, ytr, float(lam), loadings, init=init,
-                                     fit_intercept=fit_intercept, unpenalized=unpenalized)
+                                     unpenalized=unpenalized)
                 eta = fit.intercept + Xte @ fit.coef
                 losses[fi, gi] = float(np.mean(np.logaddexp(0.0, eta) - yte * eta))
             if prev is None:
@@ -590,10 +587,6 @@ def cv_lambda(X, y, family: str, *, loadings, w=None,
     low = float(mean_loss.min())
     # grid descends, so the first qualifying entry is the largest level
     best = int(np.flatnonzero(mean_loss <= low + 1e-9 * (1.0 + abs(low)))[0])
-    if config.one_se:
-        se = float(losses[:, best].std(ddof=1) / math.sqrt(config.cv_folds))
-        ok = np.flatnonzero(mean_loss <= mean_loss[best] + se)
-        best = int(ok[0])  # grid descends, so the first qualifying entry is the largest
     return float(grid[best])
 
 
@@ -602,7 +595,7 @@ class RefitResult:
     """Unpenalized refit restricted to {intercept} | support | kept columns.
 
     `coef` is full length with exact zeros off the refit columns. `cov` is
-    the classical covariance of [intercept?, columns in `cols` order];
+    the classical covariance of [intercept, columns in `cols` order];
     `cov_sandwich` its heteroskedasticity-robust counterpart (logistic only).
     """
 
@@ -628,7 +621,7 @@ def _logit_mle(Z, y, *, names=None, tol: float = 1e-10, max_iter: int = 100):
     f0 = total_loss(eta)
     H = None
     for _ in range(max_iter):
-        prob = np.clip(1.0 / (1.0 + np.exp(-np.clip(eta, -700, 700))), PROB_EPS, 1.0 - PROB_EPS)
+        prob = _prob(eta)
         om = prob * (1.0 - prob)
         score = Z.T @ (y - prob)
         H = Z.T @ (Z * om[:, None])
@@ -649,7 +642,7 @@ def _logit_mle(Z, y, *, names=None, tol: float = 1e-10, max_iter: int = 100):
         notes.append("logistic refit reached its iteration cap before converging")
     if float(np.max(np.abs(eta))) > 30.0:
         notes.append("possible separation in the logistic refit: |eta| exceeded 30")
-    prob = np.clip(1.0 / (1.0 + np.exp(-np.clip(eta, -700, 700))), PROB_EPS, 1.0 - PROB_EPS)
+    prob = _prob(eta)
     om = prob * (1.0 - prob)
     H = Z.T @ (Z * om[:, None])
     eye = np.eye(k)
@@ -660,7 +653,7 @@ def _logit_mle(Z, y, *, names=None, tol: float = 1e-10, max_iter: int = 100):
 
 
 def post_refit(X, y, fit_or_support, family: str, *, w=None, keep=(),
-               fit_intercept: bool = True, names=None) -> RefitResult:
+               names=None) -> RefitResult:
     """Unpenalized refit on the selected columns.
 
     `fit_or_support` is either a LassoFit (its support is used) or an index
@@ -679,14 +672,11 @@ def post_refit(X, y, fit_or_support, family: str, *, w=None, keep=(),
     for j in cols:
         if not 0 <= j < p:
             raise ValueError(f"refit column {j} out of range")
-    k = len(cols) + (1 if fit_intercept else 0)
+    k = len(cols) + 1
     if n < k:
         raise ValueError(f"refit needs at least {k} rows, have {n}")
-    sub_names = [names[j] if names is not None else str(j) for j in cols]
-    Z = X[:, cols] if cols else np.empty((n, 0))
-    if fit_intercept:
-        Z = np.column_stack([np.ones(n), Z])
-        sub_names = ["(intercept)"] + sub_names
+    sub_names = ["(intercept)"] + [names[j] if names is not None else str(j) for j in cols]
+    Z = np.column_stack([np.ones(n), X[:, cols]])
 
     if family == "logistic":
         uniq = np.unique(y)
@@ -695,27 +685,19 @@ def post_refit(X, y, fit_or_support, family: str, *, w=None, keep=(),
         sol, cov, cov_sand, loss, notes = _logit_mle(Z, y, names=sub_names)
     else:
         ww = np.ones(n) if w is None else np.asarray(w, dtype=float)
-        sol = np.zeros(Z.shape[1])
-        if Z.shape[1]:
-            # Looked up at call time, so a wrapper installed on glm.wls_fit
-            # (the benchmark's trace) sees this refit.
-            from .glm import wls_fit
-            sol = wls_fit(Z, y, ww, names=sub_names)
+        # Looked up at call time, so a wrapper installed on glm.wls_fit
+        # (the benchmark's trace) sees this refit.
+        from .glm import wls_fit
+        sol = wls_fit(Z, y, ww, names=sub_names)
         resid = y - Z @ sol
         loss = float(np.mean(ww * resid * resid))
         cov = cov_sand = None
         notes = ()
 
-    if fit_intercept:
-        intercept = float(sol[0]) if sol.size else 0.0
-        body = sol[1:]
-    else:
-        intercept = 0.0
-        body = sol
     coef = np.zeros(p)
-    coef[cols] = body
+    coef[cols] = sol[1:]
     return RefitResult(
-        intercept=intercept,
+        intercept=float(sol[0]),
         coef=coef,
         cols=tuple(cols),
         objective=loss,

@@ -17,11 +17,10 @@ from doublelasso import (
     StudySpec,
     confounded_benchmark,
     null_logistic_benchmark,
-    run_replications,
     sparse_linear_benchmark,
     sparse_logistic_benchmark,
-    summarize,
 )
+from doublelasso.simulate import run_replications, summarize
 
 JOBS = 4
 

@@ -1,11 +1,14 @@
 """The public surface, and the names the benchmark reaches into.
 
-`__all__` is pinned to an explicit list, so growing or shrinking the
-public API is a deliberate edit here. The README's library examples must
+`__all__`, the options of every public function and the fields of the
+settings and study classes are pinned to explicit lists, so growing or
+shrinking the public API is a deliberate edit here. The README's library examples must
 keep importing. The benchmark's traced run wraps module attributes by
 name and its workloads call top-level names, so those must stay too.
 """
 
+import dataclasses
+import inspect
 import os
 import pickle
 import re
@@ -21,33 +24,65 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 PUBLIC = {
     "__version__",
-    # encoding
-    "CategoricalRule", "ColumnInfo", "Dataset", "DerivedRule", "EncodingSpec",
-    "InteractionRule", "NumericRule", "RawTable", "encode", "encoding_spec_from_yaml",
-    "encoding_spec_to_yaml", "interact", "load_dataset", "load_table", "save_dataset",
-    "sidecar_path", "synthetic_survey_schema", "synthetic_survey_table",
+    # the README's library examples
+    "dml_multi", "encode", "encoding_spec_from_yaml", "load_table", "render_fit_results",
+    "DgpSpec", "StudySpec", "run_study", "render_coverage_reports",
+    # results and settings
+    "DmlEstimate", "FitFailure", "DmlConfig", "PenaltyConfig",
     # errors
     "DegenerateMomentError", "DegenerateOutcomeError", "DegenerateTreatmentError",
     "DoubleLassoError", "EmptyDatasetError", "EncodingError", "ParseError",
     "RankDeficiencyError", "SchemaError", "WeakInstrumentError",
-    # glm
-    "link", "link_deriv", "solve_spd", "wls_fit",
-    # lasso
-    "LassoFit", "PenaltyConfig", "RefitResult", "cv_lambda", "lambda_max_wls",
-    "lasso_logistic", "lasso_wls", "logistic_lasso_loadings", "plugin_lambda",
-    "post_refit", "wls_lasso_loadings",
-    # dml
-    "DmlConfig", "DmlEstimate", "FitFailure", "NuisanceArtifacts", "dml_linear",
-    "dml_logit", "dml_multi", "iv_logit_objective", "naive_linear", "naive_logit",
-    # report
-    "MULTIPLICITY_NOTE", "REPORT_VERSION", "percent_labels", "render_coverage_reports",
-    "render_fit_results",
-    # simulate
-    "CoverageReport", "DgpSpec", "StudySpec", "TruthRecord", "confounded_benchmark",
-    "coverage_reports_from_yaml", "coverage_reports_to_yaml", "dataset_checksum",
-    "gen_dgp", "null_logistic_benchmark", "run_replications", "run_study",
-    "sparse_linear_benchmark", "sparse_logistic_benchmark", "study_spec_from_yaml",
-    "study_spec_to_yaml", "summarize",
+    # what the benchmark's workloads build their inputs from
+    "synthetic_survey_schema", "synthetic_survey_table", "encoding_spec_to_yaml",
+    "study_spec_to_yaml", "confounded_benchmark", "sparse_logistic_benchmark",
+    "sparse_linear_benchmark", "null_logistic_benchmark",
+    # the fitters and solver entry points the golden and acceptance tests import
+    "dml_linear", "dml_logit", "naive_linear", "naive_logit",
+    "gen_dgp", "lambda_max_wls", "lasso_logistic", "lasso_wls", "plugin_lambda",
+    "save_dataset",
+}
+
+# The options of every public callable, and the fields of the settings and
+# study classes: adding or removing one is a deliberate edit here.
+SIGNATURES = {
+    "dml_multi": ("dataset", "family", "method", "treatments", "config", "fail_fast", "jobs"),
+    "encode": ("table", "spec"),
+    "encoding_spec_from_yaml": ("text",),
+    "load_table": ("source", "missing_tokens"),
+    "render_fit_results": ("results", "level", "fmt", "decimals"),
+    "run_study": ("study", "config", "jobs"),
+    "render_coverage_reports": ("reports", "fmt", "decimals"),
+    "dml_linear": ("y", "d", "X", "names", "treatment", "config"),
+    "dml_logit": ("y", "d", "X", "names", "treatment", "config"),
+    "naive_linear": ("y", "d", "X", "names", "treatment", "config"),
+    "naive_logit": ("y", "d", "X", "names", "treatment", "config"),
+    "gen_dgp": ("spec", "seed"),
+    "lambda_max_wls": ("X", "y", "w", "loadings"),
+    "lasso_logistic": ("X", "y", "lam", "loadings", "unpenalized", "tol", "init"),
+    "lasso_wls": ("X", "y", "w", "lam", "loadings", "fit_intercept", "unpenalized", "tol",
+                  "init"),
+    "plugin_lambda": ("n", "p", "config"),
+    "save_dataset": ("dataset", "path"),
+    "synthetic_survey_schema": (),
+    "synthetic_survey_table": ("n", "seed"),
+    "encoding_spec_to_yaml": ("spec",),
+    "study_spec_to_yaml": ("study",),
+    "confounded_benchmark": ("reps", "base_seed"),
+    "sparse_logistic_benchmark": ("reps", "base_seed"),
+    "sparse_linear_benchmark": ("reps", "base_seed"),
+    "null_logistic_benchmark": ("reps", "base_seed"),
+}
+
+FIELDS = {
+    "DmlConfig": ("penalty", "level", "instrument_scaling", "search_width", "grid_points",
+                  "seed"),
+    "PenaltyConfig": ("method", "c", "gamma", "cv_folds", "cv_grid", "cv_min_ratio"),
+    "DgpSpec": ("family", "n", "p", "alpha0", "beta_pattern", "beta_magnitude",
+                "beta_sparsity", "beta_decay", "beta_custom", "gamma_pattern",
+                "gamma_magnitude", "gamma_sparsity", "gamma_decay", "gamma_custom", "nu",
+                "x_corr", "rho", "intercept", "noise_sd"),
+    "StudySpec": ("dgp", "reps", "methods", "level", "base_seed", "max_failure_rate"),
 }
 
 
@@ -61,6 +96,16 @@ def test_public_names_are_exactly_the_pinned_list():
     assert set(doublelasso.__all__) == PUBLIC
     for name in PUBLIC:
         assert hasattr(doublelasso, name), name
+
+
+def test_public_options_are_exactly_the_pinned_lists():
+    functions = {name for name in PUBLIC
+                 if inspect.isfunction(getattr(doublelasso, name, None))}
+    assert functions == set(SIGNATURES)
+    for name, params in SIGNATURES.items():
+        assert tuple(inspect.signature(getattr(doublelasso, name)).parameters) == params, name
+    for name, names in FIELDS.items():
+        assert tuple(f.name for f in dataclasses.fields(getattr(doublelasso, name))) == names, name
 
 
 def test_readme_imports_resolve_to_public_names():
@@ -139,7 +184,7 @@ def test_config_classes_keep_their_old_import_paths():
 
 def test_config_pickle_round_trip_keeps_the_fingerprint():
     cfg = doublelasso.DmlConfig(
-        penalty=doublelasso.PenaltyConfig(method="cv", cv_folds=4, one_se=True),
+        penalty=doublelasso.PenaltyConfig(method="cv", cv_folds=4),
         level=0.1, instrument_scaling="sigma", grid_points=51, seed=3,
     )
     back = pickle.loads(pickle.dumps(cfg))

@@ -18,7 +18,9 @@ import numpy as np
 import pytest
 import yaml
 
-from doublelasso import ColumnInfo, Dataset, link, save_dataset, sidecar_path
+from doublelasso import save_dataset
+from doublelasso.encoding import ColumnInfo, Dataset, sidecar_path
+from doublelasso.glm import link
 from doublelasso import cli
 from doublelasso.cli import JOBS_ENV_VAR, version_string
 from doublelasso.parallel import SERIAL_BELOW_CELLS, usable_cpus
@@ -469,6 +471,44 @@ def test_encode_empty_result_exits_2(ws, tmp_path):
                    "--spec", str(ws["spec"]), "--out", str(tmp_path / "o.tsv"))
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:")
+
+
+def _spec_tokens_case(ws, tmp_path, policy, marker="."):
+    """The workspace table with `marker` in x1 at data rows 3 and 9, and the
+    workspace spec under `policy` with missing tokens "" and "." only."""
+    lines = ws["data"].read_text(encoding="utf-8").splitlines()
+    for row in (3, 9):
+        cells = lines[row].split(",")
+        cells[2] = marker
+        lines[row] = ",".join(cells)
+    data = tmp_path / "dots.csv"
+    data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    spec = tmp_path / "dots.yaml"
+    spec.write_text(SPEC_YAML.replace("missing_policy: drop", f"missing_policy: {policy}")
+                    + 'missing_tokens: ["", "."]\n', encoding="utf-8")
+    return run_cli("encode", "--data", str(data), "--spec", str(spec),
+                   "--out", str(tmp_path / "dots.tsv"))
+
+
+def test_encode_drops_and_counts_rows_with_the_spec_missing_tokens(ws, tmp_path):
+    proc = _spec_tokens_case(ws, tmp_path, "drop")
+    assert proc.returncode == 0, proc.stderr
+    # two rows with an empty x3 and two with a "." in x1
+    assert proc.stdout.splitlines()[0] == "n=116 p=9 dropped=4"
+
+
+def test_encode_imputes_the_spec_missing_tokens_with_indicators(ws, tmp_path):
+    proc = _spec_tokens_case(ws, tmp_path, "zero-indicator")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "n=120 p=11 dropped=0"
+    header = (tmp_path / "dots.tsv").read_text(encoding="utf-8").splitlines()[0].split("\t")
+    assert {"x1_missing", "x3_missing"} <= set(header)
+
+
+def test_spec_missing_tokens_replace_the_default_list(ws, tmp_path):
+    proc = _spec_tokens_case(ws, tmp_path, "drop", marker="NA")
+    assert proc.returncode == 2
+    assert proc.stderr == "error: column 'x1': non-numeric value 'NA' at data row 3\n"
 
 
 # ---------------------------------------------------------------- fit

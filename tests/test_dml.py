@@ -10,8 +10,6 @@ from scipy import stats
 import oracles
 from doublelasso import dml
 from doublelasso import (
-    ColumnInfo,
-    Dataset,
     DegenerateMomentError,
     DegenerateOutcomeError,
     DegenerateTreatmentError,
@@ -23,10 +21,11 @@ from doublelasso import (
     dml_linear,
     dml_logit,
     dml_multi,
-    iv_logit_objective,
     naive_linear,
     naive_logit,
 )
+from doublelasso.dml import iv_logit_objective
+from doublelasso.encoding import ColumnInfo, Dataset
 
 
 def _logit_dgp(seed, n=500, p=20, alpha0=0.5, k_beta=3, k_gamma=3, rho=0.3):
@@ -76,7 +75,7 @@ class TestIvLogitObjective:
 
 def _one_dimensional_objective(alpha, y, d, eta, z):
     """The step-3 objective as plain one-dimensional arithmetic, one point."""
-    from doublelasso import link
+    from doublelasso.glm import link
     rz = (y - link(float(alpha) * d + eta)) * z
     num = float(np.mean(rz))
     den = float(np.mean(rz * rz))
@@ -180,7 +179,7 @@ class TestDmlLogit:
         assert est.diagnostics["search_lo"] <= est.alpha <= est.diagnostics["search_hi"]
 
     def test_standard_error_reproducible_from_artifacts(self):
-        from doublelasso import link, link_deriv
+        from doublelasso.glm import link, link_deriv
         y, d, X = _logit_dgp(7)
         est = dml_logit(y, d, X)
         a = est.artifacts
@@ -525,7 +524,7 @@ class TestDmlConfig:
 
     def test_cv_fingerprint_names_the_selector(self):
         cfg = DmlConfig(penalty=PenaltyConfig(method="cv"))
-        assert "cv(folds=10,one_se=false)" in cfg.fingerprint()
+        assert "penalty=cv(folds=10);" in cfg.fingerprint()
 
     def test_bad_level_rejected(self):
         with pytest.raises(ValueError):

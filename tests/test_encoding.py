@@ -9,29 +9,31 @@ import pytest
 import yaml
 
 from doublelasso import (
-    CategoricalRule,
-    Dataset,
-    DerivedRule,
     EmptyDatasetError,
     EncodingError,
-    EncodingSpec,
-    InteractionRule,
-    NumericRule,
     ParseError,
     SchemaError,
     encode,
     encoding_spec_from_yaml,
     encoding_spec_to_yaml,
-    interact,
-    load_dataset,
     load_table,
     save_dataset,
-    sidecar_path,
     synthetic_survey_schema,
     synthetic_survey_table,
 )
 from doublelasso import simulate
-from doublelasso.encoding import YAML_LOADER
+from doublelasso.encoding import (
+    YAML_LOADER,
+    CategoricalRule,
+    Dataset,
+    DerivedRule,
+    EncodingSpec,
+    InteractionRule,
+    NumericRule,
+    interact,
+    load_dataset,
+    sidecar_path,
+)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -394,7 +396,7 @@ class TestInteract:
     def _toy(self):
         y = np.array([1.0, 0.0, 1.0])
         design = np.array([[1.0, 2.0], [0.0, 3.0], [1.0, 4.0]])
-        from doublelasso import ColumnInfo
+        from doublelasso.encoding import ColumnInfo
         cols = (
             ColumnInfo(name="u", role="treatment", source="u"),
             ColumnInfo(name="v", role="control", source="v"),
@@ -490,7 +492,7 @@ class TestDataset:
             ds.index_of("nope")
 
     def test_shape_mismatch_rejected(self):
-        from doublelasso import ColumnInfo
+        from doublelasso.encoding import ColumnInfo
         with pytest.raises(ValueError):
             Dataset(
                 y=np.ones(3),

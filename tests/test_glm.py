@@ -8,13 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from doublelasso import (
-    RankDeficiencyError,
-    link,
-    link_deriv,
-    solve_spd,
-    wls_fit,
-)
+from doublelasso import RankDeficiencyError
+from doublelasso.glm import link, link_deriv, solve_spd, wls_fit
 from oracles import CoefficientVector, neg_loglik, wls_fit_rescued
 
 LN3 = math.log(3.0)

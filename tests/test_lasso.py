@@ -1,10 +1,8 @@
 """Penalized regression engine: thresholding, penalty level, solvers, refits."""
 
 import dataclasses
-import functools
 import math
 import os
-import sys
 
 import numpy as np
 import pytest
@@ -12,17 +10,13 @@ import pytest
 import oracles
 from oracles import soft_threshold
 from doublelasso import lasso
-from doublelasso.lasso import _Design
-from doublelasso import (
-    PenaltyConfig,
+from doublelasso import PenaltyConfig, lambda_max_wls, lasso_logistic, lasso_wls, plugin_lambda
+from doublelasso.glm import wls_fit
+from doublelasso.lasso import (
+    _Design,
     cv_lambda,
-    lambda_max_wls,
-    lasso_logistic,
-    lasso_wls,
     logistic_lasso_loadings,
-    plugin_lambda,
     post_refit,
-    wls_fit,
     wls_lasso_loadings,
 )
 
@@ -43,20 +37,22 @@ class TestSoftThreshold:
 
 class TestPluginLambda:
     def test_frozen_reference_value(self):
-        got = plugin_lambda(100, 10, c=1.1, gamma=0.1)
+        got = plugin_lambda(100, 10, PenaltyConfig(c=1.1, gamma=0.1))
         assert got == pytest.approx(28.334122339037905, abs=1e-9)
         want = 1.1 * 10.0 * oracles.normal_quantile(1.0 - 0.1 / 20.0)
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_zero_constant_gives_zero(self):
-        assert plugin_lambda(1, 1, c=0.0, gamma=0.5) == 0.0
+        with pytest.warns(UserWarning, match="below 1.0"):
+            config = PenaltyConfig(c=0.0, gamma=0.5)
+        assert plugin_lambda(1, 1, config) == 0.0
 
     def test_default_gamma_matches_quantile_oracle(self):
         n, p = 5908, 329
         gamma = 0.1 / math.log(n)
         want = 1.1 * math.sqrt(n) * oracles.normal_quantile(1.0 - gamma / (2 * p))
         assert plugin_lambda(n, p) == pytest.approx(want, rel=1e-12)
-        assert plugin_lambda(n, p) > plugin_lambda(100, 10, c=1.1, gamma=0.1)
+        assert plugin_lambda(n, p) > plugin_lambda(100, 10, PenaltyConfig(c=1.1, gamma=0.1))
 
     def test_default_gamma_needs_two_observations(self):
         with pytest.raises(ValueError):
@@ -351,6 +347,47 @@ class TestLassoLogistic:
             lasso_logistic(np.ones((3, 1)), np.array([0.0, 0.5, 1.0]), 1.0)
 
 
+def _separable_instance():
+    X = np.random.default_rng(0).normal(size=(100, 3))
+    return X, (X[:, 0] > 0).astype(float)
+
+
+class TestSolverCaps:
+    """Both solvers stop at their caps with a warning that names the cap."""
+
+    def _assert_capped(self, fit, text):
+        assert not fit.converged
+        assert fit.iterations <= 3
+        assert any(text in note for note in fit.warnings), fit.warnings
+        path = fit.objective_path
+        assert np.all(np.diff(path) <= 1e-10 * (1.0 + np.abs(path[:-1])))
+
+    def test_sweep_cap_stops_both_solvers_with_a_warning(self, monkeypatch):
+        monkeypatch.setattr(lasso, "_MAX_SWEEPS", 3)
+        X, y, w, g = _wls_instance(27)
+        fit = lasso_wls(X, y, w, 0.2 * lambda_max_wls(X, y, w, g), g)
+        self._assert_capped(fit, "weighted lasso stopped at the sweep cap (3)")
+        X, yb, g = _logistic_instance(28)
+        fit = lasso_logistic(X, yb, 0.25 * plugin_lambda(*X.shape), g)
+        self._assert_capped(fit, "logistic lasso stopped at the sweep cap (3)")
+
+    def test_separable_solve_reports_the_pass_cap(self):
+        fit = lasso_logistic(*_separable_instance(), 0.0)
+        assert not fit.converged
+        assert fit.iterations < lasso._MAX_SWEEPS
+        assert fit.objective_path.size == lasso._MAX_OUTER + 1
+        assert fit.warnings[-1] == (
+            "logistic lasso stopped at the pass cap (200) before reaching tol=1e-08")
+
+    def test_lower_pass_cap_is_named_in_the_note(self, monkeypatch):
+        monkeypatch.setattr(lasso, "_MAX_OUTER", 2)
+        fit = lasso_logistic(*_separable_instance(), 0.0)
+        assert not fit.converged
+        assert fit.objective_path.size == 3
+        assert fit.warnings == (
+            "logistic lasso stopped at the pass cap (2) before reaching tol=1e-08",)
+
+
 class TestLoadings:
     def test_wls_loadings_positive_and_shaped(self):
         X, y, w, _ = _wls_instance(17)
@@ -366,9 +403,19 @@ class TestLoadings:
         assert g.shape == (7,)
         assert np.all(g > 0)
 
-    def test_pilot_wls_loadings_are_scaled_column_norms(self):
+    def test_pilot_wls_loadings_are_scaled_column_norms(self, monkeypatch):
         X, y, w, _ = _wls_instance(19)
-        g = wls_lasso_loadings(X, y, w, plugin_lambda(*X.shape), refinements=0)
+        pilots = []
+
+        def spy(*args, **kwargs):
+            pilots.append(args[4])
+            return solve(*args, **kwargs)
+
+        solve = lasso.lasso_wls
+        monkeypatch.setattr(lasso, "lasso_wls", spy)
+        wls_lasso_loadings(X, y, w, plugin_lambda(*X.shape))
+        assert len(pilots) == 1
+        g = pilots[0]
         W = w * w
         ybar = float(W @ y) / float(W.sum())
         u = w * (y - ybar)
@@ -406,16 +453,11 @@ def _cold_cv_losses(X, y, family, w, loadings, config, seed, unpenalized=()):
     return grid, losses
 
 
-def _selected_level(grid, losses, one_se):
-    """The largest level within rounding (1e-9 relative) of the least mean
-    loss, or with one_se the largest within one standard error of it."""
+def _selected_level(grid, losses):
+    """The largest level within rounding (1e-9 relative) of the least mean loss."""
     mean_loss = losses.mean(axis=0)
     low = mean_loss.min()
-    best = int(np.flatnonzero(mean_loss <= low + 1e-9 * (1.0 + abs(low)))[0])
-    if one_se:
-        se = losses[:, best].std(ddof=1) / math.sqrt(losses.shape[0])
-        best = int(np.flatnonzero(mean_loss <= mean_loss[best] + se)[0])
-    return float(grid[best])
+    return float(grid[np.flatnonzero(mean_loss <= low + 1e-9 * (1.0 + abs(low)))[0]])
 
 
 def _cv_instance(family, seed, beta, n=80, p=6):
@@ -463,14 +505,12 @@ def _spy_on_solvers(monkeypatch):
     return fits
 
 
-def _assert_cold_level(X, y, family, w, g, seed, unpenalized=(), **opts):
+def _assert_cold_level(X, y, family, w, g, seed, unpenalized=()):
     config = PenaltyConfig(method="cv", cv_folds=5)
     grid, losses = _cold_cv_losses(X, y, family, w, g, config, seed, unpenalized)
-    for one_se in (False, True):
-        config = PenaltyConfig(method="cv", cv_folds=5, one_se=one_se)
-        got = cv_lambda(X, y, family, w=w, loadings=g, config=config,
-                        unpenalized=unpenalized, seed=seed, **opts)
-        assert got == _selected_level(grid, losses, one_se), one_se
+    got = cv_lambda(X, y, family, w=w, loadings=g, config=config,
+                    unpenalized=unpenalized, seed=seed)
+    assert got == _selected_level(grid, losses)
 
 
 class TestCvLambda:
@@ -488,13 +528,11 @@ class TestCvLambda:
         X, y, w, g = _cv_instance(family, seed, beta)
         config = PenaltyConfig(method="cv")
         grid, losses = _cold_cv_losses(X, y, family, w, g, config, seed, unpenalized)
-        for one_se in (False, True):
-            config = PenaltyConfig(method="cv", one_se=one_se)
-            got = cv_lambda(X, y, family, w=w, loadings=g, config=config,
-                            unpenalized=unpenalized, seed=seed)
-            assert got == _selected_level(grid, losses, one_se)
-            if len(beta) == 1:
-                assert got == grid[0]
+        got = cv_lambda(X, y, family, w=w, loadings=g, config=config,
+                        unpenalized=unpenalized, seed=seed)
+        assert got == _selected_level(grid, losses)
+        if len(beta) == 1:
+            assert got == grid[0]
 
     @pytest.mark.parametrize("family", ["linear", "logistic"])
     @pytest.mark.parametrize("unpenalized", [(), (0,)])
@@ -509,21 +547,6 @@ class TestCvLambda:
         _assert_cold_level(X, y, "linear", w, g, 8)
 
     @pytest.mark.parametrize("family", ["linear", "logistic"])
-    def test_no_intercept_selects_the_cold_start_level(self, family, monkeypatch):
-        X, y, w, g = _uncentered_instance(family, 74)
-        if family == "logistic":
-            # Exactly half ones: the reference's grid top centers y at its
-            # mean, which then equals the 0.5 a no-intercept top uses.
-            latent = X[:, 0] - 0.3 * X[:, 3] + np.random.default_rng(75).logistic(size=y.size)
-            y = (latent > np.median(latent)).astype(float)
-            assert y.mean() == 0.5
-        module = sys.modules[__name__]
-        for name in ("lasso_wls", "lasso_logistic", "lambda_max_wls"):
-            monkeypatch.setattr(module, name,
-                                functools.partial(getattr(lasso, name), fit_intercept=False))
-        _assert_cold_level(X, y, family, w, g, 9, fit_intercept=False)
-
-    @pytest.mark.parametrize("family", ["linear", "logistic"])
     @pytest.mark.parametrize("unpenalized", [(), (2,)])
     def test_columns_constant_on_training_rows_select_the_cold_start_level(
             self, family, unpenalized, monkeypatch):
@@ -535,7 +558,7 @@ class TestCvLambda:
         _assert_cold_level(X, y, family, w, g, 10, unpenalized)
         # A rounding residue of 0.3's mean left in an unpenalized column
         # would trade places with the intercept until the sweep cap.
-        assert len(fits) == 2 * 5 * 30
+        assert len(fits) == 5 * 30
         assert all(fit.converged for fit in fits)
         assert all(fit.coef[2] == 0.0 for fit in fits)
 
@@ -608,6 +631,13 @@ def _assert_same_fit(a, b):
     assert (a.support, a.converged, a.warnings) == (b.support, b.converged, b.warnings)
 
 
+def _wls_level(X, y, w, g, fit_intercept):
+    """0.3 of the smallest all-zero lasso_wls level, with or without intercept."""
+    if fit_intercept:
+        return 0.3 * lambda_max_wls(X, y, w, g)
+    return 0.3 * float(np.max(np.abs(2.0 * ((w * w * y) @ X)) / g))
+
+
 def _design_instance(seed, layout):
     """A zero-variance column 1 and, with layout "F", a Fortran-ordered X."""
     X, y, w, g = _wls_instance(seed, n=101, p=9)
@@ -620,7 +650,8 @@ class TestPreparedDesign:
     """A prepared design gives the plain array's results to the bit."""
 
     CASES = [
-        # (fit_intercept, unpenalized, warm start)
+        # (fit_intercept, unpenalized, warm start); only lasso_wls can
+        # leave the intercept out
         (True, (), False),
         (True, (0,), True),
         (False, (0,), False),
@@ -632,28 +663,29 @@ class TestPreparedDesign:
     def test_solvers_match_the_plain_array(self, layout, fit_intercept, unpenalized, warm):
         X, y, yb, w, g = _design_instance(40 + len(unpenalized) + 2 * warm, layout)
         design = _Design(X)
-        lam_w = 0.3 * lambda_max_wls(X, y, w, g, fit_intercept=fit_intercept)
+        lam_w = _wls_level(X, y, w, g, fit_intercept)
         lam_l = 0.3 * plugin_lambda(*X.shape)
-        opts = dict(fit_intercept=fit_intercept, unpenalized=unpenalized)
-        init_w = init_l = None
+        init = None
         if warm:
-            coef = np.linspace(-0.2, 0.2, X.shape[1])
-            init_w = init_l = (0.1 if fit_intercept else 0.0, coef)
+            init = (0.1 if fit_intercept else 0.0, np.linspace(-0.2, 0.2, X.shape[1]))
         # Each solver runs twice on the design, so the second run reuses
         # the derived arrays the first one built.
         for _ in range(2):
-            _assert_same_fit(lasso_wls(design, y, w, lam_w, g, init=init_w, **opts),
-                             lasso_wls(X, y, w, lam_w, g, init=init_w, **opts))
-            _assert_same_fit(lasso_logistic(design, yb, lam_l, g, init=init_l, **opts),
-                             lasso_logistic(X, yb, lam_l, g, init=init_l, **opts))
+            opts = dict(fit_intercept=fit_intercept, unpenalized=unpenalized, init=init)
+            _assert_same_fit(lasso_wls(design, y, w, lam_w, g, **opts),
+                             lasso_wls(X, y, w, lam_w, g, **opts))
+            if fit_intercept:
+                opts = dict(unpenalized=unpenalized, init=init)
+                _assert_same_fit(lasso_logistic(design, yb, lam_l, g, **opts),
+                                 lasso_logistic(X, yb, lam_l, g, **opts))
 
     @pytest.mark.parametrize("layout", ["C", "F"])
-    @pytest.mark.parametrize("fit_intercept, unpenalized", [(True, ()), (False, (0,))])
-    def test_loadings_match_the_plain_array(self, layout, fit_intercept, unpenalized):
+    @pytest.mark.parametrize("unpenalized", [(), (0,)])
+    def test_loadings_match_the_plain_array(self, layout, unpenalized):
         X, y, yb, w, _ = _design_instance(45, layout)
         design = _Design(X)
         lam = plugin_lambda(*X.shape)
-        opts = dict(fit_intercept=fit_intercept, unpenalized=unpenalized, refinements=2)
+        opts = dict(unpenalized=unpenalized)
         got = wls_lasso_loadings(design, y, w, lam, **opts)
         assert np.array_equal(_bits(got), _bits(wls_lasso_loadings(X, y, w, lam, **opts)))
         got = logistic_lasso_loadings(design, yb, lam, **opts)
@@ -671,15 +703,17 @@ class TestPreparedDesign:
         for name in ("X", "Xf", "Xsq"):
             assert np.shares_memory(getattr(tail, name), getattr(parent, name)), name
         assert vars(tail)["finite"]
-        lam_w = 0.3 * lambda_max_wls(X, y, w, g, fit_intercept=fit_intercept)
+        lam_w = _wls_level(X, y, w, g, fit_intercept)
         lam_l = 0.3 * plugin_lambda(*X.shape)
-        opts = dict(fit_intercept=fit_intercept, unpenalized=unpenalized)
         init = (0.1 if fit_intercept else 0.0, np.linspace(-0.2, 0.2, X.shape[1])) if warm else None
-        _assert_same_fit(lasso_wls(tail, y, w, lam_w, g, init=init, **opts),
-                         lasso_wls(copy, y, w, lam_w, g, init=init, **opts))
-        _assert_same_fit(lasso_logistic(tail, yb, lam_l, g, init=init, **opts),
-                         lasso_logistic(copy, yb, lam_l, g, init=init, **opts))
-        opts["refinements"] = 2
+        _assert_same_fit(lasso_wls(tail, y, w, lam_w, g, fit_intercept=fit_intercept,
+                                   unpenalized=unpenalized, init=init),
+                         lasso_wls(copy, y, w, lam_w, g, fit_intercept=fit_intercept,
+                                   unpenalized=unpenalized, init=init))
+        opts = dict(unpenalized=unpenalized)
+        if fit_intercept:
+            _assert_same_fit(lasso_logistic(tail, yb, lam_l, g, init=init, **opts),
+                             lasso_logistic(copy, yb, lam_l, g, init=init, **opts))
         assert np.array_equal(_bits(wls_lasso_loadings(tail, y, w, lam_l, **opts)),
                               _bits(wls_lasso_loadings(copy, y, w, lam_l, **opts)))
         assert np.array_equal(_bits(logistic_lasso_loadings(tail, yb, lam_l, **opts)),

@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 import scipy
 
-from doublelasso import ColumnInfo, Dataset, errors, parallel
+from doublelasso import errors, parallel
+from doublelasso.encoding import ColumnInfo, Dataset
 from doublelasso.parallel import SERIAL_BELOW_CELLS, parallel_map, usable_cpus
 
 needs_two_cpus = pytest.mark.skipif(usable_cpus() < 2, reason="a pool needs two usable CPUs")

@@ -3,16 +3,9 @@
 import yaml
 import pytest
 
-from doublelasso import (
-    MULTIPLICITY_NOTE,
-    REPORT_VERSION,
-    CoverageReport,
-    DmlEstimate,
-    FitFailure,
-    percent_labels,
-    render_coverage_reports,
-    render_fit_results,
-)
+from doublelasso import DmlEstimate, FitFailure, render_coverage_reports, render_fit_results
+from doublelasso.report import MULTIPLICITY_NOTE, REPORT_VERSION, percent_labels
+from doublelasso.simulate import CoverageReport
 
 
 def _est(treatment, alpha=0.5, se=0.1, warnings=(), **kw):

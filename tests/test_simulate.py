@@ -7,7 +7,6 @@ import pytest
 from scipy import stats
 
 from doublelasso import (
-    CoverageReport,
     DgpSpec,
     DmlConfig,
     FitFailure,
@@ -15,18 +14,21 @@ from doublelasso import (
     SchemaError,
     StudySpec,
     confounded_benchmark,
-    coverage_reports_from_yaml,
-    coverage_reports_to_yaml,
-    dataset_checksum,
     dml_multi,
     gen_dgp,
     null_logistic_benchmark,
-    run_replications,
     run_study,
     sparse_linear_benchmark,
     sparse_logistic_benchmark,
-    study_spec_from_yaml,
     study_spec_to_yaml,
+)
+from doublelasso.simulate import (
+    CoverageReport,
+    coverage_reports_from_yaml,
+    coverage_reports_to_yaml,
+    dataset_checksum,
+    run_replications,
+    study_spec_from_yaml,
     summarize,
 )
 
