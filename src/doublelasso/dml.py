@@ -25,7 +25,7 @@ Results are deterministic for a fixed seed regardless of the worker count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -258,7 +258,8 @@ def _select(design, y, family, w, penalty, unpen, seed):
 
     The plug-in level counts the design's penalized columns. `design` is
     the step's _Design, shared by every solve below and dropped by the
-    caller when the step is done. Returns (penalty level, LassoFit).
+    caller when the step is done. Returns (penalty level, LassoFit); the
+    fit's warnings start with cross-validation's, if it left any.
     """
     n, p = design.X.shape
     lam = plugin_lambda(n, max(p - len(unpen), 1), penalty)
@@ -266,13 +267,16 @@ def _select(design, y, family, w, penalty, unpen, seed):
         loadings = logistic_lasso_loadings(design, y, lam, unpenalized=unpen)
     else:
         loadings = wls_lasso_loadings(design, y, w, lam, unpenalized=unpen)
+    notes: list[str] = []
     if penalty.method == "cv":
         lam = cv_lambda(design, y, family, w=w, loadings=loadings, config=penalty,
-                        unpenalized=unpen, seed=seed)
+                        unpenalized=unpen, seed=seed, notes=notes)
     if family == "logistic":
         fit = lasso_logistic(design, y, lam, loadings, unpenalized=unpen)
     else:
         fit = lasso_wls(design, y, w, lam, loadings, unpenalized=unpen)
+    if notes:
+        fit = replace(fit, warnings=(*notes, *fit.warnings))
     return lam, fit
 
 

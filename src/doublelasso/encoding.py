@@ -55,10 +55,22 @@ def _slug(text) -> str:
 
 
 def _canon(cell) -> str:
-    """Canonical text form of a cell for level matching ('1' == 1 == 1.0)."""
+    """Canonical text form of a cell for level matching ('1' == 1 == 1.0).
+
+    Exact, so that distinct numbers never share a form.
+    """
     if isinstance(cell, float):
-        return format(cell, "g")
+        return str(int(cell)) if cell.is_integer() else repr(cell)
     return str(cell)
+
+
+def _level_cells(level: str) -> str:
+    """Canonical text of the cells a declared level matches.
+
+    A level reads as a cell does, so "01", "1.0" and 1.0 all match the
+    cells "1", "01" and "1.0".
+    """
+    return _canon(_sniff_cell(level, ()))
 
 
 # ---------------------------------------------------------------------------
@@ -100,15 +112,17 @@ def load_table(source, *, missing_tokens=DEFAULT_MISSING_TOKENS) -> RawTable:
     The delimiter is sniffed from the header row (tab wins over comma when
     both appear). Cells parse as numbers when possible, the given missing
     tokens (an encoding spec's `missing_tokens`) become None, and
-    everything else stays text.
+    everything else stays text. A leading UTF-8 byte-order mark, as
+    spreadsheet "CSV UTF-8" exports write it, is dropped.
     Ragged rows raise ParseError with the 1-based data row index.
     """
     if hasattr(source, "read"):
         text = source.read()
         if isinstance(text, bytes):
             text = text.decode("utf-8")
+        text = text.removeprefix("\ufeff")
     else:
-        with open(source, "r", encoding="utf-8", newline="") as fh:
+        with open(source, "r", encoding="utf-8-sig", newline="") as fh:
             text = fh.read()
     lines = text.splitlines()
     while lines and not lines[-1].strip():
@@ -249,12 +263,24 @@ class CategoricalRule:
                 raise SchemaError(
                     f"column {self.name!r}: merge key {key!r} is not a declared level"
                 )
+        seen: dict[str, str] = {}
+        for lvl in levels:
+            other = seen.setdefault(_level_cells(lvl), lvl)
+            if other != lvl:
+                raise SchemaError(
+                    f"column {self.name!r}: levels {other!r} and {lvl!r} match the same cells"
+                )
 
     @property
     def merge_map(self) -> dict[str, str]:
         m = {lvl: lvl for lvl in self.levels}  # total over declared levels
         m.update(dict(self.merge))
         return m
+
+    @property
+    def cell_map(self) -> dict[str, str]:
+        """merge_map keyed by the canonical text of the cells each level matches."""
+        return {_level_cells(lvl): lab for lvl, lab in self.merge_map.items()}
 
     @property
     def output_levels(self) -> tuple[str, ...]:
@@ -659,7 +685,7 @@ def encode(table: RawTable, spec: EncodingSpec) -> Dataset:
         cells = [table.rows[ri][ci] for ri in keep_rows]
         miss = np.array([c is None for c in cells], dtype=bool)
         if isinstance(rule, CategoricalRule):
-            mm = rule.merge_map
+            mm = rule.cell_map
             out_levels = rule.output_levels
             lab_pos = {lab: k for k, lab in enumerate(out_levels)}
             block = np.zeros((n, len(out_levels)))

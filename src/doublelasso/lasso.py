@@ -501,7 +501,7 @@ def _lambda_max_logistic(X, y, loadings):
 
 def cv_lambda(X, y, family: str, *, loadings, w=None,
               config: PenaltyConfig | None = None, unpenalized=(),
-              seed: int = 0) -> float:
+              seed: int = 0, notes: list | None = None) -> float:
     """K-fold cross-validated penalty level on a geometric grid.
 
     Folds come from a counter-based generator seeded by `seed`, so the split
@@ -529,7 +529,9 @@ def cv_lambda(X, y, family: str, *, loadings, w=None,
     level, so path and cold starts select the same one. Only the level
     leaves this function: the caller's final fit at it is cold-started on
     the raw design. `loadings` are the penalty loadings every fold solve
-    uses. `X` may be a prepared `_Design`.
+    uses. `X` may be a prepared `_Design`. When fold solves stop at a
+    solver cap before converging, one warning that counts them is appended
+    to `notes`, if given.
     """
     if family not in ("linear", "logistic"):
         raise ValueError(f"unknown family {family!r}")
@@ -555,6 +557,7 @@ def cv_lambda(X, y, family: str, *, loadings, w=None,
     perm = rng.permutation(n)
     folds = np.array_split(perm, config.cv_folds)
     losses = np.zeros((config.cv_folds, grid.size))
+    capped = 0
     for fi, test_idx in enumerate(folds):
         mask = np.ones(n, dtype=bool)
         mask[test_idx] = False
@@ -577,6 +580,7 @@ def cv_lambda(X, y, family: str, *, loadings, w=None,
                                      unpenalized=unpenalized)
                 eta = fit.intercept + Xte @ fit.coef
                 losses[fi, gi] = float(np.mean(np.logaddexp(0.0, eta) - yte * eta))
+            capped += not fit.converged
             if prev is None:
                 init = (fit.intercept, fit.coef)
             else:
@@ -587,6 +591,9 @@ def cv_lambda(X, y, family: str, *, loadings, w=None,
     low = float(mean_loss.min())
     # grid descends, so the first qualifying entry is the largest level
     best = int(np.flatnonzero(mean_loss <= low + 1e-9 * (1.0 + abs(low)))[0])
+    if capped and notes is not None:
+        notes.append(f"cross-validated penalty level {grid[best]:.6g}: {capped} of "
+                     f"{losses.size} fold solves stopped at a solver cap before converging")
     return float(grid[best])
 
 

@@ -7,21 +7,25 @@ small ones, and every job with `jobs == 1` or a single item, run in the
 calling process alone.
 
 Workers are forked: they start in tens of milliseconds and inherit `fn`,
-`shared` and the imported package instead of importing them again. Fork
-copies only the calling thread, so the pool forks only on Linux and only
-when no other Python thread is alive; elsewhere, including a call from a
-non-main thread, the job runs serially in the calling process. Items and
-results still cross between processes by pickle, so `fn` must be a
-module-level function and the items and results must pickle. A forked
-worker also inherits the caller's garbage-collector state (off in a CLI
-process, see `doublelasso.__main__`) and ends through `os._exit`, as every
-forked multiprocessing child does, so it runs no collection at exit.
+`shared`, the items and the imported package instead of importing or
+unpickling them; only results cross back, by pickle. Fork copies only the
+calling thread, so the pool forks only on Linux and only when no other
+Python thread is alive; elsewhere, including a call from a non-main
+thread, the job runs serially in the calling process. A forked worker also
+inherits the caller's garbage-collector state (off in a CLI process, see
+`doublelasso.__main__`) and ends through `os._exit`, as every forked
+multiprocessing child does, so it runs no collection at exit.
 
-The caller and the workers claim items in order from one cursor, and a
-worker holds one item at a time, so no item waits queued behind a busy
-worker while the caller runs out of work. Each item runs once, results
-keep item order, and the first failure in item order is raised and stops
-further claims. A worker that dies fails its item with BrokenProcessPool.
+The caller and the workers claim item indices in order from one shared
+counter under a lock, a worker its first before it forks and each next one
+when its last is done, so no item waits behind a busy worker. Each worker
+sends its outcomes through its own one-way pipe once nothing is left to
+claim, and the caller rebuilds the results in item order. Each item runs
+once, a failure ends all claims, and the first failure in item order is
+raised; an item whose worker died raises BrokenProcessPool. A caller that
+leaves early (on KeyboardInterrupt, say) terminates every worker it has
+not read, since one blocked sending a large result would never end. No
+thread starts, and `multiprocessing` is imported only when a job forks.
 
 Every process fits on one BLAS thread. At these problem sizes a BLAS
 thread pool buys no wall time and burns CPU spinning, and in a pool it
@@ -45,11 +49,9 @@ import contextlib
 import ctypes
 import functools
 import importlib
-import multiprocessing
 import os
 import sys
 import threading
-from concurrent.futures import Future, ProcessPoolExecutor
 
 # parallel_map reads the cutoff from this module, so a test may set it here.
 from .config import SERIAL_BELOW_CELLS
@@ -57,9 +59,6 @@ from .config import SERIAL_BELOW_CELLS
 # Extension module and symbol suffix of each bundled OpenBLAS's thread
 # control: numpy links a 64-bit-integer build, scipy a 32-bit one.
 _BUNDLED_OPENBLAS = (("numpy._core._multiarray_umath", "64_"), ("scipy.linalg._fblas", ""))
-
-# (fn, shared) of the pool this process works for; set only in workers.
-_worker_task = None
 
 
 def usable_cpus() -> int:
@@ -105,16 +104,6 @@ def _caller_blas_on_one_thread():
             set_(count)
 
 
-def _start_worker(fn, shared) -> None:
-    global _worker_task
-    _worker_task = (fn, shared)
-
-
-def _run_item(item):
-    fn, shared = _worker_task
-    return fn(shared, item)
-
-
 def parallel_map(fn, shared, items, jobs: int, *, cells_per_item: int) -> list:
     """[fn(shared, item) for item in items], on up to `jobs` processes.
 
@@ -124,7 +113,7 @@ def parallel_map(fn, shared, items, jobs: int, *, cells_per_item: int) -> list:
     SERIAL_BELOW_CELLS cells (len(items) * cells_per_item), and forking is
     safe: on Linux, with no other Python thread alive. An exception
     raised by `fn` propagates from the first item, in item order, that
-    raised it; items not yet started are cancelled.
+    raised it; no item is claimed after a failure.
     """
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
@@ -138,55 +127,65 @@ def parallel_map(fn, shared, items, jobs: int, *, cells_per_item: int) -> list:
 
 
 def _pooled_map(fn, shared, items, workers: int) -> list:
-    futures: list = [None] * len(items)
-    lock, stop = threading.Lock(), threading.Event()
-    cursor = 0
+    import multiprocessing  # here, so that a process whose jobs stay serial never loads it
 
-    def claim(start):
-        """Claim the next item k, set futures[k] = start(items[k]) and return k.
+    ctx = multiprocessing.get_context("fork")
+    cursor = ctx.Value("q", 0)
+    outcomes: dict = {}  # item index -> (raised, result or exception)
 
-        None once every item is claimed or `stop` is set. A pool item is
-        submitted under the lock, so no claim outlives the shutdown below.
-        """
-        nonlocal cursor
-        with lock:
-            if stop.is_set() or cursor == len(items):
-                return None
-            cursor += 1
-            futures[cursor - 1] = start(items[cursor - 1])
-            return cursor - 1
+    def claim(stop=False):
+        """The next unclaimed item's index, or None; `stop` ends every claim."""
+        with cursor.get_lock():
+            k = cursor.value
+            cursor.value = len(items) if stop else min(k + 1, len(items))
+        return None if stop or k == len(items) else k
 
-    def feed(done=None) -> None:
-        """Hand a worker its next item; called again as each of its items ends."""
-        if done is not None and (done.cancelled() or done.exception() is not None):
-            stop.set()
-        elif (k := claim(lambda item: pool.submit(_run_item, item))) is not None:
-            futures[k].add_done_callback(feed)
+    def run(k):
+        """Run item k and every item this process claims after it."""
+        while k is not None:
+            try:
+                outcomes[k] = (False, fn(shared, items[k]))
+                k = claim()
+            except Exception as exc:  # raised in item order below
+                outcomes[k] = (True, exc)
+                k = claim(stop=True)
 
-    pool = ProcessPoolExecutor(
-        max_workers=workers - 1, mp_context=multiprocessing.get_context("fork"),
-        initializer=_start_worker, initargs=(fn, shared),
-    )
+    def work(k, conn):
+        run(k)
+        try:
+            conn.send(outcomes)
+        except Exception as exc:  # a result that does not pickle fails this worker's items
+            conn.send(dict.fromkeys(outcomes, (True, exc)))
+
+    pool = []  # (worker process, read end of its pipe)
     try:
         for _ in range(workers - 1):
-            feed()
-        while (k := claim(lambda item: Future())) is not None:
-            try:
-                futures[k].set_result(fn(shared, items[k]))
-            except Exception as exc:  # raised in item order by the walk below
-                stop.set()
-                futures[k].set_exception(exc)
-        # Items are claimed in order, so every item before the first failure
-        # has a future, and this walk raises that failure before it reaches
-        # an unclaimed item.
-        return [f.result() for f in futures]
+            recv, send = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=work, args=(claim(), send))
+            proc.start()
+            send.close()  # so that the worker's death reads as end of file
+            pool.append((proc, recv))
+        run(claim())
+        for _, recv in pool:
+            with contextlib.suppress(EOFError, OSError):  # a worker that died sent nothing whole
+                outcomes.update(recv.recv())
+            recv.close()
+        # Claims go in item order and stop only after a failure, so an item
+        # missing before the first failure was in the hands of a dead worker.
+        for k in range(len(items)):
+            if k not in outcomes:
+                from concurrent.futures.process import BrokenProcessPool
+                raise BrokenProcessPool(f"the worker process that ran item {k} died")
+            if outcomes[k][0]:
+                raise outcomes.pop(k)[1]
+        return [outcomes[k][1] for k in range(len(items))]
     finally:
-        with lock:
-            stop.set()
-        pool.shutdown(wait=True, cancel_futures=True)
-        # `feed` holds itself, and each future's callbacks hold `feed`, which
-        # holds the futures and the pool (and so `shared`). Unlinking both
-        # frees all of it on return instead of at the next collection, which a
-        # CLI process never runs.
-        futures.clear()
-        del feed
+        for proc, recv in pool:
+            if not recv.closed:  # left early: its results will not be read
+                proc.terminate()
+                recv.close()
+        for proc, _ in pool:
+            proc.join()
+        # A raised exception's traceback holds this frame; emptying the
+        # table it sits in frees the job's state without a collection.
+        outcomes.clear()

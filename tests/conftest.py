@@ -48,7 +48,7 @@ def pool_refused(monkeypatch):
     def refuse(*args, **kwargs):
         raise PoolStarted
 
-    monkeypatch.setattr(parallel, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(parallel, "_pooled_map", refuse)
     monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
     return PoolStarted
 

@@ -446,6 +446,22 @@ def test_encode_is_byte_deterministic(ws, tmp_path):
     assert out1.read_bytes() == ws["encoded"].read_bytes()
 
 
+def test_encode_reads_a_table_saved_with_a_byte_order_mark(tmp_path):
+    # Spreadsheet "CSV UTF-8" exports start the file with a byte-order mark.
+    plain = os.path.join(ROOT, "demo", "toy_survey.csv")
+    marked = tmp_path / "bom.csv"
+    with open(plain, "rb") as fh:
+        marked.write_bytes(b"\xef\xbb\xbf" + fh.read())
+    spec = os.path.join(ROOT, "demo", "encoding.yaml")
+    outs = []
+    for data in (plain, marked):
+        outs.append(tmp_path / f"{len(outs)}.tsv")
+        proc = run_cli("encode", "--data", str(data), "--spec", spec, "--out", str(outs[-1]))
+        assert proc.returncode == 0, proc.stderr
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    assert (tmp_path / "0.columns.yaml").read_bytes() == (tmp_path / "1.columns.yaml").read_bytes()
+
+
 def test_encode_missing_data_file_exits_2(ws, tmp_path):
     proc = run_cli("encode", "--data", str(tmp_path / "nope.csv"),
                    "--spec", str(ws["spec"]), "--out", str(tmp_path / "o.tsv"))

@@ -2,13 +2,14 @@
 
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
 from scipy import stats
 
 import oracles
-from doublelasso import dml
+from doublelasso import dml, lasso
 from doublelasso import (
     DegenerateMomentError,
     DegenerateOutcomeError,
@@ -501,6 +502,25 @@ class TestDmlMulti:
         cv = DmlConfig(penalty=PenaltyConfig(method="cv"))
         with pytest.raises(pool_refused):
             dml_multi(ds, family="linear", config=cv, jobs=2)
+
+    @pytest.mark.parametrize("family", ["logit", "linear"])
+    @pytest.mark.parametrize("method, steps", [("dml", 2), ("naive", 1)])
+    def test_cv_solves_stopped_at_the_cap_leave_one_warning_per_step(
+            self, monkeypatch, family, method, steps):
+        ds = _toy_dataset(seed=16, n=200, n_treat=1, family=family)
+        cv = DmlConfig(penalty=PenaltyConfig(method="cv"))
+
+        def cv_notes():
+            (est,) = dml_multi(ds, family=family, method=method, config=cv)
+            return [note for note in est.warnings if note.startswith("cross-validated")]
+
+        assert cv_notes() == []
+        monkeypatch.setattr(lasso, "_MAX_SWEEPS", 2)
+        notes = cv_notes()
+        assert len(notes) == steps, notes
+        assert all(re.fullmatch(r"cross-validated penalty level \S+: [1-9]\d* of 300 fold "
+                                r"solves stopped at a solver cap before converging", note)
+                   for note in notes)
 
     def test_programming_errors_propagate_instead_of_becoming_rows(self, monkeypatch):
         def broken(*args, **kwargs):

@@ -90,6 +90,18 @@ class TestLoadTable:
         t = load_table(io.StringIO("a\ninf\n"))
         assert t.rows[0] == ("inf",)
 
+    @pytest.mark.parametrize("wrap", [io.StringIO, lambda text: io.BytesIO(text.encode())],
+                             ids=["text", "bytes"])
+    def test_a_byte_order_mark_is_dropped_from_a_file_object(self, wrap):
+        t = load_table(wrap("\ufeffa,b\n1,x\n"))
+        assert t.columns == ("a", "b")
+        assert t.rows == ((1.0, "x"),)
+
+    def test_a_byte_order_mark_is_dropped_from_a_file(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbfa,b\n1,x\n")
+        assert load_table(path) == load_table(io.StringIO("a,b\n1,x\n"))
+
     def test_repeated_cells_parse_as_each_cell_alone(self):
         # load_table parses each distinct cell text once per call; every
         # cell must still read as a parse of that cell on its own would.
@@ -210,6 +222,22 @@ class TestEncode:
         ds = encode(load_table(io.StringIO(text)), spec)
         assert ds.column_names == ("grade_2",)
         np.testing.assert_array_equal(ds.design[:, 0], [0.0, 1.0])
+
+    @pytest.mark.parametrize("cells, levels, names", [
+        (("1.0", "2.0"), '["1.0", "2.0"]', ("grade_2_0",)),
+        (("01", "02"), '["01", "02"]', ("grade_02",)),
+        (("1.0", "2.0"), "[1.0, 2.0]", ("grade_2_0",)),
+        (("1", "02"), "[1.0, 2.0]", ("grade_2_0",)),
+        (("1234567", "1234568"), "[1234567, 1234568]", ("grade_1234568",)),
+    ], ids=["decimal-text", "leading-zero", "yaml-floats", "other-spelling", "seven-digits"])
+    def test_numeric_looking_levels_match_however_they_are_spelled(self, cells, levels, names):
+        text = f"y,grade\n1,{cells[0]}\n0,{cells[1]}\n1,{cells[1]}\n"
+        levels = yaml.safe_load(levels)
+        spec = encoding_spec_from_yaml(yaml.safe_dump({"version": 1, "outcome": "y", "columns": [
+            {"name": "grade", "kind": "categorical", "levels": levels, "baseline": levels[0]}]}))
+        ds = encode(load_table(io.StringIO(text)), spec)
+        assert ds.column_names == names
+        np.testing.assert_array_equal(ds.design[:, 0], [0.0, 1.0, 1.0])
 
     def test_level_names_are_slugged_case_insensitively(self):
         text = "y,g\n1,Female\n0,Male\n"
@@ -336,6 +364,12 @@ class TestSpecValidation:
     def test_merge_keys_must_be_declared_levels(self):
         with pytest.raises(SchemaError, match="merge key"):
             CategoricalRule(name="g", levels=("a", "b"), baseline="a", merge={"c": "b"})
+
+    @pytest.mark.parametrize("levels", [("1", "01"), ("2", "2.0"), ("x", "1e3", " 1000")])
+    def test_levels_that_match_the_same_cells_rejected(self, levels):
+        with pytest.raises(SchemaError, match=f"levels {levels[-2]!r} and {levels[-1]!r} "
+                                              "match the same cells"):
+            CategoricalRule(name="g", levels=levels, baseline=levels[0])
 
     def test_bad_role_rejected(self):
         with pytest.raises(SchemaError, match="role"):

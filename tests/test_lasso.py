@@ -613,6 +613,22 @@ class TestCvLambda:
         lam = cv_lambda(X, y, "logistic", loadings=np.ones(5), seed=1)
         assert lam >= 0
 
+    @pytest.mark.parametrize("family", ["linear", "logistic"])
+    def test_fold_solves_stopped_at_the_cap_are_counted_in_one_note(self, monkeypatch, family):
+        X, y, w, g = _wls_instance(20, n=80, p=6)
+        if family == "logistic":
+            y, w = (y > np.median(y)).astype(float), None
+        notes = []
+        cv_lambda(X, y, family, w=w, loadings=g, seed=7, notes=notes)
+        assert notes == []
+        monkeypatch.setattr(lasso, "_MAX_SWEEPS", 2)
+        fits = _spy_on_solvers(monkeypatch)
+        lam = cv_lambda(X, y, family, w=w, loadings=g, seed=7, notes=notes)
+        capped = sum(not fit.converged for fit in fits)
+        assert len(fits) == 300 and capped > 0
+        assert notes == [f"cross-validated penalty level {lam:.6g}: {capped} of 300 fold "
+                         "solves stopped at a solver cap before converging"]
+
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):
             cv_lambda(np.ones((4, 1)), np.ones(4), "poisson", loadings=np.ones(1))

@@ -19,6 +19,8 @@ from doublelasso import errors, parallel
 from doublelasso.encoding import ColumnInfo, Dataset
 from doublelasso.parallel import SERIAL_BELOW_CELLS, parallel_map, usable_cpus
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
 needs_two_cpus = pytest.mark.skipif(usable_cpus() < 2, reason="a pool needs two usable CPUs")
 needs_blas_control = pytest.mark.skipif(not parallel._blas_thread_control(),
                                         reason="no bundled BLAS exports a thread control")
@@ -225,6 +227,62 @@ def test_a_dead_worker_raises_instead_of_hanging():
         "except Exception as exc:\n"
         "    print(json.dumps(type(exc).__name__))\n")
     assert got == "BrokenProcessPool"
+
+
+def _unpicklable_in_worker(caller_pid, item):
+    if os.getpid() == caller_pid:
+        time.sleep(0.05)  # let the pool claim the front items first
+        return item
+    return threading.Lock()
+
+
+@needs_two_cpus
+def test_a_result_that_does_not_pickle_raises_its_pickling_error():
+    with pytest.raises(TypeError, match="pickle"):
+        parallel_map(_unpicklable_in_worker, os.getpid(), range(4), 2,
+                     cells_per_item=SERIAL_BELOW_CELLS)
+
+
+def _interrupt_in_caller(caller_pid, item):
+    if os.getpid() == caller_pid:
+        time.sleep(0.5)  # let the worker run every other item and start sending
+        raise KeyboardInterrupt
+    return b"x" * 200_000  # more than a pipe holds, so its sender blocks
+
+
+@needs_two_cpus
+def test_an_interrupt_in_the_caller_ends_a_worker_blocked_on_sending():
+    got = _run_bounded(
+        "import json, multiprocessing, os\n"
+        "from test_parallel import _interrupt_in_caller\n"
+        "from doublelasso.parallel import SERIAL_BELOW_CELLS, parallel_map\n"
+        "try:\n"
+        "    parallel_map(_interrupt_in_caller, os.getpid(), range(6), 2,\n"
+        "                 cells_per_item=SERIAL_BELOW_CELLS)\n"
+        "except KeyboardInterrupt:\n"
+        "    print(json.dumps(len(multiprocessing.active_children())))\n", timeout=60)
+    assert got == 0
+
+
+SERIAL_COMMANDS = {
+    "fit": ["fit", "--data", os.path.join(ROOT, "demo", "toy_survey.csv"),
+            "--spec", os.path.join(ROOT, "demo", "encoding.yaml")],
+    "simulate": ["simulate", "--spec", os.path.join(ROOT, "demo", "study.yaml")],
+}
+
+
+@pytest.mark.parametrize("argv", SERIAL_COMMANDS.values(), ids=SERIAL_COMMANDS)
+def test_a_serial_command_loads_no_process_pool(argv):
+    got = _run_bounded(
+        "import contextlib, io, json, os, sys\n"
+        "os.environ.pop('DOUBLELASSO_JOBS', None)\n"
+        "from doublelasso.__main__ import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    status = main({argv!r})\n"
+        "print(json.dumps([status, 'doublelasso.parallel' in sys.modules,\n"
+        "                  [name for name in ('multiprocessing', 'concurrent.futures')\n"
+        "                   if name in sys.modules]]))\n")
+    assert got == [0, True, []]
 
 
 @needs_blas_control
