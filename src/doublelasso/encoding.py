@@ -20,7 +20,7 @@ import csv
 import io
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 import yaml
@@ -432,14 +432,20 @@ def _reject_unknown(entry: dict, allowed: set, where: str) -> None:
         raise SchemaError(f"{where}: unknown keys {sorted(unknown)}")
 
 
+def _yaml_mapping(source, what: str) -> dict:
+    """The mapping that YAML text or a file holds; SchemaError names `what` otherwise."""
+    try:
+        doc = yaml.load(source, Loader=YAML_LOADER)
+    except yaml.YAMLError as exc:
+        raise SchemaError(f"{what} is not valid YAML: {exc}") from None
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{what} must be a mapping")
+    return doc
+
+
 def encoding_spec_from_yaml(text: str) -> EncodingSpec:
     """Parse the YAML spec document; the version field is mandatory."""
-    try:
-        doc = yaml.load(text, Loader=YAML_LOADER)
-    except yaml.YAMLError as exc:
-        raise SchemaError(f"spec is not valid YAML: {exc}") from None
-    if not isinstance(doc, dict):
-        raise SchemaError("spec document must be a mapping")
+    doc = _yaml_mapping(text, "spec")
     _reject_unknown(
         doc,
         {"version", "outcome", "columns", "interactions", "missing_policy", "missing_tokens"},
@@ -466,14 +472,17 @@ def encoding_spec_from_yaml(text: str) -> EncodingSpec:
     tokens = doc.get("missing_tokens", list(DEFAULT_MISSING_TOKENS))
     if not isinstance(tokens, list):
         raise SchemaError("missing_tokens must be a list of strings")
-    return EncodingSpec(
-        version=int(doc["version"]),
-        outcome=str(doc["outcome"]),
-        columns=tuple(_rule_from_mapping(e) for e in raw_cols),
-        interactions=tuple(inters),
-        missing_policy=doc.get("missing_policy", "drop"),
-        missing_tokens=tuple(str(t) for t in tokens),
-    )
+    try:
+        return EncodingSpec(
+            version=int(doc["version"]),
+            outcome=str(doc["outcome"]),
+            columns=tuple(_rule_from_mapping(e) for e in raw_cols),
+            interactions=tuple(inters),
+            missing_policy=doc.get("missing_policy", "drop"),
+            missing_tokens=tuple(str(t) for t in tokens),
+        )
+    except (TypeError, ValueError) as exc:  # a value of the wrong YAML type
+        raise SchemaError(f"spec holds a bad value: {exc}") from None
 
 
 def encoding_spec_to_yaml(spec: EncodingSpec) -> str:
@@ -534,6 +543,8 @@ class ColumnInfo:
     def __post_init__(self):
         if self.role not in ("treatment", "control", "intercept"):
             raise ValueError(f"bad column role {self.role!r}")
+        object.__setattr__(self, "center", float(self.center))
+        object.__setattr__(self, "scale", float(self.scale))
 
 
 @dataclass(frozen=True)
@@ -601,46 +612,6 @@ class Dataset:
         raise KeyError(f"no design column named {name!r}")
 
 
-def interact(dataset: Dataset, pairs, roles=None) -> Dataset:
-    """Append product columns a*b for each (a, b) pair of existing columns.
-
-    Returns a new Dataset; the input is untouched. Product values are exact
-    elementwise products of the encoded (post-standardization) parents, so
-    processing pairs in any order yields identical columns. The role of each
-    product defaults to control unless `roles`, a sequence aligned with
-    `pairs`, says treatment.
-    """
-    pairs = [(str(a), str(b)) for a, b in pairs]
-    roles = ["control"] * len(pairs) if roles is None else list(roles)
-    if len(roles) != len(pairs):
-        raise ValueError("roles must align with pairs")
-    existing = set(dataset.column_names)
-    new_cols = list(dataset.columns)
-    blocks = [dataset.design]
-    for (a, b), role in zip(pairs, roles):
-        name = f"{a}*{b}"
-        if a not in existing:
-            raise ValueError(f"interaction parent {a!r} is not a design column")
-        if b not in existing:
-            raise ValueError(f"interaction parent {b!r} is not a design column")
-        if name in existing:
-            raise ValueError(f"interaction column {name!r} already exists")
-        va = dataset.design[:, dataset.index_of(a)]
-        vb = dataset.design[:, dataset.index_of(b)]
-        if role not in ("treatment", "control"):
-            raise ValueError(f"bad interaction role {role!r}")
-        new_cols.append(ColumnInfo(name=name, role=role, source=name, level=None))
-        blocks.append((va * vb)[:, None])
-        existing.add(name)
-    return Dataset(
-        y=dataset.y,
-        design=np.hstack(blocks),
-        columns=tuple(new_cols),
-        outcome_name=dataset.outcome_name,
-        n_dropped=dataset.n_dropped,
-    )
-
-
 def encode(table: RawTable, spec: EncodingSpec) -> Dataset:
     """Apply the spec's rules to a parsed table. See the module docstring."""
     col_index = {name: i for i, name in enumerate(table.columns)}
@@ -675,7 +646,6 @@ def encode(table: RawTable, spec: EncodingSpec) -> Dataset:
             )
         y[out_i] = cell
 
-    names: list[str] = []
     infos: list[ColumnInfo] = []
     arrays: list[np.ndarray] = []
     indicator_blocks: list[tuple[ColumnInfo, np.ndarray]] = []
@@ -701,11 +671,8 @@ def encode(table: RawTable, spec: EncodingSpec) -> Dataset:
                 k = lab_pos.get(lab)
                 if k is not None:
                     block[i, k] = 1.0
-            for k, lab in enumerate(out_levels):
-                names.append(f"{rule.name}_{_slug(lab)}")
-                infos.append(ColumnInfo(
-                    name=names[-1], role=rule.role, source=rule.name, level=lab,
-                ))
+            for k, (name, lab) in enumerate(zip(rule.output_names(), out_levels)):
+                infos.append(ColumnInfo(name=name, role=rule.role, source=rule.name, level=lab))
                 arrays.append(block[:, k])
         else:
             vals = np.zeros(n)
@@ -736,7 +703,6 @@ def encode(table: RawTable, spec: EncodingSpec) -> Dataset:
                 vals = np.where(miss, 0.0, (vals - center) / scale)
             else:
                 vals = np.where(miss, 0.0, vals)
-            names.append(rule.output)
             infos.append(ColumnInfo(
                 name=rule.output, role=rule.role, source=rule.name, level=None,
                 center=center, scale=scale,
@@ -749,27 +715,25 @@ def encode(table: RawTable, spec: EncodingSpec) -> Dataset:
             )
             indicator_blocks.append((ind_info, miss.astype(float)))
 
+    encoded = {info.name: vals for info, vals in zip(infos, arrays)}
     for info, vals in indicator_blocks:
-        names.append(info.name)
         infos.append(info)
         arrays.append(vals)
+    # Products of the encoded (standardized, imputed) parents. The spec has
+    # checked that both parents are encoded columns and the name is new.
+    for inter in spec.interactions:
+        infos.append(ColumnInfo(name=inter.output, role=inter.role, source=inter.output))
+        arrays.append(encoded[inter.a] * encoded[inter.b])
 
-    if spec.outcome in names:
+    if any(info.name == spec.outcome for info in infos):
         raise SchemaError("outcome name collides with an encoded column")
-    dataset = Dataset(
+    return Dataset(
         y=y,
         design=np.column_stack(arrays),
         columns=tuple(infos),
         outcome_name=spec.outcome,
         n_dropped=n_dropped,
     )
-    if spec.interactions:
-        dataset = interact(
-            dataset,
-            [(i.a, i.b) for i in spec.interactions],
-            roles=[i.role for i in spec.interactions],
-        )
-    return dataset
 
 
 # ---------------------------------------------------------------------------
@@ -799,17 +763,7 @@ def save_dataset(dataset: Dataset, path) -> str:
         "outcome": dataset.outcome_name,
         "n": dataset.n,
         "n_dropped": dataset.n_dropped,
-        "columns": [
-            {
-                "name": c.name,
-                "role": c.role,
-                "source": c.source,
-                "level": c.level,
-                "center": c.center,
-                "scale": c.scale,
-            }
-            for c in dataset.columns
-        ],
+        "columns": [asdict(c) for c in dataset.columns],
     }
     side = sidecar_path(path)
     with open(side, "w", encoding="utf-8", newline="\n") as fh:
@@ -822,22 +776,18 @@ def load_dataset(path) -> Dataset:
     path = os.fspath(path)
     side = sidecar_path(path)
     with open(side, "r", encoding="utf-8") as fh:
-        try:
-            meta = yaml.load(fh, Loader=YAML_LOADER)
-        except yaml.YAMLError as exc:
-            raise SchemaError(f"dataset sidecar {side!r} is not valid YAML: {exc}") from None
-    if not isinstance(meta, dict) or "columns" not in meta or "version" not in meta:
+        meta = _yaml_mapping(fh, f"dataset sidecar {side!r}")
+    if "columns" not in meta or "version" not in meta:
         raise SchemaError(f"bad dataset sidecar {side!r}")
     if meta["version"] != SPEC_VERSION:
         raise SchemaError(f"unsupported sidecar version {meta['version']!r}")
-    infos = tuple(
-        ColumnInfo(
-            name=c["name"], role=c["role"], source=c.get("source", c["name"]),
-            level=c.get("level"), center=float(c.get("center", 0.0)),
-            scale=float(c.get("scale", 1.0)),
-        )
-        for c in meta["columns"]
-    )
+    keys = [f.name for f in fields(ColumnInfo)]
+    try:
+        if any(set(entry) != set(keys) for entry in meta["columns"]):
+            raise ValueError(f"each column needs exactly the keys {', '.join(keys)}")
+        infos = tuple(ColumnInfo(**entry) for entry in meta["columns"])
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"bad column in dataset sidecar {side!r}: {exc}") from None
     outcome = meta.get("outcome", "y")
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n").split("\t")

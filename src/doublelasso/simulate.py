@@ -20,22 +20,36 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 
 import numpy as np
 import yaml
 
 from .dml import DmlConfig, DmlEstimate, FitFailure, dml_multi, lasso_solves
-from .encoding import YAML_LOADER, ColumnInfo, Dataset, _reject_unknown
+from .encoding import ColumnInfo, Dataset, _reject_unknown, _yaml_mapping
 from .errors import SchemaError
 from .glm import link
 from .parallel import parallel_map
 
 STUDY_VERSION = 1
 _FAMILIES = ("logistic", "linear")
-_PATTERNS = ("first-s", "geometric", "custom")
 _CORRS = ("independent", "exchangeable", "ar1")
 _METHODS = ("dml", "naive")
+
+
+# The study-spec format, stated once: each YAML key and the type it is read
+# as. A key left out takes the StudySpec or DgpSpec default. `beta` and
+# `gamma` each hold a mapping with a `pattern` key and that pattern's keys,
+# which fill the DgpSpec fields <beta|gamma>_<key> (`values` fills
+# <beta|gamma>_custom).
+_STUDY_KEYS = {"reps": int, "methods": tuple, "level": float, "base_seed": int,
+               "max_failure_rate": float, "dgp": dict}
+_DGP_KEYS = {"family": str, "n": int, "p": int, "alpha0": float, "beta": dict,
+             "gamma": dict, "nu": float, "x_corr": str, "rho": float,
+             "intercept": float, "noise_sd": float}
+_PATTERNS = {"first-s": {"magnitude": float, "sparsity": int},
+             "geometric": {"magnitude": float, "decay": float},
+             "custom": {"values": tuple}}
 
 
 @dataclass(frozen=True)
@@ -81,7 +95,7 @@ class DgpSpec:
              self.gamma_custom, "gamma"),
         ):
             if pat not in _PATTERNS:
-                raise ValueError(f"{what} pattern must be one of {_PATTERNS}")
+                raise ValueError(f"{what} pattern must be one of {tuple(_PATTERNS)}")
             if pat == "first-s" and not 0 <= spars <= self.p:
                 raise ValueError(f"{what} sparsity must lie in [0, p]")
             if pat == "geometric" and not 0.0 < decay < 1.0:
@@ -350,165 +364,90 @@ def run_study(study: StudySpec, *, config: DmlConfig | None = None,
 # Serialization (same structured format family as the encoding spec)
 
 
-def _pattern_to_mapping(pat, magnitude, sparsity, decay, custom) -> dict:
-    if pat == "custom":
-        return {"pattern": "custom", "values": [float(v) for v in custom]}
-    if pat == "first-s":
-        return {"pattern": "first-s", "magnitude": magnitude, "sparsity": sparsity}
-    return {"pattern": "geometric", "magnitude": magnitude, "decay": decay}
+def _field(what: str, key: str) -> str:
+    """The DgpSpec field that key `key` of the `what` pattern mapping fills."""
+    return f"{what}_{'custom' if key == 'values' else key}"
 
 
-def _pattern_fields(m, what: str) -> dict:
-    if not isinstance(m, dict) or "pattern" not in m:
-        raise SchemaError(f"{what} must be a mapping with a pattern key")
-    pat = m["pattern"]
-    out: dict = {f"{what}_pattern": pat}
-    if pat == "custom":
-        _reject_unknown(m, {"pattern", "values"}, what)
-        if "values" not in m:
-            raise SchemaError(f"{what}: custom pattern needs values")
-        out[f"{what}_custom"] = tuple(float(v) for v in m["values"])
-    elif pat == "first-s":
-        _reject_unknown(m, {"pattern", "magnitude", "sparsity"}, what)
-        out[f"{what}_magnitude"] = float(m.get("magnitude", 1.0))
-        out[f"{what}_sparsity"] = int(m.get("sparsity", 0))
-    elif pat == "geometric":
-        _reject_unknown(m, {"pattern", "magnitude", "decay"}, what)
-        out[f"{what}_magnitude"] = float(m.get("magnitude", 1.0))
-        out[f"{what}_decay"] = float(m.get("decay", 0.5))
-    else:
-        raise SchemaError(f"{what}: unknown pattern {pat!r}")
+def _read(mapping, types: dict, where: str) -> dict:
+    """Each key of `mapping`, read as its type in `types`."""
+    _reject_unknown(mapping, set(types), where)
+    out = {}
+    for key, value in mapping.items():
+        try:
+            out[key] = types[key](value)
+        except (TypeError, ValueError):
+            raise SchemaError(f"{where}: bad {key}: {value!r}") from None
     return out
 
 
+def _build(cls, kwargs: dict, where: str):
+    missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in kwargs]
+    if missing:
+        raise SchemaError(f"{where} is missing {', '.join(missing)}")
+    return cls(**kwargs)
+
+
+def _plain(value):
+    return list(value) if isinstance(value, tuple) else value
+
+
 def study_spec_from_yaml(text: str) -> StudySpec:
-    try:
-        doc = yaml.load(text, Loader=YAML_LOADER)
-    except yaml.YAMLError as exc:
-        raise SchemaError(f"study spec is not valid YAML: {exc}") from None
-    if not isinstance(doc, dict):
-        raise SchemaError("study spec must be a mapping")
-    _reject_unknown(
-        doc,
-        {"version", "reps", "methods", "level", "base_seed", "max_failure_rate", "dgp"},
-        "study",
-    )
+    doc = _yaml_mapping(text, "study spec")
     if "version" not in doc:
         raise SchemaError("study spec is missing the mandatory version field")
-    if doc["version"] != STUDY_VERSION:
-        raise SchemaError(f"unsupported study version {doc['version']!r}")
-    if "dgp" not in doc or not isinstance(doc["dgp"], dict):
-        raise SchemaError("study spec needs a dgp mapping")
-    if "reps" not in doc:
-        raise SchemaError("study spec needs reps")
-    g = dict(doc["dgp"])
-    _reject_unknown(
-        g,
-        {"family", "n", "p", "alpha0", "beta", "gamma", "nu", "x_corr", "rho",
-         "intercept", "noise_sd"},
-        "dgp",
-    )
-    for key in ("family", "n", "p", "alpha0"):
-        if key not in g:
-            raise SchemaError(f"dgp is missing {key}")
-    fields: dict = {
-        "family": str(g["family"]),
-        "n": int(g["n"]),
-        "p": int(g["p"]),
-        "alpha0": float(g["alpha0"]),
-        "nu": float(g.get("nu", 1.0)),
-        "x_corr": str(g.get("x_corr", "independent")),
-        "rho": float(g.get("rho", 0.0)),
-        "intercept": float(g.get("intercept", 0.0)),
-        "noise_sd": float(g.get("noise_sd", 1.0)),
-    }
-    if "beta" in g:
-        fields.update(_pattern_fields(g["beta"], "beta"))
-    if "gamma" in g:
-        fields.update(_pattern_fields(g["gamma"], "gamma"))
+    version = doc.pop("version")
+    if version != STUDY_VERSION:
+        raise SchemaError(f"unsupported study version {version!r}")
+    study = _read(doc, _STUDY_KEYS, "study")
+    dgp = _read(study.get("dgp", {}), _DGP_KEYS, "dgp")
+    for what in ("beta", "gamma"):
+        if what in dgp:
+            pattern = dgp.pop(what)
+            name = pattern.pop("pattern", None)
+            if not isinstance(name, str) or name not in _PATTERNS:
+                raise SchemaError(f"{what}: pattern must be one of {tuple(_PATTERNS)}, "
+                                  f"got {name!r}")
+            dgp[f"{what}_pattern"] = name
+            for key, value in _read(pattern, _PATTERNS[name], what).items():
+                dgp[_field(what, key)] = value
     try:
-        dgp = DgpSpec(**fields)
-        return StudySpec(
-            dgp=dgp,
-            reps=int(doc["reps"]),
-            methods=tuple(doc.get("methods", ["dml"])),
-            level=float(doc.get("level", 0.05)),
-            base_seed=int(doc.get("base_seed", 0)),
-            max_failure_rate=float(doc.get("max_failure_rate", 0.1)),
-        )
-    except ValueError as exc:
+        study["dgp"] = _build(DgpSpec, dgp, "dgp")
+        return _build(StudySpec, study, "study spec")
+    except (TypeError, ValueError) as exc:
         raise SchemaError(str(exc)) from None
+
+
+def _pattern_to_mapping(d: DgpSpec, what: str) -> dict:
+    name = getattr(d, f"{what}_pattern")
+    return {"pattern": name,
+            **{key: _plain(getattr(d, _field(what, key))) for key in _PATTERNS[name]}}
 
 
 def study_spec_to_yaml(study: StudySpec) -> str:
     d = study.dgp
-    doc = {
-        "version": STUDY_VERSION,
-        "reps": study.reps,
-        "methods": list(study.methods),
-        "level": study.level,
-        "base_seed": study.base_seed,
-        "max_failure_rate": study.max_failure_rate,
-        "dgp": {
-            "family": d.family,
-            "n": d.n,
-            "p": d.p,
-            "alpha0": d.alpha0,
-            "beta": _pattern_to_mapping(d.beta_pattern, d.beta_magnitude,
-                                        d.beta_sparsity, d.beta_decay, d.beta_custom),
-            "gamma": _pattern_to_mapping(d.gamma_pattern, d.gamma_magnitude,
-                                         d.gamma_sparsity, d.gamma_decay, d.gamma_custom),
-            "nu": d.nu,
-            "x_corr": d.x_corr,
-            "rho": d.rho,
-            "intercept": d.intercept,
-            "noise_sd": d.noise_sd,
-        },
-    }
+    dgp = {key: _pattern_to_mapping(d, key) if key in ("beta", "gamma") else getattr(d, key)
+           for key in _DGP_KEYS}
+    doc = {"version": STUDY_VERSION,
+           **{key: dgp if key == "dgp" else _plain(getattr(study, key)) for key in _STUDY_KEYS}}
     return yaml.safe_dump(doc, sort_keys=False)
 
 
 def coverage_reports_to_yaml(reports) -> str:
     doc = {
         "version": STUDY_VERSION,
-        "reports": [
-            {
-                "method": r.method,
-                "reps": r.reps,
-                "successes": r.successes,
-                "failures": r.failures,
-                "alpha0": r.alpha0,
-                "level": r.level,
-                "mean_bias": r.mean_bias,
-                "median_bias": r.median_bias,
-                "sd": r.sd,
-                "mean_se": r.mean_se,
-                "coverage": r.coverage,
-                "mean_ci_width": r.mean_ci_width,
-                "rejection_rate": r.rejection_rate,
-                "failure_reasons": list(r.failure_reasons),
-            }
-            for r in reports
-        ],
+        "reports": [{**asdict(r), "failure_reasons": list(r.failure_reasons)} for r in reports],
     }
     return yaml.safe_dump(doc, sort_keys=False)
 
 
 def coverage_reports_from_yaml(text: str) -> tuple[CoverageReport, ...]:
-    try:
-        doc = yaml.load(text, Loader=YAML_LOADER)
-    except yaml.YAMLError as exc:
-        raise SchemaError(f"coverage report is not valid YAML: {exc}") from None
-    if not isinstance(doc, dict) or "reports" not in doc or "version" not in doc:
+    doc = _yaml_mapping(text, "coverage report")
+    if "reports" not in doc or "version" not in doc:
         raise SchemaError("coverage report document must carry version and reports")
     if doc["version"] != STUDY_VERSION:
         raise SchemaError(f"unsupported report version {doc['version']!r}")
-    out = []
-    for r in doc["reports"]:
-        r = dict(r)
-        r["failure_reasons"] = tuple(r.get("failure_reasons", ()))
-        out.append(CoverageReport(**r))
-    return tuple(out)
+    return tuple(CoverageReport(**r) for r in doc["reports"])
 
 
 # ---------------------------------------------------------------------------

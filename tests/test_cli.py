@@ -330,7 +330,7 @@ print(json.dumps({{"status": status, "pooled": bool(pooled), "parser": parser,
                   "types": sorted({{type(o).__name__ for o in gc.garbage}})}}))
 """
 
-RUN_STATE = {"Dataset", "DmlEstimate", "FitFailure", "Future", "ProcessPoolExecutor"}
+RUN_STATE = {"Dataset", "DmlEstimate", "FitFailure", "ForkProcess", "Connection", "Synchronized"}
 
 
 @pytest.mark.parametrize("argv, status, pooled", [
@@ -629,6 +629,47 @@ def test_fit_encoded_without_sidecar_exits_2(ws, tmp_path):
     proc = run_cli("fit", "--data", str(orphan))
     assert proc.returncode == 2
     assert "sidecar" in proc.stderr
+
+
+@pytest.mark.parametrize("old, new", [
+    ("  role: control\n", ""),
+    ("  role: control\n", "  role: control\n  weight: 2.0\n"),
+    ("  center: 0.0\n", "  center: [0.0]\n"),
+    ("  role: control\n", "  role: outcome\n"),
+], ids=["missing-key", "unknown-key", "bad-center", "bad-role"])
+def test_fit_rejects_a_hand_edited_sidecar_column_with_exit_2(ws, tmp_path, old, new):
+    data = tmp_path / "edited.tsv"
+    data.write_bytes(ws["encoded"].read_bytes())
+    with open(sidecar_path(str(ws["encoded"])), encoding="utf-8") as fh:
+        text = fh.read()
+    assert old in text
+    side = sidecar_path(str(data))
+    with open(side, "w", encoding="utf-8") as fh:
+        fh.write(text.replace(old, new, 1))
+    proc = run_cli("fit", "--data", str(data))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"error: bad column in dataset sidecar {side!r}: ")
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+
+
+@pytest.mark.parametrize("command, text", [
+    ("simulate", "version: 1\nreps: 1\ndgp: {family: linear, n: [1, 2], p: 2, alpha0: 0}\n"),
+    ("simulate", "version: 1\nreps: 1\ndgp: {family: linear, n: 10, p: 2, alpha0: 0,"
+                 " beta: {pattern: custom, values: 3}}\n"),
+    ("encode", "version: 1\noutcome: enrolled\n"
+               "columns: [{name: x1, kind: numeric, scale: [1]}]\n"),
+], ids=["study-n", "study-custom-values", "encoding-scale"])
+def test_a_spec_value_of_the_wrong_yaml_type_exits_2_with_one_error_line(ws, tmp_path, command,
+                                                                          text):
+    spec = tmp_path / "spec.yaml"
+    spec.write_text(text, encoding="utf-8")
+    args = ["--spec", str(spec)]
+    if command == "encode":
+        args += ["--data", str(ws["data"]), "--out", str(tmp_path / "out.tsv")]
+    proc = run_cli(command, *args)
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
 
 
 def test_fit_header_only_dataset_exits_2(ws, tmp_path):

@@ -25,12 +25,12 @@ from doublelasso import simulate
 from doublelasso.encoding import (
     YAML_LOADER,
     CategoricalRule,
+    ColumnInfo,
     Dataset,
     DerivedRule,
     EncodingSpec,
     InteractionRule,
     NumericRule,
-    interact,
     load_dataset,
     sidecar_path,
 )
@@ -426,49 +426,57 @@ class TestSpecYaml:
             parse("version: 1\nreports: [unclosed\n")
 
 
-class TestInteract:
-    def _toy(self):
-        y = np.array([1.0, 0.0, 1.0])
-        design = np.array([[1.0, 2.0], [0.0, 3.0], [1.0, 4.0]])
-        from doublelasso.encoding import ColumnInfo
-        cols = (
-            ColumnInfo(name="u", role="treatment", source="u"),
-            ColumnInfo(name="v", role="control", source="v"),
+class TestEncodedInteractions:
+    """Products that encode appends for a spec's interactions."""
+
+    TEXT = "y,u,v\n1,1,b\n0,2,a\n1,6,b\n"
+
+    def _encode(self, *pairs, role="control", policy="drop", text=TEXT):
+        spec = EncodingSpec(
+            version=1, outcome="y",
+            columns=(NumericRule(name="u"),
+                     CategoricalRule(name="v", levels=("a", "b"), baseline="a")),
+            interactions=tuple(InteractionRule(a=a, b=b, role=role) for a, b in pairs),
+            missing_policy=policy,
         )
-        return Dataset(y=y, design=design, columns=cols)
+        return encode(load_table(io.StringIO(text)), spec)
 
-    def test_product_of_parents(self):
-        ds = interact(self._toy(), [("u", "v")])
-        np.testing.assert_array_equal(ds.design[:, 2], [2.0, 0.0, 4.0])
-        assert ds.column_names[-1] == "u*v"
-        assert ds.columns[-1].role == "control"
+    def test_product_of_the_encoded_parents(self):
+        ds = self._encode(("u", "v_b"))
+        assert ds.column_names == ("u", "v_b", "u*v_b")
+        u = ds.design[:, 0]
+        np.testing.assert_array_equal(ds.design[:, 2], [u[0], 0.0, u[2]])
+        assert ds.columns[-1] == ColumnInfo(name="u*v_b", role="control", source="u*v_b")
 
-    def test_pair_order_changes_layout_but_not_values(self):
-        base = self._toy()
-        d1 = interact(base, [("u", "v"), ("u", "u")])
-        d2 = interact(base, [("u", "u"), ("u", "v")])
-        for name in ("u*v", "u*u"):
+    def test_listing_order_changes_layout_but_not_values(self):
+        d1 = self._encode(("u", "v_b"), ("u", "u"))
+        d2 = self._encode(("u", "u"), ("u", "v_b"))
+        assert d1.column_names[2:] == ("u*v_b", "u*u")
+        assert d2.column_names[2:] == ("u*u", "u*v_b")
+        for name in ("u*v_b", "u*u"):
             np.testing.assert_array_equal(
                 d1.design[:, d1.index_of(name)], d2.design[:, d2.index_of(name)]
             )
 
-    def test_role_sequence_assigns_treatment(self):
-        ds = interact(self._toy(), [("u", "v")], roles=["treatment"])
+    def test_treatment_role_reaches_the_product_column(self):
+        ds = self._encode(("u", "v_b"), role="treatment")
+        assert ds.treatment_names == ("u*v_b",)
         assert ds.columns[-1].role == "treatment"
 
-    def test_unknown_parent_rejected(self):
-        with pytest.raises(ValueError, match="ghost"):
-            interact(self._toy(), [("u", "ghost")])
+    def test_under_zero_indicator_products_follow_the_indicators_and_use_imputed_values(self):
+        # u is missing in row 1 and imputed at its center (0 once
+        # standardized); v is missing in row 3, so v_b reads 0 there.
+        ds = self._encode(("u", "v_b"), policy="zero-indicator",
+                          text="y,u,v\n1,,b\n0,2,b\n1,4,a\n0,6,\n")
+        assert ds.column_names == ("u", "v_b", "u_missing", "v_missing", "u*v_b")
+        u, v_b = ds.design[:, 0], ds.design[:, 1]
+        np.testing.assert_array_equal(u, [0.0, -math.sqrt(1.5), 0.0, math.sqrt(1.5)])
+        np.testing.assert_array_equal(v_b, [1.0, 1.0, 0.0, 0.0])
+        np.testing.assert_array_equal(ds.design[:, 4], u * v_b)
 
-    def test_duplicate_product_rejected(self):
-        ds = interact(self._toy(), [("u", "v")])
-        with pytest.raises(ValueError, match="already exists"):
-            interact(ds, [("u", "v")])
-
-    def test_input_dataset_untouched(self):
-        base = self._toy()
-        interact(base, [("u", "v")])
-        assert base.p == 2
+    def test_a_repeated_interaction_is_rejected(self):
+        with pytest.raises(SchemaError, match="already exists"):
+            self._encode(("u", "v_b"), ("u", "v_b"))
 
 
 class TestDatasetRoundTrip:

@@ -4,6 +4,9 @@ import dataclasses
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from doublelasso import (
@@ -295,6 +298,92 @@ class TestStudyYaml:
         )
         with pytest.raises(SchemaError):
             study_spec_from_yaml(text)
+
+
+    # (pattern, the pattern keys the YAML gives); every other key is left out
+    PATTERN_KEYS_GIVEN = [
+        ("first-s", {}), ("first-s", {"magnitude": 0.5}), ("first-s", {"sparsity": 2}),
+        ("geometric", {}), ("geometric", {"magnitude": 0.5}), ("geometric", {"decay": 0.25}),
+        ("custom", {"values": [0.5] * 10}),
+    ]
+
+    @pytest.mark.parametrize("what", ["beta", "gamma"])
+    @pytest.mark.parametrize("pattern, given", PATTERN_KEYS_GIVEN)
+    def test_a_pattern_key_left_out_takes_the_library_default(self, what, pattern, given):
+        base = dict(family="linear", n=150, p=10, alpha0=0.5)
+        text = yaml.safe_dump({"version": 1, "reps": 1,
+                               "dgp": {**base, what: {"pattern": pattern, **given}}})
+        fields = {f"{what}_{'custom' if key == 'values' else key}": value
+                  for key, value in given.items()}
+        assert study_spec_from_yaml(text).dgp == DgpSpec(
+            **base, **{f"{what}_pattern": pattern}, **fields)
+
+    def test_first_s_beta_without_sparsity_fails_below_five_controls_as_the_library_does(self):
+        text = ("version: 1\nreps: 1\ndgp: {family: linear, n: 10, p: 3, alpha0: 0,"
+                " beta: {pattern: first-s}}\n")
+        with pytest.raises(ValueError, match=r"beta sparsity must lie in \[0, p\]"):
+            DgpSpec(family="linear", n=10, p=3, alpha0=0.0)
+        with pytest.raises(SchemaError, match=r"beta sparsity must lie in \[0, p\]"):
+            study_spec_from_yaml(text)
+
+    @pytest.mark.parametrize("dgp, key", [
+        ("{family: linear, n: [1, 2], p: 2, alpha0: 0}", "n"),
+        ("{family: linear, n: 10, p: 2, alpha0: 0, beta: {pattern: custom, values: 3}}",
+         "values"),
+        ("{family: linear, n: 10, p: 2, alpha0: {a: 1}}", "alpha0"),
+        ("{family: linear, n: 10, p: 2, alpha0: 0, gamma: [first-s]}", "gamma"),
+        ("{family: linear, n: 10, p: 2, alpha0: 0, gamma: {pattern: [first-s]}}", "pattern"),
+        ("[linear]", "dgp"),
+    ])
+    def test_a_value_of_the_wrong_yaml_type_is_a_schema_error(self, dgp, key):
+        with pytest.raises(SchemaError, match=key):
+            study_spec_from_yaml(f"version: 1\nreps: 1\ndgp: {dgp}\n")
+
+    def test_a_missing_required_key_is_named(self):
+        with pytest.raises(SchemaError, match="dgp is missing n, alpha0"):
+            study_spec_from_yaml("version: 1\nreps: 1\ndgp: {family: linear, p: 2}\n")
+        with pytest.raises(SchemaError, match="study spec is missing reps"):
+            study_spec_from_yaml("version: 1\ndgp: {family: linear, n: 5, p: 8, alpha0: 0}\n")
+
+    @pytest.mark.parametrize("beta_pattern", ["first-s", "geometric", "custom"])
+    @pytest.mark.parametrize("gamma_pattern", ["first-s", "geometric", "custom"])
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_yaml_round_trip_property(self, beta_pattern, gamma_pattern, data):
+        numbers = st.floats(-10.0, 10.0, allow_nan=False)
+        p = data.draw(st.integers(1, 8))
+        fields = {}
+        for what, pattern in (("beta", beta_pattern), ("gamma", gamma_pattern)):
+            fields[f"{what}_pattern"] = pattern
+            if pattern == "custom":
+                fields[f"{what}_custom"] = tuple(data.draw(st.lists(numbers, min_size=p,
+                                                                    max_size=p)))
+            else:
+                fields[f"{what}_magnitude"] = data.draw(numbers)
+            if pattern == "first-s":
+                fields[f"{what}_sparsity"] = data.draw(st.integers(0, p))
+            if pattern == "geometric":
+                fields[f"{what}_decay"] = data.draw(st.floats(0.01, 0.99))
+        try:
+            study = StudySpec(
+                dgp=DgpSpec(
+                    family=data.draw(st.sampled_from(["linear", "logistic"])),
+                    n=data.draw(st.integers(2, 10**6)), p=p, alpha0=data.draw(numbers),
+                    nu=data.draw(st.floats(0.01, 10.0)),
+                    x_corr=data.draw(st.sampled_from(["independent", "exchangeable", "ar1"])),
+                    rho=data.draw(st.floats(-0.99, 0.99)), intercept=data.draw(numbers),
+                    noise_sd=data.draw(st.floats(0.01, 10.0)), **fields,
+                ),
+                reps=data.draw(st.integers(1, 10**4)),
+                methods=data.draw(st.sampled_from([("dml",), ("naive",), ("dml", "naive"),
+                                                   ("naive", "dml")])),
+                level=data.draw(st.floats(0.001, 0.5)),
+                base_seed=data.draw(st.integers(0, 2**63)),
+                max_failure_rate=data.draw(st.floats(0.0, 1.0)),
+            )
+        except ValueError:  # an exchangeable rho below -1/(p - 1)
+            assume(False)
+        assert study_spec_from_yaml(study_spec_to_yaml(study)) == study
 
 
 class TestCoverageReportYaml:
