@@ -20,7 +20,7 @@ import csv
 import io
 import math
 import os
-from dataclasses import asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 import yaml
@@ -157,6 +157,118 @@ def load_table(source, *, missing_tokens=DEFAULT_MISSING_TOKENS) -> RawTable:
             )
         rows.append(tuple(map(sniff, raw)))
     return RawTable(columns=columns, rows=tuple(rows))
+
+
+# ---------------------------------------------------------------------------
+# Spec documents: every file format names its keys once, in a table that maps
+# each key to the converter reading its value. A converter takes only values
+# of its own YAML type and otherwise raises ValueError naming that type.
+
+
+def _int(value) -> int:
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError("an integer")
+    return value
+
+
+def _float(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError("a number")
+    return float(value)
+
+
+def _bool(value) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError("true or false")
+    return value
+
+
+def _text(value) -> str:
+    """A string, or a number read as its text (`name: 2020` is "2020")."""
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise ValueError("text")
+    return str(value)
+
+
+def _text_or_null(value) -> str | None:
+    return None if value is None else _text(value)
+
+
+def _mapping(value) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError("a mapping")
+    return value
+
+
+def _text_map(value) -> tuple[tuple[str, str], ...]:
+    try:
+        return tuple((_text(k), _text(v)) for k, v in _mapping(value).items())
+    except ValueError:
+        raise ValueError("a mapping of text to text") from None
+
+
+def _list(item):
+    """The converter of a list whose items `item` reads; it returns a tuple."""
+    def read(value) -> tuple:
+        if not isinstance(value, list):
+            raise ValueError("a list")
+        try:
+            return tuple(map(item, value))
+        except ValueError as exc:
+            raise ValueError(f"a list, each item {exc}") from None
+    return read
+
+
+def _read(mapping: dict, keys: dict, where: str) -> dict:
+    """Each key of `mapping`, read by its converter in `keys`."""
+    unknown = set(mapping) - set(keys)
+    if unknown:
+        raise SchemaError(f"{where}: unknown keys {sorted(unknown, key=str)}")
+    out = {}
+    for key, value in mapping.items():
+        try:
+            out[key] = keys[key](value)
+        except ValueError as exc:
+            raise SchemaError(f"{where}: {key} must be {exc}, got {value!r}") from None
+    return out
+
+
+def _build(cls, kwargs: dict, where: str):
+    """cls(**kwargs), once every field of `cls` without a default is given."""
+    missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in kwargs]
+    if missing:
+        raise SchemaError(f"{where} is missing {', '.join(missing)}")
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:  # a value that the class rejects
+        raise SchemaError(f"{where}: {exc}") from None
+
+
+def _plain(value):
+    """A field value as YAML writes it: pairs as a mapping, another tuple as a list."""
+    if isinstance(value, tuple):
+        return dict(value) if value and isinstance(value[0], tuple) else list(value)
+    return value
+
+
+def _check_version(version, what: str) -> None:
+    if type(version) is not int or version != SPEC_VERSION:
+        raise SchemaError(f"{what} needs version: {SPEC_VERSION}, got {version!r}")
+
+
+def _yaml_mapping(source, what: str) -> dict:
+    """The mapping that YAML text or a file holds, less its version key, which
+    must be 1 in every format; SchemaError names `what` otherwise."""
+    try:
+        doc = yaml.load(source, Loader=YAML_LOADER)
+    except yaml.YAMLError as exc:
+        raise SchemaError(f"{what} is not valid YAML: {exc}") from None
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{what} must be a mapping")
+    _check_version(doc.pop("version", None), what)
+    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -330,10 +442,7 @@ class EncodingSpec:
         object.__setattr__(self, "columns", tuple(self.columns))
         object.__setattr__(self, "interactions", tuple(self.interactions))
         object.__setattr__(self, "missing_tokens", tuple(self.missing_tokens))
-        if self.version != SPEC_VERSION:
-            raise SchemaError(
-                f"unsupported spec version {self.version!r} (expected {SPEC_VERSION})"
-            )
+        _check_version(self.version, "spec")
         if not self.columns:
             raise SchemaError("spec declares no columns")
         if self.missing_policy not in ("drop", "zero-indicator"):
@@ -370,160 +479,62 @@ class EncodingSpec:
         return tuple(names)
 
 
-def _rule_from_mapping(entry: dict) -> ColumnRule:
-    if not isinstance(entry, dict):
-        raise SchemaError("each column rule must be a mapping")
-    kind = entry.get("kind")
-    known_common = {"name", "kind", "role"}
-    name = entry.get("name")
-    if not name:
-        raise SchemaError("column rule without a name")
-    if kind == "numeric":
-        allowed = known_common | {"rename", "scale", "offset", "standardize"}
-        _reject_unknown(entry, allowed, f"column {name!r}")
-        return NumericRule(
-            name=str(name),
-            rename=entry.get("rename"),
-            scale=float(entry.get("scale", 1.0)),
-            offset=float(entry.get("offset", 0.0)),
-            standardize=bool(entry.get("standardize", True)),
-            role=entry.get("role", "control"),
-        )
-    if kind == "derived":
-        allowed = known_common | {"rename", "expression", "standardize"}
-        _reject_unknown(entry, allowed, f"column {name!r}")
-        if "expression" not in entry:
-            raise SchemaError(f"derived column {name!r} needs an expression")
-        return DerivedRule(
-            name=str(name),
-            expression=str(entry["expression"]),
-            rename=entry.get("rename"),
-            standardize=bool(entry.get("standardize", True)),
-            role=entry.get("role", "control"),
-        )
-    if kind == "categorical":
-        allowed = known_common | {"levels", "baseline", "merge"}
-        _reject_unknown(entry, allowed, f"column {name!r}")
-        levels = entry.get("levels")
-        if not isinstance(levels, list) or not levels:
-            raise SchemaError(f"categorical column {name!r} needs a level list")
-        if "baseline" not in entry:
-            raise SchemaError(f"categorical column {name!r} needs a baseline")
-        merge = entry.get("merge", {})
-        if merge is None:
-            merge = {}
-        if not isinstance(merge, dict):
-            raise SchemaError(f"categorical column {name!r}: merge must be a mapping")
-        return CategoricalRule(
-            name=str(name),
-            levels=tuple(str(v) for v in levels),
-            baseline=str(entry["baseline"]),
-            merge={str(k): str(v) for k, v in merge.items()},
-            role=entry.get("role", "control"),
-        )
-    raise SchemaError(
-        f"column {name!r}: kind must be numeric, categorical, or derived, got {kind!r}"
-    )
+# Each rule kind's class and keys, and the keys of an interaction and of the
+# spec itself. A key left out takes the dataclass default; a field without
+# one is required.
+_RULES = {
+    "numeric": (NumericRule, {"name": _text, "rename": _text_or_null, "scale": _float,
+                              "offset": _float, "standardize": _bool, "role": _text}),
+    "derived": (DerivedRule, {"name": _text, "expression": _text, "rename": _text_or_null,
+                              "standardize": _bool, "role": _text}),
+    "categorical": (CategoricalRule, {"name": _text, "levels": _list(_text),
+                                      "baseline": _text, "merge": _text_map, "role": _text}),
+}
+_INTERACTION_KEYS = {"a": _text, "b": _text, "role": _text}
+# encoding_spec_to_yaml leaves out a key that holds its default, except these.
+_WRITTEN_AT_DEFAULT = ("standardize", "role", "missing_policy", "missing_tokens")
 
 
-def _reject_unknown(entry: dict, allowed: set, where: str) -> None:
-    unknown = set(entry) - allowed
-    if unknown:
-        raise SchemaError(f"{where}: unknown keys {sorted(unknown)}")
+def _rule_from_mapping(entry) -> ColumnRule:
+    entry = dict(_mapping(entry))
+    kind = entry.pop("kind", None)
+    where = f"column {entry.get('name')!r}"
+    if not isinstance(kind, str) or kind not in _RULES:
+        raise SchemaError(f"{where}: kind must be one of {tuple(_RULES)}, got {kind!r}")
+    cls, keys = _RULES[kind]
+    return _build(cls, _read(entry, keys, where), where)
 
 
-def _yaml_mapping(source, what: str) -> dict:
-    """The mapping that YAML text or a file holds; SchemaError names `what` otherwise."""
-    try:
-        doc = yaml.load(source, Loader=YAML_LOADER)
-    except yaml.YAMLError as exc:
-        raise SchemaError(f"{what} is not valid YAML: {exc}") from None
-    if not isinstance(doc, dict):
-        raise SchemaError(f"{what} must be a mapping")
-    return doc
+def _interaction_from_mapping(entry) -> InteractionRule:
+    return _build(InteractionRule, _read(_mapping(entry), _INTERACTION_KEYS, "interaction"),
+                  "interaction")
+
+
+_SPEC_KEYS = {"outcome": _text, "missing_policy": _text, "missing_tokens": _list(_text),
+              "columns": _list(_rule_from_mapping),
+              "interactions": _list(_interaction_from_mapping)}
 
 
 def encoding_spec_from_yaml(text: str) -> EncodingSpec:
     """Parse the YAML spec document; the version field is mandatory."""
-    doc = _yaml_mapping(text, "spec")
-    _reject_unknown(
-        doc,
-        {"version", "outcome", "columns", "interactions", "missing_policy", "missing_tokens"},
-        "spec",
-    )
-    if "version" not in doc:
-        raise SchemaError("spec is missing the mandatory version field")
-    if "outcome" not in doc or not doc["outcome"]:
-        raise SchemaError("spec is missing the outcome column")
-    raw_cols = doc.get("columns")
-    if not isinstance(raw_cols, list) or not raw_cols:
-        raise SchemaError("spec needs a nonempty columns list")
-    inters = []
-    for entry in doc.get("interactions") or []:
-        if not isinstance(entry, dict):
-            raise SchemaError("each interaction must be a mapping with keys a, b")
-        _reject_unknown(entry, {"a", "b", "role"}, "interaction")
-        if "a" not in entry or "b" not in entry:
-            raise SchemaError("each interaction needs both a and b")
-        inters.append(
-            InteractionRule(a=str(entry["a"]), b=str(entry["b"]),
-                            role=entry.get("role", "control"))
-        )
-    tokens = doc.get("missing_tokens", list(DEFAULT_MISSING_TOKENS))
-    if not isinstance(tokens, list):
-        raise SchemaError("missing_tokens must be a list of strings")
-    try:
-        return EncodingSpec(
-            version=int(doc["version"]),
-            outcome=str(doc["outcome"]),
-            columns=tuple(_rule_from_mapping(e) for e in raw_cols),
-            interactions=tuple(inters),
-            missing_policy=doc.get("missing_policy", "drop"),
-            missing_tokens=tuple(str(t) for t in tokens),
-        )
-    except (TypeError, ValueError) as exc:  # a value of the wrong YAML type
-        raise SchemaError(f"spec holds a bad value: {exc}") from None
+    doc = _read(_yaml_mapping(text, "spec"), _SPEC_KEYS, "spec")
+    return _build(EncodingSpec, {"version": SPEC_VERSION, **doc}, "spec")
+
+
+def _written(record, keys: dict) -> dict:
+    """The values of `record` that its YAML form holds, in the order of `keys`."""
+    defaults = {f.name: f.default for f in fields(record)}
+    return {key: _plain(getattr(record, key)) for key in keys
+            if key in _WRITTEN_AT_DEFAULT or getattr(record, key) != defaults[key]}
 
 
 def encoding_spec_to_yaml(spec: EncodingSpec) -> str:
-    cols = []
-    for rule in spec.columns:
-        if isinstance(rule, NumericRule):
-            entry = {"name": rule.name, "kind": "numeric"}
-            if rule.rename:
-                entry["rename"] = rule.rename
-            if rule.scale != 1.0:
-                entry["scale"] = rule.scale
-            if rule.offset != 0.0:
-                entry["offset"] = rule.offset
-            entry["standardize"] = rule.standardize
-        elif isinstance(rule, DerivedRule):
-            entry = {"name": rule.name, "kind": "derived", "expression": rule.expression}
-            if rule.rename:
-                entry["rename"] = rule.rename
-            entry["standardize"] = rule.standardize
-        else:
-            entry = {
-                "name": rule.name,
-                "kind": "categorical",
-                "levels": list(rule.levels),
-                "baseline": rule.baseline,
-            }
-            if rule.merge:
-                entry["merge"] = dict(rule.merge)
-        entry["role"] = rule.role
-        cols.append(entry)
-    doc = {
-        "version": spec.version,
-        "outcome": spec.outcome,
-        "missing_policy": spec.missing_policy,
-        "missing_tokens": list(spec.missing_tokens),
-        "columns": cols,
-    }
-    if spec.interactions:
-        doc["interactions"] = [
-            {"a": i.a, "b": i.b, "role": i.role} for i in spec.interactions
-        ]
+    doc = {"version": spec.version, **_written(spec, _SPEC_KEYS)}
+    doc["columns"] = [{"name": rule.name, "kind": kind, **_written(rule, keys)}
+                      for rule in spec.columns
+                      for kind, (cls, keys) in _RULES.items() if isinstance(rule, cls)]
+    if "interactions" in doc:
+        doc["interactions"] = [_written(i, _INTERACTION_KEYS) for i in spec.interactions]
     return yaml.safe_dump(doc, sort_keys=False)
 
 
@@ -771,27 +782,32 @@ def save_dataset(dataset: Dataset, path) -> str:
     return side
 
 
+# The sidecar's keys besides version, and the six keys of each column entry;
+# save_dataset writes them all, and load_dataset requires them all.
+_SIDECAR_KEYS = {"outcome": _text, "n": _int, "n_dropped": _int, "columns": _list(_mapping)}
+_COLUMN_KEYS = {"name": _text, "role": _text, "source": _text, "level": _text_or_null,
+                "center": _float, "scale": _float}
+
+
+def _read_all(mapping: dict, keys: dict, where: str) -> dict:
+    if set(mapping) != set(keys):
+        raise SchemaError(f"{where}: needs exactly the keys {', '.join(keys)}")
+    return _read(mapping, keys, where)
+
+
 def load_dataset(path) -> Dataset:
     """Reload a matrix + sidecar pair written by save_dataset."""
     path = os.fspath(path)
     side = sidecar_path(path)
+    where = f"dataset sidecar {side!r}"
     with open(side, "r", encoding="utf-8") as fh:
-        meta = _yaml_mapping(fh, f"dataset sidecar {side!r}")
-    if "columns" not in meta or "version" not in meta:
-        raise SchemaError(f"bad dataset sidecar {side!r}")
-    if meta["version"] != SPEC_VERSION:
-        raise SchemaError(f"unsupported sidecar version {meta['version']!r}")
-    keys = [f.name for f in fields(ColumnInfo)]
-    try:
-        if any(set(entry) != set(keys) for entry in meta["columns"]):
-            raise ValueError(f"each column needs exactly the keys {', '.join(keys)}")
-        infos = tuple(ColumnInfo(**entry) for entry in meta["columns"])
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"bad column in dataset sidecar {side!r}: {exc}") from None
-    outcome = meta.get("outcome", "y")
+        meta = _read_all(_yaml_mapping(fh, where), _SIDECAR_KEYS, where)
+    where = f"bad column in {where}"
+    infos = [_build(ColumnInfo, _read_all(entry, _COLUMN_KEYS, where), where)
+             for entry in meta["columns"]]
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n").split("\t")
-        expected = [outcome] + [c.name for c in infos]
+        expected = [meta["outcome"]] + [c.name for c in infos]
         if header != expected:
             raise SchemaError("dataset header does not match its sidecar")
         y = []
@@ -810,12 +826,14 @@ def load_dataset(path) -> Dataset:
             rows.append(vals[1:])
     if not rows:
         raise EmptyDatasetError(f"{path} has no data rows")
+    if len(rows) != meta["n"]:
+        raise SchemaError(f"{path} has {len(rows)} data rows, but its sidecar says n: {meta['n']}")
     return Dataset(
         y=np.asarray(y),
         design=np.asarray(rows),
         columns=infos,
-        outcome_name=outcome,
-        n_dropped=int(meta.get("n_dropped", 0)),
+        outcome_name=meta["outcome"],
+        n_dropped=meta["n_dropped"],
     )
 
 

@@ -20,36 +20,36 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import MISSING, asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 import yaml
 
 from .dml import DmlConfig, DmlEstimate, FitFailure, dml_multi, lasso_solves
-from .encoding import ColumnInfo, Dataset, _reject_unknown, _yaml_mapping
+from .encoding import (SPEC_VERSION, ColumnInfo, Dataset, _build, _float, _int, _list,
+                       _mapping, _plain, _read, _text, _yaml_mapping)
 from .errors import SchemaError
 from .glm import link
 from .parallel import parallel_map
 
-STUDY_VERSION = 1
 _FAMILIES = ("logistic", "linear")
 _CORRS = ("independent", "exchangeable", "ar1")
 _METHODS = ("dml", "naive")
 
 
-# The study-spec format, stated once: each YAML key and the type it is read
-# as. A key left out takes the StudySpec or DgpSpec default. `beta` and
+# The study-spec format, stated once: each YAML key and the converter that
+# reads it. A key left out takes the StudySpec or DgpSpec default. `beta` and
 # `gamma` each hold a mapping with a `pattern` key and that pattern's keys,
 # which fill the DgpSpec fields <beta|gamma>_<key> (`values` fills
 # <beta|gamma>_custom).
-_STUDY_KEYS = {"reps": int, "methods": tuple, "level": float, "base_seed": int,
-               "max_failure_rate": float, "dgp": dict}
-_DGP_KEYS = {"family": str, "n": int, "p": int, "alpha0": float, "beta": dict,
-             "gamma": dict, "nu": float, "x_corr": str, "rho": float,
-             "intercept": float, "noise_sd": float}
-_PATTERNS = {"first-s": {"magnitude": float, "sparsity": int},
-             "geometric": {"magnitude": float, "decay": float},
-             "custom": {"values": tuple}}
+_STUDY_KEYS = {"reps": _int, "methods": _list(_text), "level": _float, "base_seed": _int,
+               "max_failure_rate": _float, "dgp": _mapping}
+_DGP_KEYS = {"family": _text, "n": _int, "p": _int, "alpha0": _float, "beta": _mapping,
+             "gamma": _mapping, "nu": _float, "x_corr": _text, "rho": _float,
+             "intercept": _float, "noise_sd": _float}
+_PATTERNS = {"first-s": {"magnitude": _float, "sparsity": _int},
+             "geometric": {"magnitude": _float, "decay": _float},
+             "custom": {"values": _list(_float)}}
 
 
 @dataclass(frozen=True)
@@ -369,37 +369,8 @@ def _field(what: str, key: str) -> str:
     return f"{what}_{'custom' if key == 'values' else key}"
 
 
-def _read(mapping, types: dict, where: str) -> dict:
-    """Each key of `mapping`, read as its type in `types`."""
-    _reject_unknown(mapping, set(types), where)
-    out = {}
-    for key, value in mapping.items():
-        try:
-            out[key] = types[key](value)
-        except (TypeError, ValueError):
-            raise SchemaError(f"{where}: bad {key}: {value!r}") from None
-    return out
-
-
-def _build(cls, kwargs: dict, where: str):
-    missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in kwargs]
-    if missing:
-        raise SchemaError(f"{where} is missing {', '.join(missing)}")
-    return cls(**kwargs)
-
-
-def _plain(value):
-    return list(value) if isinstance(value, tuple) else value
-
-
 def study_spec_from_yaml(text: str) -> StudySpec:
-    doc = _yaml_mapping(text, "study spec")
-    if "version" not in doc:
-        raise SchemaError("study spec is missing the mandatory version field")
-    version = doc.pop("version")
-    if version != STUDY_VERSION:
-        raise SchemaError(f"unsupported study version {version!r}")
-    study = _read(doc, _STUDY_KEYS, "study")
+    study = _read(_yaml_mapping(text, "study spec"), _STUDY_KEYS, "study")
     dgp = _read(study.get("dgp", {}), _DGP_KEYS, "dgp")
     for what in ("beta", "gamma"):
         if what in dgp:
@@ -411,11 +382,8 @@ def study_spec_from_yaml(text: str) -> StudySpec:
             dgp[f"{what}_pattern"] = name
             for key, value in _read(pattern, _PATTERNS[name], what).items():
                 dgp[_field(what, key)] = value
-    try:
-        study["dgp"] = _build(DgpSpec, dgp, "dgp")
-        return _build(StudySpec, study, "study spec")
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(str(exc)) from None
+    study["dgp"] = _build(DgpSpec, dgp, "dgp")
+    return _build(StudySpec, study, "study spec")
 
 
 def _pattern_to_mapping(d: DgpSpec, what: str) -> dict:
@@ -428,14 +396,14 @@ def study_spec_to_yaml(study: StudySpec) -> str:
     d = study.dgp
     dgp = {key: _pattern_to_mapping(d, key) if key in ("beta", "gamma") else getattr(d, key)
            for key in _DGP_KEYS}
-    doc = {"version": STUDY_VERSION,
+    doc = {"version": SPEC_VERSION,
            **{key: dgp if key == "dgp" else _plain(getattr(study, key)) for key in _STUDY_KEYS}}
     return yaml.safe_dump(doc, sort_keys=False)
 
 
 def coverage_reports_to_yaml(reports) -> str:
     doc = {
-        "version": STUDY_VERSION,
+        "version": SPEC_VERSION,
         "reports": [{**asdict(r), "failure_reasons": list(r.failure_reasons)} for r in reports],
     }
     return yaml.safe_dump(doc, sort_keys=False)
@@ -443,10 +411,8 @@ def coverage_reports_to_yaml(reports) -> str:
 
 def coverage_reports_from_yaml(text: str) -> tuple[CoverageReport, ...]:
     doc = _yaml_mapping(text, "coverage report")
-    if "reports" not in doc or "version" not in doc:
-        raise SchemaError("coverage report document must carry version and reports")
-    if doc["version"] != STUDY_VERSION:
-        raise SchemaError(f"unsupported report version {doc['version']!r}")
+    if "reports" not in doc:
+        raise SchemaError("coverage report is missing reports")
     return tuple(CoverageReport(**r) for r in doc["reports"])
 
 

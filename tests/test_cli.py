@@ -19,7 +19,7 @@ import pytest
 import yaml
 
 from doublelasso import save_dataset
-from doublelasso.encoding import ColumnInfo, Dataset, sidecar_path
+from doublelasso.encoding import ColumnInfo, Dataset, load_dataset, sidecar_path
 from doublelasso.glm import link
 from doublelasso import cli
 from doublelasso.cli import JOBS_ENV_VAR, version_string
@@ -650,6 +650,33 @@ def test_fit_rejects_a_hand_edited_sidecar_column_with_exit_2(ws, tmp_path, old,
     assert proc.returncode == 2
     assert proc.stderr.startswith(f"error: bad column in dataset sidecar {side!r}: ")
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
+
+
+def test_fit_rejects_a_matrix_shorter_than_its_sidecar_n_with_exit_2(ws, tmp_path):
+    data = tmp_path / "cut.tsv"
+    lines = ws["encoded"].read_text(encoding="utf-8").splitlines(keepends=True)
+    data.write_text("".join(lines[:30]), encoding="utf-8")
+    shutil.copyfile(sidecar_path(str(ws["encoded"])), sidecar_path(str(data)))
+    proc = run_cli("fit", "--data", str(data))
+    assert proc.returncode == 2
+    assert proc.stderr == (f"error: {data} has 29 data rows, "
+                           f"but its sidecar says n: {len(lines) - 1}\n")
+    assert proc.stdout == ""
+
+
+def test_encode_reads_a_numeric_rename_as_text(ws, tmp_path):
+    spec = tmp_path / "spec.yaml"
+    spec.write_text(SPEC_YAML.replace("{name: x2, kind: numeric}",
+                                      "{name: x2, kind: numeric, rename: 5}"), encoding="utf-8")
+    out, again = tmp_path / "renamed.tsv", tmp_path / "again.tsv"
+    proc = run_cli("encode", "--data", str(ws["data"]), "--spec", str(spec), "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    dataset = load_dataset(out)
+    assert dataset.column_names[:3] == ("d", "x1", "5")
+    save_dataset(dataset, again)
+    assert again.read_bytes() == out.read_bytes()
+    with open(sidecar_path(str(out)), "rb") as a, open(sidecar_path(str(again)), "rb") as b:
+        assert a.read() == b.read()
 
 
 @pytest.mark.parametrize("command, text", [

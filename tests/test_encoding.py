@@ -1,8 +1,10 @@
 """Table parsing, rule-based encoding, and the dataset round trip."""
 
+import dataclasses
 import io
 import math
 import os
+import typing
 
 import numpy as np
 import pytest
@@ -21,11 +23,12 @@ from doublelasso import (
     synthetic_survey_schema,
     synthetic_survey_table,
 )
-from doublelasso import simulate
+from doublelasso import encoding, simulate
 from doublelasso.encoding import (
     YAML_LOADER,
     CategoricalRule,
     ColumnInfo,
+    ColumnRule,
     Dataset,
     DerivedRule,
     EncodingSpec,
@@ -399,6 +402,11 @@ class TestSpecYaml:
         with pytest.raises(SchemaError, match="unknown keys"):
             encoding_spec_from_yaml(text)
 
+    def test_unknown_keys_of_mixed_types_are_named(self):
+        text = "version: 1\noutcome: y\n1: 2\nplots: 3\ncolumns: [{name: a, kind: numeric}]\n"
+        with pytest.raises(SchemaError, match=r"spec: unknown keys \[1, 'plots'\]"):
+            encoding_spec_from_yaml(text)
+
     def test_unknown_rule_key_rejected(self):
         text = "version: 1\noutcome: y\ncolumns: [{name: a, kind: numeric, spline: 3}]\n"
         with pytest.raises(SchemaError, match="unknown keys"):
@@ -412,6 +420,25 @@ class TestSpecYaml:
     def test_invalid_yaml_rejected(self):
         with pytest.raises(SchemaError, match="valid YAML"):
             encoding_spec_from_yaml("version: [unclosed\n")
+
+    # One value of the wrong YAML type each, in a spec that reads without it.
+    @pytest.mark.parametrize("top, rule", [
+        ({}, {"standardize": "false"}), ({}, {"scale": True}),
+        ({"missing_tokens": ["", None]}, {}),
+        ({"version": 1.9}, {}), ({"version": "1"}, {}), ({"version": True}, {}),
+    ], ids=["standardize-text", "scale-bool", "token-null", "version-float", "version-text",
+            "version-bool"])
+    def test_a_value_of_the_wrong_yaml_type_is_a_schema_error(self, top, rule):
+        doc = {"version": 1, "outcome": "y",
+               "columns": [{"name": "a", "kind": "numeric", **rule}], **top}
+        (key,) = {**top, **rule}
+        with pytest.raises(SchemaError, match=key):
+            encoding_spec_from_yaml(yaml.safe_dump(doc))
+
+    def test_a_number_reads_as_text_where_text_belongs(self):
+        spec = encoding_spec_from_yaml(
+            "version: 1\noutcome: 7\ncolumns: [{name: 2020, kind: numeric, rename: 5}]\n")
+        assert (spec.outcome, spec.columns[0].name, spec.columns[0].rename) == ("7", "2020", "5")
 
     @pytest.mark.parametrize("text", YAML_DOCUMENTS.values(), ids=YAML_DOCUMENTS.keys())
     def test_the_package_loader_reads_what_the_pure_loader_reads(self, text):
@@ -509,6 +536,31 @@ class TestDatasetRoundTrip:
         with pytest.raises(SchemaError, match="not valid YAML"):
             load_dataset(out)
 
+    @pytest.mark.parametrize("old, new", [
+        ("version: 1\n", "version: true\n"),
+        ("n_dropped: 0\n", "n_dropped: 2.7\n"),
+        ("  center: 25.0\n", "  center: true\n"),
+    ], ids=["version", "n_dropped", "center"])
+    def test_a_sidecar_value_of_the_wrong_yaml_type_is_a_schema_error(self, tmp_path, old, new):
+        ds = encode(load_table(io.StringIO(_SURVEY_TEXT)), _survey_spec())
+        out = tmp_path / "data.tsv"
+        side = save_dataset(ds, out)
+        with open(side, encoding="utf-8") as fh:
+            text = fh.read()
+        assert old in text
+        with open(side, "w", encoding="utf-8") as fh:
+            fh.write(text.replace(old, new, 1))
+        with pytest.raises(SchemaError, match=new.split(":")[0].strip()):
+            load_dataset(out)
+
+    def test_a_row_count_other_than_the_sidecar_n_is_a_schema_error(self, tmp_path):
+        ds = encode(load_table(io.StringIO(_SURVEY_TEXT)), _survey_spec())
+        out = tmp_path / "data.tsv"
+        save_dataset(ds, out)
+        out.write_text("".join(out.read_text().splitlines(keepends=True)[:-1]))
+        with pytest.raises(SchemaError, match=f"{out} has 3 data rows, but its sidecar says n: 4"):
+            load_dataset(out)
+
     def test_header_sidecar_mismatch_rejected(self, tmp_path):
         ds = encode(load_table(io.StringIO(_SURVEY_TEXT)), _survey_spec())
         out = tmp_path / "data.tsv"
@@ -557,3 +609,29 @@ class TestSyntheticSurvey:
         a = synthetic_survey_table(30, seed=5)
         b = synthetic_survey_table(30, seed=5)
         assert a == b
+
+
+def _field_names(cls) -> set:
+    return {f.name for f in dataclasses.fields(cls)}
+
+
+class TestKeyTables:
+    """Each file format's key table names exactly the fields of the class it builds,
+    so a field added without its key fails here."""
+
+    @pytest.mark.parametrize("kind", encoding._RULES)
+    def test_each_rule_table_names_its_rule_fields(self, kind):
+        cls, keys = encoding._RULES[kind]
+        assert set(keys) == _field_names(cls)
+
+    def test_every_rule_class_has_a_kind(self):
+        assert {cls for cls, _ in encoding._RULES.values()} == set(typing.get_args(ColumnRule))
+
+    def test_the_interaction_table_names_the_interaction_fields(self):
+        assert set(encoding._INTERACTION_KEYS) == _field_names(InteractionRule)
+
+    def test_the_spec_table_names_every_spec_field_but_version(self):
+        assert set(encoding._SPEC_KEYS) == _field_names(EncodingSpec) - {"version"}
+
+    def test_the_sidecar_column_table_names_the_column_fields(self):
+        assert set(encoding._COLUMN_KEYS) == _field_names(ColumnInfo)

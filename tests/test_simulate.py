@@ -25,6 +25,7 @@ from doublelasso import (
     sparse_logistic_benchmark,
     study_spec_to_yaml,
 )
+from doublelasso import simulate
 from doublelasso.simulate import (
     CoverageReport,
     coverage_reports_from_yaml,
@@ -334,10 +335,32 @@ class TestStudyYaml:
         ("{family: linear, n: 10, p: 2, alpha0: 0, gamma: [first-s]}", "gamma"),
         ("{family: linear, n: 10, p: 2, alpha0: 0, gamma: {pattern: [first-s]}}", "pattern"),
         ("[linear]", "dgp"),
+        ("{family: linear, n: 200.9, p: 5, alpha0: 0}", "n"),
+        ("{family: linear, n: 10, p: 5, alpha0: true}", "alpha0"),
+        ("{family: linear, n: 10, p: 5, alpha0: 0, beta: {pattern: first-s, sparsity: 2.9}}",
+         "sparsity"),
+        ("{family: linear, n: 10, p: 1, alpha0: 0, beta: {pattern: custom, values: '1'}}",
+         "values"),
     ])
     def test_a_value_of_the_wrong_yaml_type_is_a_schema_error(self, dgp, key):
         with pytest.raises(SchemaError, match=key):
             study_spec_from_yaml(f"version: 1\nreps: 1\ndgp: {dgp}\n")
+
+    @pytest.mark.parametrize("line, key", [
+        ("reps: 2.9", "reps"), ("reps: true", "reps"), ("methods: dml", "methods"),
+        ("level: '0.05'", "level"), ("version: true", "version"),
+    ])
+    def test_a_top_level_value_of_the_wrong_yaml_type_is_a_schema_error(self, line, key):
+        doc = {"version": 1, "reps": 1, **yaml.safe_load(line)}
+        doc["dgp"] = {"family": "linear", "n": 10, "p": 5, "alpha0": 0.0}
+        with pytest.raises(SchemaError, match=key):
+            study_spec_from_yaml(yaml.safe_dump(doc))
+
+    def test_an_integral_number_reads_as_an_integer(self):
+        study = study_spec_from_yaml("version: 1\nreps: 3.0\n"
+                                     "dgp: {family: linear, n: 10.0, p: 5, alpha0: 0}\n")
+        assert (study.reps, study.dgp.n) == (3, 10)
+        assert type(study.reps) is int and type(study.dgp.n) is int
 
     def test_a_missing_required_key_is_named(self):
         with pytest.raises(SchemaError, match="dgp is missing n, alpha0"):
@@ -384,6 +407,19 @@ class TestStudyYaml:
         except ValueError:  # an exchangeable rho below -1/(p - 1)
             assume(False)
         assert study_spec_from_yaml(study_spec_to_yaml(study)) == study
+
+
+class TestKeyTables:
+    def test_the_study_table_names_the_study_fields(self):
+        assert set(simulate._STUDY_KEYS) == {f.name for f in dataclasses.fields(StudySpec)}
+
+    def test_the_dgp_and_pattern_tables_name_the_dgp_fields(self):
+        keys = set(simulate._DGP_KEYS) - {"beta", "gamma"}
+        for what in ("beta", "gamma"):
+            keys.add(f"{what}_pattern")
+            keys |= {simulate._field(what, key)
+                     for pattern in simulate._PATTERNS.values() for key in pattern}
+        assert keys == {f.name for f in dataclasses.fields(DgpSpec)}
 
 
 class TestCoverageReportYaml:
