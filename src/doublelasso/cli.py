@@ -24,7 +24,7 @@ from dataclasses import replace
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .config import SERIAL_BELOW_CELLS, DmlConfig, PenaltyConfig
+from .config import CV_FOLDS, SERIAL_BELOW_CELLS, DmlConfig, PenaltyConfig
 from .errors import (
     DoubleLassoError,
     EmptyDatasetError,
@@ -47,7 +47,8 @@ _OWNER = {name: module for module, names in _LAZY.items() for name in names}
 _cli = sys.modules[__name__]
 
 JOBS_ENV_VAR = "DOUBLELASSO_JOBS"
-PENALTY_HELP = "penalty level rule: plug-in formula, or 10-fold cross-validation (default: plugin)"
+PENALTY_HELP = (f"penalty level rule: plug-in formula, or {CV_FOLDS}-fold cross-validation "
+                "(default: plugin)")
 
 
 def __getattr__(name):

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .config import DmlConfig, PenaltyConfig
+from .config import CV_FOLDS, CV_GRID, GRID_POINTS, DmlConfig, PenaltyConfig
 from .errors import (
     DegenerateMomentError,
     DegenerateOutcomeError,
@@ -53,6 +53,8 @@ from .parallel import parallel_map
 
 # Width of the bracket at which the step-3 golden-section search stops.
 _REFINE_TOL = 1e-10
+# Factor on the step-3 search radius max(1/log n, 10 * pilot standard error).
+_SEARCH_WIDTH = 1.0
 
 
 @dataclass(eq=False, frozen=True)
@@ -250,7 +252,7 @@ def lasso_solves(penalty: PenaltyConfig) -> int:
     """
     if penalty.method == "plugin":
         return 1
-    return 1 + penalty.cv_folds * penalty.cv_grid
+    return 1 + CV_FOLDS * CV_GRID
 
 
 def _select(design, y, family, w, penalty, unpen, seed):
@@ -262,15 +264,15 @@ def _select(design, y, family, w, penalty, unpen, seed):
     fit's warnings start with cross-validation's, if it left any.
     """
     n, p = design.X.shape
-    lam = plugin_lambda(n, max(p - len(unpen), 1), penalty)
+    lam = plugin_lambda(n, max(p - len(unpen), 1))
     if family == "logistic":
         loadings = logistic_lasso_loadings(design, y, lam, unpenalized=unpen)
     else:
         loadings = wls_lasso_loadings(design, y, w, lam, unpenalized=unpen)
     notes: list[str] = []
     if penalty.method == "cv":
-        lam = cv_lambda(design, y, family, w=w, loadings=loadings, config=penalty,
-                        unpenalized=unpen, seed=seed, notes=notes)
+        lam = cv_lambda(design, y, family, w=w, loadings=loadings, unpenalized=unpen,
+                        seed=seed, notes=notes)
     if family == "logistic":
         fit = lasso_logistic(design, y, lam, loadings, unpenalized=unpen)
     else:
@@ -353,22 +355,22 @@ def _dml_logit(y, d, design, names, treatment, config):
         z_hat = v_hat / sigma
 
     # Step 3: score minimization over a shrinking interval around alpha_tilde.
-    radius = cfg.search_width * max(1.0 / math.log(n) if n > 1 else 1.0, 10.0 * se0)
+    radius = _SEARCH_WIDTH * max(1.0 / math.log(n) if n > 1 else 1.0, 10.0 * se0)
     lo, hi = alpha_tilde - radius, alpha_tilde + radius
 
     def score(a: float) -> float:
         return iv_logit_objective(a, y, d, eta_tilde, z_hat)
 
-    grid = np.linspace(lo, hi, cfg.grid_points)
+    grid = np.linspace(lo, hi, GRID_POINTS)
     values = _score_grid(grid, y, d, eta_tilde, z_hat)
     i_best = int(np.argmin(values))
-    boundary_hit = i_best in (0, cfg.grid_points - 1)
+    boundary_hit = i_best in (0, GRID_POINTS - 1)
     if boundary_hit:
         notes.append(
             "score minimizer sits on the search boundary; the interval may be misplaced"
         )
     bl = grid[max(i_best - 1, 0)]
-    bh = grid[min(i_best + 1, cfg.grid_points - 1)]
+    bh = grid[min(i_best + 1, GRID_POINTS - 1)]
     refined = _golden_min(score, bl, bh, _REFINE_TOL)
     candidates = [(float(values[i_best]), float(grid[i_best])), (score(refined), float(refined))]
     obj_check, alpha_check = min(candidates)

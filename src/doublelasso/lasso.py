@@ -24,7 +24,7 @@ from functools import cached_property
 import numpy as np
 from scipy.special import ndtri
 
-from .config import PenaltyConfig
+from .config import CV_FOLDS, CV_GRID, CV_MIN_RATIO, PLUGIN_C
 from .glm import PROB_EPS, link, solve_spd
 
 _OBJ_SLACK = 1e-12  # relative slack when comparing recorded objective values
@@ -41,22 +41,13 @@ def _prob(eta):
     return np.clip(1.0 / (1.0 + np.exp(-np.clip(eta, -700, 700))), PROB_EPS, 1.0 - PROB_EPS)
 
 
-def plugin_lambda(n: int, p: int, config: PenaltyConfig | None = None) -> float:
-    """Plug-in penalty level c * sqrt(n) * PhiInv(1 - gamma / (2 p)).
-
-    c and gamma come from the config (which validates them); gamma=None
-    means 0.1 / log(n), which requires n >= 2.
-    """
-    if n < 1 or p < 1:
-        raise ValueError("n and p must be positive")
-    if config is None:
-        config = PenaltyConfig()
-    gamma = config.gamma
-    if gamma is None:
-        if n < 2:
-            raise ValueError("gamma must be given explicitly when n < 2")
-        gamma = 0.1 / math.log(n)
-    return config.c * math.sqrt(n) * float(ndtri(1.0 - gamma / (2.0 * p)))
+def plugin_lambda(n: int, p: int) -> float:
+    """Plug-in penalty level PLUGIN_C * sqrt(n) * PhiInv(1 - gamma / (2 p))
+    with gamma = 0.1 / log(n), which requires n >= 2."""
+    if n < 2 or p < 1:
+        raise ValueError("plugin_lambda needs n >= 2 and p >= 1")
+    gamma = 0.1 / math.log(n)
+    return PLUGIN_C * math.sqrt(n) * float(ndtri(1.0 - gamma / (2.0 * p)))
 
 
 @dataclass(frozen=True)
@@ -499,10 +490,11 @@ def _lambda_max_logistic(X, y, loadings):
     return float(np.max(np.abs(score) / loadings))
 
 
-def cv_lambda(X, y, family: str, *, loadings, w=None,
-              config: PenaltyConfig | None = None, unpenalized=(),
+def cv_lambda(X, y, family: str, *, loadings, w=None, unpenalized=(),
               seed: int = 0, notes: list | None = None) -> float:
-    """K-fold cross-validated penalty level on a geometric grid.
+    """CV_FOLDS-fold cross-validated penalty level on a geometric grid of
+    CV_GRID levels, from the smallest all-zero level down to CV_MIN_RATIO
+    of it.
 
     Folds come from a counter-based generator seeded by `seed`, so the split
     is reproducible across platforms and job counts. The grid is set on the
@@ -535,11 +527,12 @@ def cv_lambda(X, y, family: str, *, loadings, w=None,
     """
     if family not in ("linear", "logistic"):
         raise ValueError(f"unknown family {family!r}")
-    if config is None:
-        config = PenaltyConfig(method="cv")
     X = _design(X).X
     y = np.asarray(y, dtype=float)
     n = X.shape[0]
+    if n < CV_FOLDS:
+        raise ValueError(f"cross-validation needs at least {CV_FOLDS} rows, one per fold; "
+                         f"got {n}")
     if w is None:
         w = np.ones(n)
     w = np.asarray(w, dtype=float)
@@ -550,13 +543,13 @@ def cv_lambda(X, y, family: str, *, loadings, w=None,
         top = _lambda_max_logistic(X, y, loadings)
     if top <= 0:
         return 0.0
-    grid = np.geomspace(top, top * config.cv_min_ratio, config.cv_grid)
+    grid = np.geomspace(top, top * CV_MIN_RATIO, CV_GRID)
     q = float(grid[1] / grid[0])  # (lam[k+1] - lam[k]) / (lam[k] - lam[k-1])
 
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     perm = rng.permutation(n)
-    folds = np.array_split(perm, config.cv_folds)
-    losses = np.zeros((config.cv_folds, grid.size))
+    folds = np.array_split(perm, CV_FOLDS)
+    losses = np.zeros((CV_FOLDS, grid.size))
     capped = 0
     for fi, test_idx in enumerate(folds):
         mask = np.ones(n, dtype=bool)

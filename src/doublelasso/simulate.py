@@ -27,7 +27,7 @@ import yaml
 
 from .dml import DmlConfig, DmlEstimate, FitFailure, dml_multi, lasso_solves
 from .encoding import (SPEC_VERSION, ColumnInfo, Dataset, _build, _float, _int, _list,
-                       _mapping, _plain, _read, _text, _yaml_mapping)
+                       _mapping, _plain, _read, _read_all, _text, _yaml_mapping)
 from .errors import SchemaError
 from .glm import link
 from .parallel import parallel_map
@@ -409,11 +409,20 @@ def coverage_reports_to_yaml(reports) -> str:
     return yaml.safe_dump(doc, sort_keys=False)
 
 
+# The 14 keys of each report entry; coverage_reports_to_yaml writes them all,
+# and coverage_reports_from_yaml requires them all.
+_REPORT_KEYS = {"method": _text, "reps": _int, "successes": _int, "failures": _int,
+                "alpha0": _float, "level": _float, "mean_bias": _float, "median_bias": _float,
+                "sd": _float, "mean_se": _float, "coverage": _float, "mean_ci_width": _float,
+                "rejection_rate": _float, "failure_reasons": _list(_text)}
+
+
 def coverage_reports_from_yaml(text: str) -> tuple[CoverageReport, ...]:
-    doc = _yaml_mapping(text, "coverage report")
-    if "reports" not in doc:
-        raise SchemaError("coverage report is missing reports")
-    return tuple(CoverageReport(**r) for r in doc["reports"])
+    doc = _read_all(_yaml_mapping(text, "coverage report"), {"reports": _list(_mapping)},
+                    "coverage report")
+    where = "bad entry in coverage report"
+    return tuple(_build(CoverageReport, _read_all(entry, _REPORT_KEYS, where), where)
+                 for entry in doc["reports"])
 
 
 # ---------------------------------------------------------------------------

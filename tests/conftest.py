@@ -9,6 +9,7 @@ particular choices.
 """
 
 import dataclasses
+import os
 
 import pytest
 
@@ -23,6 +24,11 @@ from doublelasso import (
 from doublelasso.simulate import run_replications, summarize
 
 JOBS = 4
+
+# pyproject.toml puts src on this process's path; the CLI tests' child
+# processes find the package through PYTHONPATH.
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
 
 
 @pytest.fixture

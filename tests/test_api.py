@@ -62,7 +62,7 @@ SIGNATURES = {
     "lasso_logistic": ("X", "y", "lam", "loadings", "unpenalized", "tol", "init"),
     "lasso_wls": ("X", "y", "w", "lam", "loadings", "fit_intercept", "unpenalized", "tol",
                   "init"),
-    "plugin_lambda": ("n", "p", "config"),
+    "plugin_lambda": ("n", "p"),
     "save_dataset": ("dataset", "path"),
     "synthetic_survey_schema": (),
     "synthetic_survey_table": ("n", "seed"),
@@ -75,9 +75,8 @@ SIGNATURES = {
 }
 
 FIELDS = {
-    "DmlConfig": ("penalty", "level", "instrument_scaling", "search_width", "grid_points",
-                  "seed"),
-    "PenaltyConfig": ("method", "c", "gamma", "cv_folds", "cv_grid", "cv_min_ratio"),
+    "DmlConfig": ("penalty", "level", "instrument_scaling", "seed"),
+    "PenaltyConfig": ("method",),
     "DgpSpec": ("family", "n", "p", "alpha0", "beta_pattern", "beta_magnitude",
                 "beta_sparsity", "beta_decay", "beta_custom", "gamma_pattern",
                 "gamma_magnitude", "gamma_sparsity", "gamma_decay", "gamma_custom", "nu",
@@ -176,16 +175,16 @@ def test_star_import_binds_every_public_name():
 
 
 def test_config_classes_keep_their_old_import_paths():
-    from doublelasso import config, dml, lasso
+    from doublelasso import config, dml
 
     assert dml.DmlConfig is config.DmlConfig is doublelasso.DmlConfig
-    assert lasso.PenaltyConfig is config.PenaltyConfig is doublelasso.PenaltyConfig
+    assert dml.PenaltyConfig is config.PenaltyConfig is doublelasso.PenaltyConfig
 
 
 def test_config_pickle_round_trip_keeps_the_fingerprint():
     cfg = doublelasso.DmlConfig(
-        penalty=doublelasso.PenaltyConfig(method="cv", cv_folds=4),
-        level=0.1, instrument_scaling="sigma", grid_points=51, seed=3,
+        penalty=doublelasso.PenaltyConfig(method="cv"),
+        level=0.1, instrument_scaling="sigma", seed=3,
     )
     back = pickle.loads(pickle.dumps(cfg))
     assert back == cfg

@@ -664,6 +664,26 @@ def test_fit_rejects_a_matrix_shorter_than_its_sidecar_n_with_exit_2(ws, tmp_pat
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("extra, status", [([], 0), (["--fail-fast"], 2)],
+                         ids=["failure-row", "fail-fast"])
+def test_fit_cv_on_fewer_rows_than_folds_is_an_estimation_error(ws, tmp_path, extra, status):
+    data = tmp_path / "nine.tsv"
+    lines = ws["encoded"].read_text(encoding="utf-8").splitlines(keepends=True)
+    data.write_text("".join(lines[:10]), encoding="utf-8")
+    with open(sidecar_path(str(ws["encoded"])), encoding="utf-8") as fh:
+        side = re.sub(r"(?m)^n: \d+$", "n: 9", fh.read())
+    with open(sidecar_path(str(data)), "w", encoding="utf-8") as fh:
+        fh.write(side)
+    proc = run_cli("fit", "--data", str(data), "--penalty", "cv", *extra)
+    message = "cross-validation needs at least 10 rows, one per fold; got 9"
+    assert proc.returncode == status, proc.stderr
+    if extra:
+        assert proc.stderr == f"error: {message}\n"
+    else:
+        assert proc.stderr == ""
+        assert f"  - d: ValueError: {message}\n" in proc.stdout
+
+
 def test_encode_reads_a_numeric_rename_as_text(ws, tmp_path):
     spec = tmp_path / "spec.yaml"
     spec.write_text(SPEC_YAML.replace("{name: x2, kind: numeric}",

@@ -1,5 +1,6 @@
 """Treatment-effect estimators: scoring objective, fits, guards, batching."""
 
+import dataclasses
 import math
 import pickle
 import re
@@ -116,9 +117,10 @@ class TestScoreGrid:
             dml._score_grid(np.linspace(-1.0, 1.0, 401), y, d, eta, z)
         assert str(grid.value) == str(scalar.value)
 
-    def test_fit_reports_the_scalar_objective_at_its_estimate(self):
+    def test_fit_reports_the_scalar_objective_at_its_estimate(self, monkeypatch):
         y, d, X = _logit_dgp(21, n=301, p=12)
-        est = dml_logit(y, d, X, config=DmlConfig(grid_points=dml._SCORE_BLOCK + 1))
+        monkeypatch.setattr(dml, "GRID_POINTS", dml._SCORE_BLOCK + 1)
+        est = dml_logit(y, d, X)
         a = est.artifacts
         grid = np.linspace(est.diagnostics["search_lo"], est.diagnostics["search_hi"],
                            dml._SCORE_BLOCK + 1)
@@ -199,9 +201,10 @@ class TestDmlLogit:
         assert e1.p_value == e2.p_value
         assert e1.diagnostics == e2.diagnostics
 
-    def test_narrow_search_interval_flags_the_boundary(self):
+    def test_narrow_search_interval_flags_the_boundary(self, monkeypatch):
         y, d, X = _logit_dgp(9, rho=0.8)
-        est = dml_logit(y, d, X, config=DmlConfig(search_width=1e-4))
+        monkeypatch.setattr(dml, "_SEARCH_WIDTH", 1e-4)
+        est = dml_logit(y, d, X)
         assert est.diagnostics["boundary_hit"]
         assert any("boundary" in w for w in est.warnings)
 
@@ -273,20 +276,19 @@ class TestDmlLogit:
 
 
 class TestDmlLinear:
-    def test_zero_penalty_is_exactly_full_least_squares(self):
+    def test_zero_penalty_is_exactly_full_least_squares(self, monkeypatch):
         rng = np.random.default_rng(16)
         n, p = 300, 5
         X = rng.normal(size=(n, p))
         d = X[:, 0] * 0.5 + rng.normal(size=n)
         y = 0.7 * d + X @ np.array([0.4, -0.2, 0.0, 0.1, 0.0]) + rng.normal(size=n)
-        with pytest.warns(UserWarning):
-            cfg = DmlConfig(penalty=PenaltyConfig(c=0.0))
-        est = dml_linear(y, d, X, config=cfg)
+        monkeypatch.setattr(lasso, "PLUGIN_C", 0.0)
+        est = dml_linear(y, d, X)
         Z = np.column_stack([np.ones(n), d, X])
         full, *_ = np.linalg.lstsq(Z, y, rcond=None)
         assert est.alpha == pytest.approx(full[1], abs=1e-10)
         # single-selection comparator refits the same columns at zero penalty
-        nv = naive_linear(y, d, X, config=cfg)
+        nv = naive_linear(y, d, X)
         assert nv.alpha == pytest.approx(est.alpha, abs=1e-10)
 
     def test_null_linear_coverage_within_band(self, null_linear_study):
@@ -330,11 +332,11 @@ class TestNaive:
         assert est.std_error > 0
         assert est.step2_support == ()
 
-    def test_naive_keeps_the_treatment_unpenalized(self):
+    def test_naive_keeps_the_treatment_unpenalized(self, monkeypatch):
         # even under a huge penalty the treatment coefficient survives
         y, d, X = _logit_dgp(21)
-        cfg = DmlConfig(penalty=PenaltyConfig(c=30.0))
-        est = naive_logit(y, d, X, config=cfg)
+        monkeypatch.setattr(lasso, "PLUGIN_C", 30.0)
+        est = naive_logit(y, d, X)
         assert est.step1_support == ()
         assert est.alpha != 0.0
 
@@ -439,13 +441,23 @@ class TestDmlMulti:
         with pytest.raises(DegenerateTreatmentError):
             dml_multi(bad, fail_fast=True)
 
-    def test_worker_count_does_not_change_results(self, pool_always):
-        ds = _toy_dataset(seed=9, n_treat=4, family="linear")
-        a = dml_multi(ds, family="linear", jobs=1)
-        b = dml_multi(ds, family="linear", jobs=4)
-        for ea, eb in zip(a, b):
-            assert ea.alpha == eb.alpha
-            assert ea.std_error == eb.std_error
+    @pytest.mark.parametrize("family", ["logit", "linear"])
+    @pytest.mark.parametrize("penalty", ["plugin", "cv"])
+    def test_worker_count_does_not_change_results(self, pool_always, family, penalty):
+        ds = _toy_dataset(seed=9, n_treat=2, family=family)
+        cfg = DmlConfig(penalty=PenaltyConfig(method=penalty))
+        serial = dml_multi(ds, family=family, config=cfg, jobs=1)
+        pooled = dml_multi(ds, family=family, config=cfg, jobs=2)
+        assert len(serial) == len(pooled) == 2
+        for a, b in zip(serial, pooled):
+            for f in dataclasses.fields(a):
+                va, vb = getattr(a, f.name), getattr(b, f.name)
+                if f.name == "artifacts" and va is not None:
+                    for g in dataclasses.fields(va):
+                        bits = [np.asarray(getattr(v, g.name)).tobytes() for v in (va, vb)]
+                        assert bits[0] == bits[1], g.name
+                else:  # repr spells every float exactly, nan included
+                    assert repr(va) == repr(vb), f.name
 
     def test_twenty_six_treatments_give_twenty_six_rows(self):
         ds = _toy_dataset(seed=10, n=260, n_treat=26, n_ctrl=4, family="linear")
@@ -522,6 +534,16 @@ class TestDmlMulti:
                                 r"solves stopped at a solver cap before converging", note)
                    for note in notes)
 
+    @pytest.mark.parametrize("n", [6, 9])
+    def test_cv_on_fewer_rows_than_folds_is_an_estimation_error(self, n):
+        ds = _toy_dataset(seed=17, n=n, n_treat=1, family="linear")
+        cv = DmlConfig(penalty=PenaltyConfig(method="cv"))
+        message = f"cross-validation needs at least {lasso.CV_FOLDS} rows, one per fold; got {n}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            dml_linear(ds.y, ds.design[:, 0], ds.design[:, 1:], config=cv)
+        assert dml_multi(ds, family="linear", config=cv) == (
+            FitFailure(treatment="t0", error="ValueError", message=message),)
+
     def test_programming_errors_propagate_instead_of_becoming_rows(self, monkeypatch):
         def broken(*args, **kwargs):
             raise TypeError("bug in a fitter")
@@ -553,10 +575,6 @@ class TestDmlConfig:
     def test_bad_scaling_rejected(self):
         with pytest.raises(ValueError):
             DmlConfig(instrument_scaling="raw")
-
-    def test_bad_grid_rejected(self):
-        with pytest.raises(ValueError):
-            DmlConfig(grid_points=2)
 
     @pytest.mark.parametrize("seed, message", [(-1, "nonnegative"), (2**64, "below 2\\*\\*64")])
     def test_seed_outside_the_fold_generator_key_rejected(self, seed, message):

@@ -37,22 +37,21 @@ class TestSoftThreshold:
 
 class TestPluginLambda:
     def test_frozen_reference_value(self):
-        got = plugin_lambda(100, 10, PenaltyConfig(c=1.1, gamma=0.1))
-        assert got == pytest.approx(28.334122339037905, abs=1e-9)
-        want = 1.1 * 10.0 * oracles.normal_quantile(1.0 - 0.1 / 20.0)
+        got = plugin_lambda(100, 10)
+        assert got == pytest.approx(33.72290970643277, abs=1e-9)
+        want = 1.1 * 10.0 * oracles.normal_quantile(1.0 - 0.1 / math.log(100) / 20.0)
         assert got == pytest.approx(want, rel=1e-12)
 
-    def test_zero_constant_gives_zero(self):
-        with pytest.warns(UserWarning, match="below 1.0"):
-            config = PenaltyConfig(c=0.0, gamma=0.5)
-        assert plugin_lambda(1, 1, config) == 0.0
+    def test_zero_constant_gives_zero(self, monkeypatch):
+        monkeypatch.setattr(lasso, "PLUGIN_C", 0.0)
+        assert plugin_lambda(100, 10) == 0.0
 
     def test_default_gamma_matches_quantile_oracle(self):
         n, p = 5908, 329
         gamma = 0.1 / math.log(n)
         want = 1.1 * math.sqrt(n) * oracles.normal_quantile(1.0 - gamma / (2 * p))
         assert plugin_lambda(n, p) == pytest.approx(want, rel=1e-12)
-        assert plugin_lambda(n, p) > plugin_lambda(100, 10, PenaltyConfig(c=1.1, gamma=0.1))
+        assert plugin_lambda(n, p) > plugin_lambda(100, 10)
 
     def test_default_gamma_needs_two_observations(self):
         with pytest.raises(ValueError):
@@ -61,25 +60,17 @@ class TestPluginLambda:
     def test_grows_with_dimension(self):
         assert plugin_lambda(200, 50) > plugin_lambda(200, 5)
 
-    def test_config_overrides(self):
-        cfg = PenaltyConfig(c=2.0, gamma=0.2)
-        assert plugin_lambda(100, 10, cfg) == pytest.approx(
-            2.0 * 10.0 * oracles.normal_quantile(1.0 - 0.2 / 20.0), rel=1e-12
+    def test_constant_scales_the_level(self, monkeypatch):
+        monkeypatch.setattr(lasso, "PLUGIN_C", 2.0)
+        assert plugin_lambda(100, 10) == pytest.approx(
+            2.0 * 10.0 * oracles.normal_quantile(1.0 - 0.1 / math.log(100) / 20.0), rel=1e-12
         )
 
 
 class TestPenaltyConfig:
-    def test_small_constant_warns(self):
-        with pytest.warns(UserWarning, match="below 1.0"):
-            PenaltyConfig(c=0.9)
-
     def test_invalid_method_rejected(self):
         with pytest.raises(ValueError):
             PenaltyConfig(method="oracle")
-
-    def test_negative_constant_rejected(self):
-        with pytest.raises(ValueError):
-            PenaltyConfig(c=-1.0)
 
 
 def _wls_instance(seed, n=120, p=15):
@@ -424,19 +415,19 @@ class TestLoadings:
         np.testing.assert_allclose(g, want, rtol=1e-12)
 
 
-def _cold_cv_losses(X, y, family, w, loadings, config, seed, unpenalized=()):
-    """Reference cross-validation: cv_lambda's folds and grid, with every
-    fold and level solved from zero. Returns (grid, held-out losses by fold
-    and level)."""
+def _cold_cv_losses(X, y, family, w, loadings, seed, unpenalized=()):
+    """Reference cross-validation: cv_lambda's folds and grid (the lasso
+    module's constants, as patched), with every fold and level solved from
+    zero. Returns (grid, held-out losses by fold and level)."""
     n = y.size
     if family == "linear":
         top = lambda_max_wls(X, y, w, loadings)
     else:
         top = float(np.max(np.abs((y - y.mean()) @ X) / loadings))
-    grid = np.geomspace(top, top * config.cv_min_ratio, config.cv_grid)
+    grid = np.geomspace(top, top * lasso.CV_MIN_RATIO, lasso.CV_GRID)
     perm = np.random.Generator(np.random.Philox(key=np.uint64(seed))).permutation(n)
-    losses = np.zeros((config.cv_folds, grid.size))
-    for fi, test_idx in enumerate(np.array_split(perm, config.cv_folds)):
+    losses = np.zeros((lasso.CV_FOLDS, grid.size))
+    for fi, test_idx in enumerate(np.array_split(perm, lasso.CV_FOLDS)):
         train = np.ones(n, dtype=bool)
         train[test_idx] = False
         for gi, lam in enumerate(grid):
@@ -505,11 +496,10 @@ def _spy_on_solvers(monkeypatch):
     return fits
 
 
-def _assert_cold_level(X, y, family, w, g, seed, unpenalized=()):
-    config = PenaltyConfig(method="cv", cv_folds=5)
-    grid, losses = _cold_cv_losses(X, y, family, w, g, config, seed, unpenalized)
-    got = cv_lambda(X, y, family, w=w, loadings=g, config=config,
-                    unpenalized=unpenalized, seed=seed)
+def _assert_cold_level(monkeypatch, X, y, family, w, g, seed, unpenalized=()):
+    monkeypatch.setattr(lasso, "CV_FOLDS", 5)
+    grid, losses = _cold_cv_losses(X, y, family, w, g, seed, unpenalized)
+    got = cv_lambda(X, y, family, w=w, loadings=g, unpenalized=unpenalized, seed=seed)
     assert got == _selected_level(grid, losses)
 
 
@@ -526,25 +516,24 @@ class TestCvLambda:
     ])
     def test_warm_path_selects_the_cold_start_level(self, family, seed, beta, unpenalized):
         X, y, w, g = _cv_instance(family, seed, beta)
-        config = PenaltyConfig(method="cv")
-        grid, losses = _cold_cv_losses(X, y, family, w, g, config, seed, unpenalized)
-        got = cv_lambda(X, y, family, w=w, loadings=g, config=config,
-                        unpenalized=unpenalized, seed=seed)
+        grid, losses = _cold_cv_losses(X, y, family, w, g, seed, unpenalized)
+        got = cv_lambda(X, y, family, w=w, loadings=g, unpenalized=unpenalized, seed=seed)
         assert got == _selected_level(grid, losses)
         if len(beta) == 1:
             assert got == grid[0]
 
     @pytest.mark.parametrize("family", ["linear", "logistic"])
     @pytest.mark.parametrize("unpenalized", [(), (0,)])
-    def test_uncentered_columns_select_the_cold_start_level(self, family, unpenalized):
+    def test_uncentered_columns_select_the_cold_start_level(self, family, unpenalized,
+                                                            monkeypatch):
         X, y, w, g = _uncentered_instance(family, 70 + len(unpenalized))
-        _assert_cold_level(X, y, family, w, g, 5, unpenalized)
+        _assert_cold_level(monkeypatch, X, y, family, w, g, 5, unpenalized)
 
-    def test_weighted_linear_selects_the_cold_start_level(self):
+    def test_weighted_linear_selects_the_cold_start_level(self, monkeypatch):
         X, y, _, g = _cv_instance("linear", 72, (0.8, -0.5, 0.3), n=120, p=10)
         X[:, 1] += 4.0
         w = np.random.default_rng(73).uniform(0.1, 4.0, size=y.size)
-        _assert_cold_level(X, y, "linear", w, g, 8)
+        _assert_cold_level(monkeypatch, X, y, "linear", w, g, 8)
 
     @pytest.mark.parametrize("family", ["linear", "logistic"])
     @pytest.mark.parametrize("unpenalized", [(), (2,)])
@@ -555,7 +544,7 @@ class TestCvLambda:
         X[17, 1] = 1.0  # constant on the training rows of the fold holding row 17
         X[:, 2] = 0.3
         fits = _spy_on_solvers(monkeypatch)
-        _assert_cold_level(X, y, family, w, g, 10, unpenalized)
+        _assert_cold_level(monkeypatch, X, y, family, w, g, 10, unpenalized)
         # A rounding residue of 0.3's mean left in an unpenalized column
         # would trade places with the intercept until the sweep cap.
         assert len(fits) == 5 * 30
@@ -737,10 +726,11 @@ class TestPreparedDesign:
 
     @pytest.mark.parametrize("family", ["linear", "logistic"])
     @pytest.mark.parametrize("unpenalized", [(), (0,)])
-    def test_cv_lambda_returns_the_same_level(self, family, unpenalized):
+    def test_cv_lambda_returns_the_same_level(self, family, unpenalized, monkeypatch):
         X, y, w, g = _cv_instance(family, 66, (1.0, -0.7))
-        config = PenaltyConfig(method="cv", cv_folds=4, cv_grid=8)
-        opts = dict(w=w, loadings=g, config=config, unpenalized=unpenalized, seed=3)
+        monkeypatch.setattr(lasso, "CV_FOLDS", 4)
+        monkeypatch.setattr(lasso, "CV_GRID", 8)
+        opts = dict(w=w, loadings=g, unpenalized=unpenalized, seed=3)
         got = cv_lambda(_Design(X), y, family, **opts)
         assert _bits(got) == _bits(cv_lambda(X, y, family, **opts))
 

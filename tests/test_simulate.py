@@ -433,6 +433,16 @@ class TestCoverageReportYaml:
         (back,) = coverage_reports_from_yaml(coverage_reports_to_yaml((report,)))
         assert back == report
 
+    @pytest.mark.parametrize("reports, message", [
+        ("[{method: dml}]", "bad entry in coverage report: needs exactly the keys method, reps,"),
+        ("5", "coverage report: reports must be a list, got 5"),
+        ("[7]", "coverage report: reports must be a list, each item a mapping, got [7]"),
+    ], ids=["missing-keys", "scalar", "scalar-entry"])
+    def test_a_bad_reports_value_is_a_schema_error(self, reports, message):
+        with pytest.raises(SchemaError) as err:
+            coverage_reports_from_yaml(f"version: 1\nreports: {reports}\n")
+        assert str(err.value).startswith(message)
+
 
 class TestBenchmarks:
     def test_benchmark_shapes(self):
