@@ -290,7 +290,8 @@ def _logit_outcome_step(y, design, names, treatment, cfg, notes):
     """
     lam, fit = _select(design, y, "logistic", None, cfg.penalty, (0,), cfg.seed)
     notes.extend(fit.warnings)
-    refit = post_refit(design.X, y, fit, "logistic", keep=(0,), names=(treatment,) + names)
+    refit = post_refit(design.X, y, fit.support, "logistic", keep=(0,),
+                       names=(treatment,) + names)
     notes.extend(refit.warnings)
     return lam, tuple(names[j - 1] for j in fit.support), refit
 
@@ -339,7 +340,7 @@ def _dml_logit(y, d, design, names, treatment, config):
     # Step 2: treatment-side selection with weights f_hat.
     lam2, fit2 = _select(controls, d, "linear", f_hat, cfg.penalty, (), cfg.seed)
     notes.extend(fit2.warnings)
-    refit2 = post_refit(X, d, fit2, "linear", w=f_hat * f_hat, names=names)
+    refit2 = post_refit(X, d, fit2.support, "linear", w=f_hat * f_hat, names=names)
     theta_tilde = refit2.coef
     resid2 = d - refit2.intercept - X @ theta_tilde
     v_hat = f_hat * resid2

@@ -20,6 +20,7 @@ import csv
 import io
 import math
 import os
+import sys
 from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
@@ -176,6 +177,8 @@ def _int(value) -> int:
 def _float(value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError("a number")
+    if not abs(value) <= sys.float_info.max:  # nan, an infinity, or an int past every float
+        raise ValueError("a finite number")
     return float(value)
 
 
@@ -302,7 +305,10 @@ def _compile_expression(text: str):
     code = compile(tree, "<derived>", "eval")
 
     def fn(x: float) -> float:
-        return float(eval(code, {"__builtins__": {}}, {"x": float(x)}))
+        value = eval(code, {"__builtins__": {}}, {"x": float(x)})
+        if isinstance(value, complex) or not math.isfinite(value):
+            raise ValueError(f"result {value!r} is not a finite real number")
+        return float(value)
 
     return fn
 
@@ -701,7 +707,8 @@ def encode(table: RawTable, spec: EncodingSpec) -> Dataset:
                         vals[i] = fn(cell)
                     except (ZeroDivisionError, OverflowError, ValueError) as exc:
                         raise EncodingError(
-                            f"column {rule.name!r}: expression failed on {cell!r}: {exc}"
+                            f"column {rule.name!r}: expression failed on {cell!r} "
+                            f"at data row {keep_rows[i] + 1}: {exc}"
                         ) from None
                 else:
                     vals[i] = rule.scale * cell + rule.offset

@@ -200,24 +200,26 @@ def _sweep(xcols, xwcols, Wvec, sumW, r, coef, intercept, col_sq, thr, penal, id
     return intercept, max_d
 
 
-def _cd_solve(Xf, XWf, Wvec, r, coef, intercept, col_sq, thr, penal, fit_intercept,
-              tol, budget, record):
-    """Full sweep + active-set cycling until the sup-norm change drops below tol.
+def _cd_solve(design, W, r, coef, intercept, thr, penal, fit_intercept, tol, budget, record):
+    """Full sweep + active-set cycling on the quadratic with row weights W
+    until the sup-norm change drops below tol.
 
-    Mutates r and coef in place and returns (intercept, sweeps_used,
-    converged). `record`, when given, is called after every sweep, with coef
-    up to date, to append an objective value.
+    Builds the weighted columns design.Xf * W and their weighted squared
+    norms W @ design.Xsq itself. Mutates r and coef in place and returns
+    (intercept, sweeps_used, converged). `record`, when given, is called
+    after every sweep, with coef up to date, to append an objective value.
     """
+    Xf = design.Xf
     xcols = list(Xf.T)  # contiguous column views of the Fortran-ordered arrays
-    xwcols = list(XWf.T)
+    xwcols = list((Xf * W[:, None]).T)  # Fortran order like Xf, same products as X * W
     cl = coef.tolist()
-    col_sq, thr, penal = col_sq.tolist(), thr.tolist(), penal.tolist()
-    sumW = float(Wvec.sum())
+    col_sq, thr, penal = (W @ design.Xsq).tolist(), thr.tolist(), penal.tolist()
+    sumW = float(W.sum())
     sweeps = 0
 
     def sweep(idx):
         nonlocal intercept, sweeps
-        intercept, md = _sweep(xcols, xwcols, Wvec, sumW, r, cl, intercept,
+        intercept, md = _sweep(xcols, xwcols, W, sumW, r, cl, intercept,
                                col_sq, thr, penal, idx, fit_intercept)
         sweeps += 1
         if record is not None:
@@ -242,6 +244,22 @@ def _cd_solve(Xf, XWf, Wvec, r, coef, intercept, col_sq, thr, penal, fit_interce
     return intercept, sweeps, converged
 
 
+def _result(intercept, coef, penal, lam, loadings, sweeps, converged, path, notes) -> LassoFit:
+    """The LassoFit of a finished solve; its support is the nonzero penalized coordinates."""
+    return LassoFit(
+        intercept=float(intercept),
+        coef=coef,
+        support=tuple(int(j) for j in np.flatnonzero(coef) if penal[j]),
+        penalty=lam,
+        loadings=loadings,
+        iterations=sweeps,
+        converged=converged,
+        objective=path[-1],
+        objective_path=np.asarray(path),
+        warnings=tuple(notes),
+    )
+
+
 def lasso_wls(X, y, w, lam, loadings=None, *, fit_intercept: bool = True,
               unpenalized=(), tol: float = 1e-8, init=None) -> LassoFit:
     """Weighted-linear lasso by cyclic coordinate descent with active-set cycling.
@@ -262,9 +280,6 @@ def lasso_wls(X, y, w, lam, loadings=None, *, fit_intercept: bool = True,
         raise ValueError("w must be a nonnegative vector matching y")
     n, p = X.shape
     W = w * w
-    Xf = design.Xf
-    XWf = Xf * W[:, None]  # Fortran order like Xf, same products as X * W
-    col_sq = W @ design.Xsq
     penal = ~unpen
     thr = np.where(penal, lam * loadings / 2.0, 0.0)
 
@@ -277,25 +292,12 @@ def lasso_wls(X, y, w, lam, loadings=None, *, fit_intercept: bool = True,
 
     path = [objective()]
     intercept, sweeps, converged = _cd_solve(
-        Xf, XWf, W, r, coef, intercept, col_sq, thr, penal, fit_intercept,
+        design, W, r, coef, intercept, thr, penal, fit_intercept,
         tol, _MAX_SWEEPS, lambda: path.append(objective()),
     )
-    notes: tuple[str, ...] = ()
-    if not converged:
-        notes = (f"weighted lasso stopped at the sweep cap ({_MAX_SWEEPS}) before reaching tol={tol:g}",)
-    support = tuple(int(j) for j in np.flatnonzero(coef) if penal[j])
-    return LassoFit(
-        intercept=float(intercept),
-        coef=coef,
-        support=support,
-        penalty=lam,
-        loadings=loadings,
-        iterations=sweeps,
-        converged=converged,
-        objective=path[-1],
-        objective_path=np.asarray(path),
-        warnings=notes,
-    )
+    notes = () if converged else (
+        f"weighted lasso stopped at the sweep cap ({_MAX_SWEEPS}) before reaching tol={tol:g}",)
+    return _result(intercept, coef, penal, lam, loadings, sweeps, converged, path, notes)
 
 
 def lasso_logistic(X, y, lam, loadings=None, *, unpenalized=(), tol: float = 1e-8,
@@ -319,8 +321,6 @@ def lasso_logistic(X, y, lam, loadings=None, *, unpenalized=(), tol: float = 1e-
     if not np.isin(uniq, (0.0, 1.0)).all():
         raise ValueError("outcome must be binary 0/1 for the logistic objective")
     n, p = X.shape
-    Xf = design.Xf
-    Xsq = design.Xsq
     penal = ~unpen
     thr = np.where(penal, lam * loadings, 0.0)  # quadratic carries a 1/2 factor
     pen_load = np.where(penal, loadings, 0.0)
@@ -347,20 +347,18 @@ def lasso_logistic(X, y, lam, loadings=None, *, unpenalized=(), tol: float = 1e-
         prev_obj = path[-1]
         p_hat = _prob(eta)
 
-        def quad_pass(om, inner_cap):
+        def quad_pass(om):
+            """At most 50 sweeps on the quadratic with curvature weights om."""
             nonlocal intercept, total_sweeps, eta
-            r = (y - p_hat) / om
-            XWf = Xf * om[:, None]
-            col_sq = om @ Xsq
-            budget = min(inner_cap, max(1, _MAX_SWEEPS - total_sweeps))
+            budget = min(50, max(1, _MAX_SWEEPS - total_sweeps))
             intercept, used, _ = _cd_solve(
-                Xf, XWf, om, r, coef, intercept, col_sq, thr, penal,
+                design, om, (y - p_hat) / om, coef, intercept, thr, penal,
                 True, tol, budget, None,
             )
             total_sweeps += used
             eta = intercept + X @ coef
 
-        quad_pass(p_hat * (1.0 - p_hat), 50)
+        quad_pass(p_hat * (1.0 - p_hat))
         new_obj = objective()
         if new_obj > prev_obj + _OBJ_SLACK * (1.0 + abs(prev_obj)):
             # Newton quadratic overshot: retry from the previous iterate with
@@ -368,7 +366,7 @@ def lasso_logistic(X, y, lam, loadings=None, *, unpenalized=(), tol: float = 1e-
             intercept = prev_intercept
             coef[:] = prev_coef
             eta = intercept + X @ coef
-            quad_pass(np.full(n, 0.25), 50)
+            quad_pass(np.full(n, 0.25))
             new_obj = objective()
             if new_obj > prev_obj + _OBJ_SLACK * (1.0 + abs(prev_obj)):
                 # No descent available beyond rounding noise: stay put.
@@ -402,19 +400,7 @@ def lasso_logistic(X, y, lam, loadings=None, *, unpenalized=(), tol: float = 1e-
             f"logistic lasso stopped at the pass cap ({_MAX_OUTER}) before reaching tol={tol:g}"
         )
 
-    support = tuple(int(j) for j in np.flatnonzero(coef) if penal[j])
-    return LassoFit(
-        intercept=float(intercept),
-        coef=coef,
-        support=support,
-        penalty=lam,
-        loadings=loadings,
-        iterations=total_sweeps,
-        converged=converged,
-        objective=path[-1],
-        objective_path=np.asarray(path),
-        warnings=tuple(notes),
-    )
+    return _result(intercept, coef, penal, lam, loadings, total_sweeps, converged, path, notes)
 
 
 def _floor_loadings(g: np.ndarray) -> np.ndarray:
@@ -652,12 +638,11 @@ def _logit_mle(Z, y, *, names=None, tol: float = 1e-10, max_iter: int = 100):
     return coef, Hinv, cov_sand, float(f0 / n), tuple(notes)
 
 
-def post_refit(X, y, fit_or_support, family: str, *, w=None, keep=(),
+def post_refit(X, y, support, family: str, *, w=None, keep=(),
                names=None) -> RefitResult:
-    """Unpenalized refit on the selected columns.
+    """Unpenalized refit on the column indices `support`.
 
-    `fit_or_support` is either a LassoFit (its support is used) or an index
-    collection. `keep` columns are always included. family is "logistic"
+    `keep` columns are always included. family is "logistic"
     (MLE by Newton-Raphson) or "linear" (weighted least squares; `w` are
     plain row weights multiplying squared residuals). Rank deficiency among
     the refit columns raises RankDeficiencyError naming them.
@@ -667,8 +652,7 @@ def post_refit(X, y, fit_or_support, family: str, *, w=None, keep=(),
     n, p = X.shape
     if family not in ("logistic", "linear"):
         raise ValueError(f"unknown family {family!r}")
-    support = fit_or_support.support if isinstance(fit_or_support, LassoFit) else tuple(fit_or_support)
-    cols = sorted({int(j) for j in support} | {int(j) for j in keep})
+    cols = sorted({int(j) for j in (*support, *keep)})
     for j in cols:
         if not 0 <= j < p:
             raise ValueError(f"refit column {j} out of range")

@@ -20,9 +20,15 @@ MULTIPLICITY_NOTE = "p-values are per-treatment and unadjusted for multiple test
 _FORMATS = ("aligned", "tsv", "structured")
 
 
-def _check_format(fmt: str) -> None:
+def _number_cell(fmt: str, decimals: int):
+    """Check fmt and decimals; return the formatter of a number cell."""
     if fmt not in _FORMATS:
         raise ValueError(f"format must be one of {_FORMATS}, got {fmt!r}")
+    if decimals < 0:
+        raise ValueError("decimals must be nonnegative")
+    if fmt == "tsv":
+        return lambda v: repr(float(v))
+    return lambda v: f"{v:.{decimals}f}"
 
 
 def percent_labels(level: float) -> tuple[str, str]:
@@ -32,19 +38,27 @@ def percent_labels(level: float) -> tuple[str, str]:
     return f"{lo:g}%", f"{hi:g}%"
 
 
-def _aligned(headers, rows, aligns) -> list[str]:
-    widths = [len(h) for h in headers]
-    for row in rows:
-        for j, cell in enumerate(row):
-            widths[j] = max(widths[j], len(cell))
-    out = []
-    for row in [list(headers)] + [list(r) for r in rows]:
-        cells = [
-            cell.ljust(widths[j]) if aligns[j] == "<" else cell.rjust(widths[j])
-            for j, cell in enumerate(row)
-        ]
-        out.append("  ".join(cells).rstrip())
-    return out
+def _table(fmt, headers, aligns, rows, note, sections) -> str:
+    """The tsv or aligned text of a table, then its note, if any, and each
+    nonempty (tsv tag, aligned title, items) section."""
+    sections = [s for s in sections if s[2]]
+    if fmt == "tsv":
+        lines = ["\t".join(row) for row in (headers, *rows)]
+        lines += [f"# note: {note}"] if note else []
+        lines += [f"# {tag}: {item}" for tag, _, items in sections for item in items]
+        return "\n".join(lines) + "\n"
+    widths = [max(len(row[j]) for row in (headers, *rows)) for j in range(len(headers))]
+    lines = [
+        "  ".join(cell.ljust(width) if align == "<" else cell.rjust(width)
+                  for cell, width, align in zip(row, widths, aligns)).rstrip()
+        for row in (headers, *rows)
+    ]
+    lines += [""] if note or sections else []
+    lines += [f"Note: {note}."] if note else []
+    for _, title, items in sections:
+        lines.append(f"{title}:")
+        lines += [f"  - {item}" for item in items]
+    return "\n".join(lines) + "\n"
 
 
 def _ordered_unique(items) -> list[str]:
@@ -60,9 +74,7 @@ def render_fit_results(results, *, level: float, fmt: str = "aligned",
     below the table; tsv keeps machine full precision and carries the same
     extras as comment lines; structured is YAML.
     """
-    _check_format(fmt)
-    if decimals < 0:
-        raise ValueError("decimals must be nonnegative")
+    num = _number_cell(fmt, decimals)
     lo_lab, hi_lab = percent_labels(level)
     estimates = [r for r in results if isinstance(r, DmlEstimate)]
     failures = [r for r in results if isinstance(r, FitFailure)]
@@ -97,9 +109,6 @@ def render_fit_results(results, *, level: float, fmt: str = "aligned",
         }
         return yaml.safe_dump(doc, sort_keys=False)
 
-    def num(v: float) -> str:
-        return repr(float(v)) if fmt == "tsv" else f"{v:.{decimals}f}"
-
     headers = ("Treatment", "Coefficient", "p-value", lo_lab, hi_lab,
                "Std. Error", "Support1", "Support2", "Warn")
     rows = [
@@ -110,43 +119,21 @@ def render_fit_results(results, *, level: float, fmt: str = "aligned",
         )
         for e in estimates
     ]
-
-    lines: list[str]
-    if fmt == "tsv":
-        lines = ["\t".join(headers)]
-        lines += ["\t".join(r) for r in rows]
-        lines.append(f"# note: {MULTIPLICITY_NOTE}")
-        lines += [f"# warning: {w}" for w in all_warnings]
-        lines += [f"# failed: {f.treatment}: {f.error}: {f.message}" for f in failures]
-    else:
-        aligns = ("<", ">", ">", ">", ">", ">", ">", ">", "<")
-        lines = _aligned(headers, rows, aligns)
-        lines.append("")
-        lines.append(f"Note: {MULTIPLICITY_NOTE}.")
-        if all_warnings:
-            lines.append("Warnings:")
-            lines += [f"  - {w}" for w in all_warnings]
-        if failures:
-            lines.append("Failures:")
-            lines += [f"  - {f.treatment}: {f.error}: {f.message}" for f in failures]
-    return "\n".join(lines) + "\n"
+    failed = [f"{f.treatment}: {f.error}: {f.message}" for f in failures]
+    return _table(fmt, headers, "<" + ">" * 7 + "<", rows, MULTIPLICITY_NOTE,
+                  [("warning", "Warnings", all_warnings), ("failed", "Failures", failed)])
 
 
 def render_coverage_reports(reports, *, fmt: str = "aligned",
                             decimals: int = 3) -> str:
     """One row per method: bias, spread, coverage, width, rejection rate."""
-    _check_format(fmt)
-    if decimals < 0:
-        raise ValueError("decimals must be nonnegative")
+    num = _number_cell(fmt, decimals)
     reports = list(reports)
 
     if fmt == "structured":
         from .simulate import coverage_reports_to_yaml
 
         return coverage_reports_to_yaml(reports)
-
-    def num(v: float) -> str:
-        return repr(float(v)) if fmt == "tsv" else f"{v:.{decimals}f}"
 
     headers = ("Method", "Reps", "OK", "Fail", "Mean Bias", "Median Bias",
                "SD", "Mean SE", "Coverage", "CI Width", "Reject")
@@ -159,15 +146,4 @@ def render_coverage_reports(reports, *, fmt: str = "aligned",
         for r in reports
     ]
     reasons = _ordered_unique(s for r in reports for s in r.failure_reasons)
-    if fmt == "tsv":
-        lines = ["\t".join(headers)]
-        lines += ["\t".join(r) for r in rows]
-        lines += [f"# failure: {s}" for s in reasons]
-    else:
-        aligns = ("<",) + (">",) * 10
-        lines = _aligned(headers, rows, aligns)
-        if reasons:
-            lines.append("")
-            lines.append("Failures:")
-            lines += [f"  - {s}" for s in reasons]
-    return "\n".join(lines) + "\n"
+    return _table(fmt, headers, "<" + ">" * 10, rows, None, [("failure", "Failures", reasons)])

@@ -336,6 +336,18 @@ class TestEncode:
             encode(load_table(io.StringIO(text)), spec)
 
 
+    @pytest.mark.parametrize("expression, message", [
+        ("x ** 0.5", "result (1.2246467991473532e-16+2j) is not a finite real number"),
+        ("1e308 * x * 10", "result -inf is not a finite real number"),
+    ], ids=["complex", "infinite"])
+    def test_a_complex_or_infinite_derived_value_names_the_row(self, expression, message):
+        spec = EncodingSpec(version=1, outcome="y",
+                            columns=(DerivedRule(name="a", expression=expression),))
+        with pytest.raises(EncodingError) as err:
+            encode(load_table(io.StringIO("y,a\n1,-4\n0,4\n1,9\n")), spec)
+        assert str(err.value) == f"column 'a': expression failed on -4.0 at data row 1: {message}"
+
+
 class TestSpecValidation:
     def test_wrong_version_rejected(self):
         with pytest.raises(SchemaError, match="version"):
@@ -434,6 +446,18 @@ class TestSpecYaml:
         (key,) = {**top, **rule}
         with pytest.raises(SchemaError, match=key):
             encoding_spec_from_yaml(yaml.safe_dump(doc))
+
+    @pytest.mark.parametrize("rule, message", [
+        ("scale: .nan", "scale must be a finite number, got nan"),
+        ("offset: -.inf", "offset must be a finite number, got -inf"),
+        ("scale: 1.0e+400", "scale must be a finite number, got inf"),
+        ("offset: 1" + "0" * 400, "offset must be a finite number, got 1" + "0" * 400),
+    ], ids=["scale-nan", "offset-minus-inf", "scale-overflow", "offset-huge-integer"])
+    def test_a_non_finite_number_is_a_schema_error_that_names_the_key(self, rule, message):
+        text = f"version: 1\noutcome: y\ncolumns: [{{name: a, kind: numeric, {rule}}}]\n"
+        with pytest.raises(SchemaError) as err:
+            encoding_spec_from_yaml(text)
+        assert str(err.value) == f"column 'a': {message}"
 
     def test_a_number_reads_as_text_where_text_belongs(self):
         spec = encoding_spec_from_yaml(

@@ -1,6 +1,7 @@
 """Penalized regression engine: thresholding, penalty level, solvers, refits."""
 
 import dataclasses
+import hashlib
 import math
 import os
 
@@ -796,21 +797,21 @@ class TestPostRefit:
             y = (rng.random(n) < 1.0 / (1.0 + np.exp(-(X[:, 0] - X[:, 1])))).astype(float)
             lam = 0.5 * plugin_lambda(n, p)
             fit = lasso_logistic(X, y, lam, np.ones(p))
-            refit = post_refit(X, y, fit, "logistic")
+            refit = post_refit(X, y, fit.support, "logistic")
             assert refit.objective <= fit.objective + 1e-12
 
     def test_refit_loss_bound_holds_for_the_weighted_family(self):
         X, y, w, g = _wls_instance(24)
         lam = 0.3 * lambda_max_wls(X, y, w, g)
         fit = lasso_wls(X, y, w, lam, g)
-        refit = post_refit(X, y, fit, "linear", w=w * w)
+        refit = post_refit(X, y, fit.support, "linear", w=w * w)
         assert refit.objective <= fit.objective + 1e-12
 
     def test_refitting_the_refit_support_is_idempotent(self):
         X, y, w, g = _wls_instance(25)
         lam = 0.3 * lambda_max_wls(X, y, w, g)
         fit = lasso_wls(X, y, w, lam, g)
-        r1 = post_refit(X, y, fit, "linear", w=w * w)
+        r1 = post_refit(X, y, fit.support, "linear", w=w * w)
         r2 = post_refit(X, y, r1.cols, "linear", w=w * w)
         assert r1.cols == r2.cols
         np.testing.assert_allclose(r1.coef, r2.coef, atol=1e-12)
@@ -827,3 +828,134 @@ class TestPostRefit:
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):
             post_refit(np.ones((5, 2)), np.ones(5), (), "probit")
+
+
+def _solver_case(case):
+    """One solver call per case id; returns its LassoFit."""
+    if case.startswith("wls"):
+        X, y, w, g = _wls_instance(31)
+        init = (0.1, np.linspace(-0.2, 0.2, X.shape[1]))
+        if case == "wls-plain":
+            return lasso_wls(X, y, w, _wls_level(X, y, w, g, True), g)
+        if case == "wls-unpenalized-init":
+            return lasso_wls(X, y, w, _wls_level(X, y, w, g, True), g, unpenalized=(0,), init=init)
+        if case == "wls-no-intercept":
+            return lasso_wls(X, y, w, _wls_level(X, y, w, g, False), g, fit_intercept=False)
+        # case "wls-tail": select on columns 1.. of a design [d | X]
+        Z = np.column_stack([y + X[:, 0], X])
+        return lasso_wls(_Design(Z).tail(), y, w, _wls_level(X, y, w, g, True), g)
+    if case == "logistic-separable":
+        return lasso_logistic(*_separable_instance(), 0.0)
+    X, yb, g = _logistic_instance(32)
+    lam = 0.3 * plugin_lambda(*X.shape)
+    if case == "logistic-plain":
+        return lasso_logistic(X, yb, lam, g)
+    # case "logistic-unpenalized-init"
+    init = (0.1, np.linspace(-0.2, 0.2, X.shape[1]))
+    return lasso_logistic(X, yb, lam, g, unpenalized=(0,), init=init)
+
+
+def _solver_record(case):
+    fit = _solver_case(case)
+    return {
+        "intercept": fit.intercept.hex(),
+        "coef_sha": hashlib.sha256(fit.coef.tobytes()).hexdigest()[:16],
+        "objective_path_sha": hashlib.sha256(fit.objective_path.tobytes()).hexdigest()[:16],
+        "iterations": fit.iterations,
+        "converged": fit.converged,
+        "support": fit.support,
+        "warnings": fit.warnings,
+    }
+
+
+SOLVER_BITS = {
+    'wls-plain': {
+        'intercept': '-0x1.bf83c296cdfcfp-3',
+        'coef_sha': '844e171ebcd2e933',
+        'objective_path_sha': 'f4f4c0166f637f09',
+        'iterations': 16,
+        'converged': True,
+        'support': (1, 2, 3, 4, 14),
+        'warnings': (),
+    },
+    'wls-unpenalized-init': {
+        'intercept': '-0x1.aabbc114661efp-3',
+        'coef_sha': '7ded27d0a131f7fd',
+        'objective_path_sha': 'db35b4c391df6fbb',
+        'iterations': 21,
+        'converged': True,
+        'support': (1, 2, 3, 4, 14),
+        'warnings': (),
+    },
+    'wls-no-intercept': {
+        'intercept': '0x0.0p+0',
+        'coef_sha': '4d67e0e541fd6ff1',
+        'objective_path_sha': 'de0fedd717db7aab',
+        'iterations': 15,
+        'converged': True,
+        'support': (1, 2, 3, 4, 14),
+        'warnings': (),
+    },
+    'wls-tail': {
+        'intercept': '-0x1.bf83c296cdfcfp-3',
+        'coef_sha': '844e171ebcd2e933',
+        'objective_path_sha': 'f4f4c0166f637f09',
+        'iterations': 16,
+        'converged': True,
+        'support': (1, 2, 3, 4, 14),
+        'warnings': (),
+    },
+    'logistic-plain': {
+        'intercept': '0x1.2e9d72214c752p-2',
+        'coef_sha': '833b54bbf1d2bf13',
+        'objective_path_sha': 'e931861da204cb35',
+        'iterations': 19,
+        'converged': True,
+        'support': (2, 6),
+        'warnings': (),
+    },
+    'logistic-unpenalized-init': {
+        'intercept': '0x1.2f6ded48e3a12p-2',
+        'coef_sha': 'cb9d5c0b11f60991',
+        'objective_path_sha': '69e0d6365dc16da1',
+        'iterations': 20,
+        'converged': True,
+        'support': (2, 6),
+        'warnings': (),
+    },
+    'logistic-separable': {
+        'intercept': '-0x1.1a890e9580a36p+4',
+        'coef_sha': '6606a0038efe3322',
+        'objective_path_sha': '95ac2997ad7a69b0',
+        'iterations': 7802,
+        'converged': False,
+        'support': (0, 1, 2),
+        'warnings': ('possible separation: |eta| exceeded 30 while the loss kept shrinking; coefficients remain bounded by the penalty', 'logistic lasso stopped at the pass cap (200) before reaching tol=1e-08'),
+    },
+}
+
+
+class TestSolverBits:
+    """Each solver's full output pinned to the bit: estimates, sweep counts,
+    objective paths and warnings. To re-record after a change that is meant
+    to move them, run
+
+        PYTHONPATH=src python tests/test_lasso.py
+
+    and paste its output over SOLVER_BITS.
+    """
+
+    @pytest.mark.parametrize("case", list(SOLVER_BITS))
+    def test_solver_output_bits_are_unchanged(self, case):
+        assert _solver_record(case) == SOLVER_BITS[case]
+
+
+if __name__ == "__main__":
+    print("SOLVER_BITS = {")
+    for case in ("wls-plain", "wls-unpenalized-init", "wls-no-intercept", "wls-tail",
+                 "logistic-plain", "logistic-unpenalized-init", "logistic-separable"):
+        print(f"    {case!r}: {{")
+        for key, value in _solver_record(case).items():
+            print(f"        {key!r}: {value!r},")
+        print("    },")
+    print("}")

@@ -356,6 +356,26 @@ class TestStudyYaml:
         with pytest.raises(SchemaError, match=key):
             study_spec_from_yaml(yaml.safe_dump(doc))
 
+    @pytest.mark.parametrize("top, dgp, message", [
+        ("level: .nan", "", "study: level must be a finite number, got nan"),
+        ("max_failure_rate: .inf", "", "study: max_failure_rate must be a finite number, got inf"),
+        ("", "alpha0: .nan", "dgp: alpha0 must be a finite number, got nan"),
+        ("", "alpha0: 0, noise_sd: .inf", "dgp: noise_sd must be a finite number, got inf"),
+        ("", "alpha0: 0, rho: -.inf", "dgp: rho must be a finite number, got -inf"),
+        ("", "alpha0: 0, beta: {pattern: first-s, magnitude: .inf, sparsity: 2}",
+         "beta: magnitude must be a finite number, got inf"),
+        ("", "alpha0: 0, gamma: {pattern: geometric, magnitude: 1, decay: .nan}",
+         "gamma: decay must be a finite number, got nan"),
+        ("", "alpha0: 0, beta: {pattern: custom, values: [1, .nan, 0, 0, 0]}",
+         "beta: values must be a list, each item a finite number, got [1, nan, 0, 0, 0]"),
+    ], ids=["level", "max_failure_rate", "alpha0", "noise_sd", "rho", "first-s-magnitude",
+            "geometric-decay", "custom-values"])
+    def test_a_non_finite_number_is_a_schema_error_that_names_the_key(self, top, dgp, message):
+        text = f"version: 1\nreps: 1\n{top}\ndgp: {{family: linear, n: 10, p: 5, {dgp}}}\n"
+        with pytest.raises(SchemaError) as err:
+            study_spec_from_yaml(text)
+        assert str(err.value) == message
+
     def test_an_integral_number_reads_as_an_integer(self):
         study = study_spec_from_yaml("version: 1\nreps: 3.0\n"
                                      "dgp: {family: linear, n: 10.0, p: 5, alpha0: 0}\n")
