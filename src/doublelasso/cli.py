@@ -105,6 +105,10 @@ def _split_selector(raw: str | None) -> list[str] | None:
 
 
 def _subset_dataset(ds: Dataset, treatments, controls) -> Dataset:
+    for flag, names in (("--treatments", treatments), ("--controls", controls)):
+        for name in names:
+            if names.count(name) > 1:
+                raise SchemaError(f"{flag} lists {name!r} more than once")
     known = set(ds.column_names)
     for name in list(treatments) + list(controls):
         if name not in known:

@@ -134,13 +134,25 @@ def _score_grid(alphas: np.ndarray, y, d, eta_tilde, z) -> np.ndarray:
 
     Row k of a block repeats the one-point arithmetic elementwise, and each
     row's means are taken along its own contiguous row, so every value
-    equals the one-point value to the bit.
+    equals the one-point value to the bit. On rows where d == 0 (also
+    -0.0) the index alpha * d + eta_tilde is eta_tilde for every alpha, so
+    a grid computes (y - G) z there once and the link only on the other
+    rows.
     """
     out = np.empty(alphas.size)
+    fixed = None
+    if alphas.size > 1 and not d.all():
+        fixed = (y - link(eta_tilde)) * z  # used only on the rows where d == 0
+        moving = np.flatnonzero(d)
+        y, d, eta_tilde, z = y[moving], d[moving], eta_tilde[moving], z[moving]
     for i in range(0, alphas.size, _SCORE_BLOCK):
         block = alphas[i:i + _SCORE_BLOCK]
-        g = link(block[:, None] * d + eta_tilde)
-        rz = (y - g) * z
+        rz = (y - link(block[:, None] * d + eta_tilde)) * z
+        if fixed is not None:
+            full = np.empty((block.size, fixed.size))
+            full[:] = fixed
+            full[:, moving] = rz
+            rz = full
         num = np.mean(rz, axis=1)
         den = np.mean(rz * rz, axis=1)
         if not np.all(den > 1e-300):
@@ -192,11 +204,13 @@ def _fit_inputs(y, d, X, names, family: str):
         raise ValueError("y and d must be equal-length vectors")
     if X.ndim != 2 or X.shape[0] != y.size:
         raise ValueError("X must be a matrix with one row per observation")
-    return _checked_inputs(y, np.column_stack([d, X]), names, family)
+    return _checked_inputs(y, _Design(np.ascontiguousarray(np.column_stack([d, X]))), names,
+                           family)
 
 
-def _checked_inputs(y, Z, names, family: str):
-    """_fit_inputs for a stacked Z = [d | X] with one row per entry of y.
+def _checked_inputs(y, design, names, family: str):
+    """_fit_inputs for the design of a stacked Z = [d | X] with one row per
+    entry of y.
 
     Z is used in C order, which keeps every product with it on the BLAS
     kernel that the plain C-ordered controls would take.
@@ -204,9 +218,9 @@ def _checked_inputs(y, Z, names, family: str):
     y = np.ascontiguousarray(y, dtype=float)
     if y.size == 0:
         raise ValueError("no observations to fit")
-    design = _Design(np.ascontiguousarray(Z, dtype=float))
     if not (np.all(np.isfinite(y)) and design.finite):
         raise ValueError("inputs must be finite")
+    Z = design.X
     d = np.ascontiguousarray(Z[:, 0])
     if np.all(d == d[0]):
         raise DegenerateTreatmentError("treatment column is constant")
@@ -530,15 +544,17 @@ _ESTIMATION_ERRORS = (DoubleLassoError, ValueError, np.linalg.LinAlgError)
 
 def _fit_treatment(shared, t: str):
     """One dml_multi row; module level so worker processes can run it."""
-    dataset, family, fitter, config, fail_fast = shared
+    dataset, base, family, fitter, config, fail_fast = shared
     ti = dataset.index_of(t)
-    keep = [j for j in range(dataset.p) if j != ti]
+    order = [ti] + [j for j in range(dataset.p) if j != ti]
     all_names = dataset.column_names
-    names = tuple(all_names[j] for j in keep)
+    names = tuple(all_names[j] for j in order[1:])
     try:
-        # One gather builds Z = [d | X] in C order from the C-ordered design.
-        Z = np.take(dataset.design, [ti] + keep, axis=1)
-        return fitter(*_checked_inputs(dataset.y, Z, names, family), t, config)
+        # One gather builds Z = [d | X] in C order from the C-ordered design;
+        # the solvers read its columns from the dataset's one Fortran copy.
+        Z = np.take(dataset.design, order, axis=1)
+        return fitter(*_checked_inputs(dataset.y, _Design(Z, base, order), names, family),
+                      t, config)
     except _ESTIMATION_ERRORS as exc:
         if fail_fast:
             raise
@@ -569,5 +585,7 @@ def dml_multi(dataset, *, family: str = "logit", method: str = "dml",
     for t in wanted:
         dataset.index_of(t)
     solves = lasso_solves((config or DmlConfig()).penalty)
-    return tuple(parallel_map(_fit_treatment, (dataset, family, fitter, config, fail_fast),
+    # Made before any worker forks, so every process reads the one copy.
+    base = np.asfortranarray(dataset.design)
+    return tuple(parallel_map(_fit_treatment, (dataset, base, family, fitter, config, fail_fast),
                               wanted, jobs, cells_per_item=dataset.n * dataset.p * solves))

@@ -675,19 +675,23 @@ def encode(table: RawTable, spec: EncodingSpec) -> Dataset:
             mm = rule.cell_map
             out_levels = rule.output_levels
             lab_pos = {lab: k for k, lab in enumerate(out_levels)}
-            block = np.zeros((n, len(out_levels)))
-            for i, cell in enumerate(cells):
+            # Each distinct cell, in order of first appearance, maps to its
+            # dummy position, or -1 for a missing cell or a baseline label.
+            pos = dict.fromkeys(cells, -1)
+            for cell in pos:
                 if cell is None:
                     continue
                 txt = _canon(cell)
                 if txt not in mm:
                     raise EncodingError(
-                        f"unseen level {txt!r} in column {rule.name!r} at data row {keep_rows[i] + 1}"
+                        f"unseen level {txt!r} in column {rule.name!r} "
+                        f"at data row {keep_rows[cells.index(cell)] + 1}"
                     )
-                lab = mm[txt]
-                k = lab_pos.get(lab)
-                if k is not None:
-                    block[i, k] = 1.0
+                pos[cell] = lab_pos.get(mm[txt], -1)
+            codes = np.fromiter(map(pos.__getitem__, cells), dtype=np.intp, count=n)
+            rows = np.flatnonzero(codes >= 0)
+            block = np.zeros((n, len(out_levels)))
+            block[rows, codes[rows]] = 1.0
             for k, (name, lab) in enumerate(zip(rule.output_names(), out_levels)):
                 infos.append(ColumnInfo(name=name, role=rule.role, source=rule.name, level=lab))
                 arrays.append(block[:, k])
@@ -745,6 +749,11 @@ def encode(table: RawTable, spec: EncodingSpec) -> Dataset:
 
     if any(info.name == spec.outcome for info in infos):
         raise SchemaError("outcome name collides with an encoded column")
+    # The dataset file is tab-separated text, read back line by line.
+    for name in (spec.outcome, *(info.name for info in infos)):
+        if any(ch in name for ch in "\t\r\n"):
+            raise SchemaError(f"column name {name!r} holds a tab or line break, "
+                              "which the dataset file cannot store")
     return Dataset(
         y=y,
         design=np.column_stack(arrays),

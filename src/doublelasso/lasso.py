@@ -76,18 +76,28 @@ class _Design:
     """A design matrix with the arrays the solvers derive from it.
 
     One selection step builds one and passes it where X goes, so its
-    loadings, cross-validation and final lasso share one Fortran copy, one
-    X * X and one finiteness check, each made on first use. `X` keeps the
-    layout it was given, so every product with it runs the same BLAS kernel
-    as on the plain array. Nothing holds a design beyond the call that
-    built it.
+    loadings, cross-validation and final lasso share one set of column
+    views, one X * X and one finiteness check, each made on first use. `X`
+    keeps the layout it was given, so every product with it runs the same
+    BLAS kernel as on the plain array. Nothing holds a design beyond the
+    call that built it.
+
+    The solvers' coordinate pass reads X's columns as contiguous views of
+    `base`, a Fortran-ordered array: by default a Fortran copy of X, whose
+    columns are X's. `dml_multi` instead passes one copy of the whole
+    dataset, which every treatment's design shares, and `cols`, the list of
+    its columns that are X's, in X's order.
 
     The fitters build one design of Z = [d | X], column 0 the treatment,
     and select controls on `tail()`, which is X without a copy.
     """
 
-    def __init__(self, X):
+    cols = None  # base's columns are X's columns, in order
+
+    def __init__(self, X, base=None, cols=None):
         self.X = np.asarray(X, dtype=float)
+        if base is not None:
+            self.base, self.cols = base, cols
 
     def tail(self) -> _Design:
         """Columns 1.. as views of this design's arrays, with no copy.
@@ -95,19 +105,37 @@ class _Design:
         A slice keeps each array's layout: the C views keep their rows with
         a longer stride, and the Fortran view is one contiguous block.
         """
-        tail = _Design(self.X[:, 1:])
-        tail.Xf, tail.Xsq = self.Xf[:, 1:], self.Xsq[:, 1:]
+        if self.cols is None:
+            tail = _Design(self.X[:, 1:], self.base[:, 1:])
+        else:
+            tail = _Design(self.X[:, 1:], self.base, self.cols[1:])
+        tail.Xsq = self.Xsq[:, 1:]
         if self.finite:
             tail.finite = True
+        if "col_norms" in vars(self):
+            tail.col_norms = self.col_norms[1:]
         return tail
 
     @cached_property
-    def Xf(self) -> np.ndarray:
+    def base(self) -> np.ndarray:
         return np.asfortranarray(self.X)
+
+    def columns(self, F) -> list:
+        """X's columns of F, an array laid out as `base`, as views in X's order."""
+        columns = list(F.T)
+        return columns if self.cols is None else [columns[j] for j in self.cols]
+
+    @cached_property
+    def xcols(self) -> list:
+        return self.columns(self.base)
 
     @cached_property
     def Xsq(self) -> np.ndarray:
         return self.X * self.X
+
+    @cached_property
+    def col_norms(self) -> np.ndarray:
+        return np.sqrt(self.Xsq.sum(axis=0))
 
     @cached_property
     def finite(self) -> bool:
@@ -200,46 +228,107 @@ def _sweep(xcols, xwcols, Wvec, sumW, r, coef, intercept, col_sq, thr, penal, id
     return intercept, max_d
 
 
-def _cd_solve(design, W, r, coef, intercept, thr, penal, fit_intercept, tol, budget, record):
+# A logistic solve on a design of at least this many columns runs its full
+# sweeps through _screened. Serial loadings-plus-lasso fits, screened time
+# over plain time, median of 3 seeds, n = 100 to 2000, Gaussian and 0/1
+# columns: logistic 0.97-1.21 at 25 columns, 0.85-1.02 at 50, 0.71-0.91 at
+# 100 and 0.45-0.82 at 250; weighted linear 1.01-1.28 at every width from
+# 100 to 800, since its few full sweeps start with large moves that void the
+# bound, so lasso_wls never screens. The cutoff sits well above the logistic
+# break-even, where every case measured gained at least 18%.
+_SCREEN_MIN_COLS = 250
+_UNIT = 2.0 ** -53  # unit roundoff of a double
+
+
+def _screened(design, W, r, cl, thr, penal, col_sq, xwcols):
+    """The coordinates of one full sweep that can move, in order, for _sweep's idx.
+
+    _sweep draws the first one after its intercept update. With r0 the
+    residual at that point, est = X'(r0 W) bounds every zero coordinate's
+    exact rho = x_j'(r W) while the sweep runs: |rho| <= |est_j| plus the
+    rounding of both dot products (below 8 n u |r0 W| |x_j|, u the unit
+    roundoff) plus |x_j| D, where D bounds |(r - r0) W| through the updates
+    made so far. A zero penalized coordinate whose bound stays below its
+    threshold would compute new == 0.0 and change nothing, so it is skipped;
+    every other one runs _sweep's arithmetic unchanged. Fills xwcols[j] with
+    x_j * W, the same doubles as column j of X * W, for each coordinate it
+    yields.
+    """
+    xcols = design.xcols
+    n = r.size
+    slack = 8.0 * n * _UNIT
+    rw = r * W
+    rwn = math.sqrt(float(rw @ rw))
+    gap = thr - np.abs(rw @ design.X) - (slack * rwn) * design.col_norms
+    gap[(np.array(cl) != 0.0) | ~penal] = -np.inf
+    reach = design.col_norms * (1.0 + slack)
+    wmax = float(W.max())
+    drift = 0.0  # D
+    start = 0
+    while True:
+        for j in (np.flatnonzero(drift * reach[start:] >= gap[start:]) + start).tolist():
+            if xwcols[j] is None:
+                xwcols[j] = xcols[j] * W
+            old = cl[j]
+            yield j
+            if cl[j] != old:
+                # |x_j W| <= sqrt(max W * col_sq[j]); the second term covers
+                # the rounding of r -= x_j d.
+                drift = (drift + abs(cl[j] - old) * math.sqrt(wmax * col_sq[j])
+                         + 4.0 * _UNIT * rwn) * (1.0 + slack)
+                start = j + 1
+                break
+        else:
+            return
+
+
+def _cd_solve(design, W, r, coef, intercept, thr, penal, fit_intercept, tol, budget, record,
+              screen=False):
     """Full sweep + active-set cycling on the quadratic with row weights W
     until the sup-norm change drops below tol.
 
-    Builds the weighted columns design.Xf * W and their weighted squared
-    norms W @ design.Xsq itself. Mutates r and coef in place and returns
-    (intercept, sweeps_used, converged). `record`, when given, is called
-    after every sweep, with coef up to date, to append an objective value.
+    Builds the weighted columns X * W and their weighted squared norms
+    W @ design.Xsq itself; with `screen`, full sweeps run through _screened
+    and only the columns they visit are built. Mutates r and coef in place
+    and returns (intercept, sweeps_used, converged). `record`, when given,
+    is called after every sweep, with coef up to date, to append an
+    objective value.
     """
-    Xf = design.Xf
-    xcols = list(Xf.T)  # contiguous column views of the Fortran-ordered arrays
-    xwcols = list((Xf * W[:, None]).T)  # Fortran order like Xf, same products as X * W
+    xcols = design.xcols
+    p = len(xcols)
+    if screen:
+        xwcols = [None] * p
+    else:
+        xwcols = design.columns(design.base * W[:, None])  # same products as X * W
     cl = coef.tolist()
-    col_sq, thr, penal = (W @ design.Xsq).tolist(), thr.tolist(), penal.tolist()
+    col_sq, thr_l, penal_l = (W @ design.Xsq).tolist(), thr.tolist(), penal.tolist()
     sumW = float(W.sum())
     sweeps = 0
 
     def sweep(idx):
         nonlocal intercept, sweeps
         intercept, md = _sweep(xcols, xwcols, W, sumW, r, cl, intercept,
-                               col_sq, thr, penal, idx, fit_intercept)
+                               col_sq, thr_l, penal_l, idx, fit_intercept)
         sweeps += 1
         if record is not None:
             coef[:] = cl
             record()
         return md
 
-    full = range(coef.size)
+    full = range(p)
     converged = False
     while sweeps < budget:
-        if sweep(full) < tol:
+        if sweep(_screened(design, W, r, cl, thr, penal, col_sq, xwcols) if screen
+                 else full) < tol:
             converged = True
             break
         # Cycling visits only the active set, so a coordinate that left it
         # stays zero and never needs rechecking before the next full sweep.
-        active = [j for j in full if cl[j] != 0.0 or not penal[j]]
+        active = [j for j in full if cl[j] != 0.0 or not penal_l[j]]
         while sweeps < budget and active:
             if sweep(active) < tol:
                 break
-            active = [j for j in active if cl[j] != 0.0 or not penal[j]]
+            active = [j for j in active if cl[j] != 0.0 or not penal_l[j]]
     coef[:] = cl
     return intercept, sweeps, converged
 
@@ -353,7 +442,7 @@ def lasso_logistic(X, y, lam, loadings=None, *, unpenalized=(), tol: float = 1e-
             budget = min(50, max(1, _MAX_SWEEPS - total_sweeps))
             intercept, used, _ = _cd_solve(
                 design, om, (y - p_hat) / om, coef, intercept, thr, penal,
-                True, tol, budget, None,
+                True, tol, budget, None, p >= _SCREEN_MIN_COLS,
             )
             total_sweeps += used
             eta = intercept + X @ coef

@@ -617,6 +617,27 @@ def test_fit_overlapping_selectors_exit_2(ws):
     assert "both treatment and control" in proc.stderr
 
 
+@pytest.mark.parametrize("argv, text", [
+    (["--treatments", "d,x1,d"], "--treatments lists 'd' more than once"),
+    (["--treatments", "d", "--controls", "x1,x1"], "--controls lists 'x1' more than once"),
+], ids=["treatments", "controls"])
+def test_fit_a_repeated_selector_entry_exits_2_and_names_it(ws, argv, text):
+    proc = run_cli("fit", "--data", str(ws["encoded"]), *argv)
+    assert proc.returncode == 2
+    assert text in proc.stderr
+
+
+def test_encode_a_renamed_column_with_a_tab_exits_2_and_writes_nothing(ws, tmp_path):
+    spec = tmp_path / "tab.yaml"
+    spec.write_text("version: 1\noutcome: enrolled\ncolumns:\n"
+                    "  - {name: x1, kind: numeric, rename: \"x1\\tz\"}\n", encoding="utf-8")
+    out = tmp_path / "e.tsv"
+    proc = run_cli("encode", "--data", str(ws["data"]), "--spec", str(spec), "--out", str(out))
+    assert proc.returncode == 2
+    assert "column name 'x1\\tz' holds a tab or line break" in proc.stderr
+    assert not out.exists() and not (tmp_path / "e.columns.yaml").exists()
+
+
 def test_fit_outcome_mismatch_exits_2(ws):
     proc = run_cli("fit", "--data", str(ws["encoded"]), "--outcome", "converted")
     assert proc.returncode == 2

@@ -1,6 +1,7 @@
 """Treatment-effect estimators: scoring objective, fits, guards, batching."""
 
 import dataclasses
+import hashlib
 import math
 import pickle
 import re
@@ -27,7 +28,13 @@ from doublelasso import (
     naive_logit,
 )
 from doublelasso.dml import iv_logit_objective
-from doublelasso.encoding import ColumnInfo, Dataset
+from doublelasso.encoding import (
+    ColumnInfo,
+    Dataset,
+    encode,
+    synthetic_survey_schema,
+    synthetic_survey_table,
+)
 
 
 def _logit_dgp(seed, n=500, p=20, alpha0=0.5, k_beta=3, k_gamma=3, rho=0.3):
@@ -84,22 +91,35 @@ def _one_dimensional_objective(alpha, y, d, eta, z):
     return num * num / den
 
 
-def _score_instance(seed, n):
-    """Odd-sized, heavy-tailed inputs with |eta| reaching 40."""
+def _score_instance(seed, n, treatment="heavy-tailed"):
+    """Odd-sized, heavy-tailed inputs with |eta| reaching 40.
+
+    `treatment` "0/1" makes d a 0/1 column, "signed-zero" sets a third of
+    its cells to 0.0 and a third to -0.0 (with eta at +-0.0 on some of
+    them), and "heavy-tailed" leaves every cell nonzero.
+    """
     rng = np.random.default_rng(seed)
     y = (rng.random(n) < 0.5).astype(float)
     d = rng.standard_t(2, size=n)
     eta = np.clip(8.0 * rng.standard_t(1, size=n), -40.0, 40.0)
     eta[0] = 40.0 if seed % 2 else -40.0
     z = rng.standard_t(3, size=n)
+    if treatment == "0/1":
+        d = (d > 0.0).astype(float)
+    elif treatment == "signed-zero":
+        d[1::3] = 0.0
+        d[2::3] = -0.0
+        eta[1::4] = -0.0
+        eta[2::8] = 0.0
     return y, d, eta, z
 
 
 class TestScoreGrid:
+    @pytest.mark.parametrize("treatment", ["heavy-tailed", "0/1", "signed-zero"])
     @pytest.mark.parametrize("points", [3, 401, dml._SCORE_BLOCK + 1, dml._SCORE_BLOCK + 2])
     @pytest.mark.parametrize("n", [1, 7, 501, 2001])
-    def test_blocked_grid_equals_the_scalar_loop_bitwise(self, points, n):
-        y, d, eta, z = _score_instance(points * 7 + n, n)
+    def test_blocked_grid_equals_the_scalar_loop_bitwise(self, points, n, treatment):
+        y, d, eta, z = _score_instance(points * 7 + n, n, treatment)
         grid = np.linspace(-2.5, 3.5, points)
         got = dml._score_grid(grid, y, d, eta, z)
         scalar = np.array([iv_logit_objective(float(a), y, d, eta, z) for a in grid])
@@ -358,6 +378,35 @@ def _toy_dataset(seed=0, n=300, n_treat=2, n_ctrl=4, family="logit"):
         for j in range(n_treat + n_ctrl)
     )
     return Dataset(y=y, design=design, columns=cols)
+
+
+def _survey_record(rows) -> str:
+    """sha256 prefix over each row's alpha and std_error hex, supports and a
+    hash of its diagnostics (a FitFailure row by its error and message)."""
+    record = []
+    for r in rows:
+        if isinstance(r, FitFailure):
+            record.append((r.treatment, r.error, r.message))
+        else:
+            record.append((r.treatment, r.alpha.hex(), r.std_error.hex(), r.step1_support,
+                           r.step2_support,
+                           hashlib.sha256(repr(r.diagnostics).encode()).hexdigest()[:16]))
+    return hashlib.sha256(repr(record).encode()).hexdigest()[:16]
+
+
+# dml_multi's 26 rows on encode(synthetic_survey_table(n=300, seed=k)), by
+# seed k. The design has 329 columns, so step 1 and step 2 both take the
+# screened full sweep; re-record only for a change meant to move estimates.
+SURVEY_BITS = {3: "b2753007055e3271", 4: "844e4fcb7753cece"}
+
+
+class TestSurveyBits:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("seed", sorted(SURVEY_BITS))
+    def test_survey_rows_are_unchanged(self, seed, jobs, pool_always):
+        ds = encode(synthetic_survey_table(n=300, seed=seed), synthetic_survey_schema())
+        assert ds.p - 1 >= lasso._SCREEN_MIN_COLS
+        assert _survey_record(dml_multi(ds, jobs=jobs)) == SURVEY_BITS[seed]
 
 
 class TestDmlMulti:

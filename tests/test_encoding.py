@@ -300,14 +300,19 @@ class TestEncode:
             ds = encode(load_table(io.StringIO(text)), spec)
             assert ds.n == 1 and ds.n_dropped == 1
 
-    def test_unseen_level_error_names_level_and_row(self):
-        text = "y,g\n1,male\n0,unknown\n"
+    @pytest.mark.parametrize("text, level, row", [
+        ("y,g\n1,male\n0,unknown\n", "unknown", 2),
+        # A dropped row before it, and a second unseen level after it.
+        ("y,g\n1,\n1,male\n0,other\n1,unknown\n0,other\n", "other", 3),
+    ])
+    def test_unseen_level_error_names_level_and_row(self, text, level, row):
         spec = EncodingSpec(
             version=1, outcome="y",
             columns=(CategoricalRule(name="g", levels=("male", "female"), baseline="male"),),
         )
-        with pytest.raises(EncodingError, match=r"unseen level 'unknown' in column 'g' at data row 2"):
+        with pytest.raises(EncodingError) as err:
             encode(load_table(io.StringIO(text)), spec)
+        assert str(err.value) == f"unseen level {level!r} in column 'g' at data row {row}"
 
     def test_non_numeric_cell_in_numeric_column_is_reported(self):
         text = "y,a\n1,2\n0,oops\n"
@@ -335,6 +340,20 @@ class TestEncode:
         with pytest.raises(EncodingError, match="expression failed"):
             encode(load_table(io.StringIO(text)), spec)
 
+
+    @pytest.mark.parametrize("text, rule, name", [
+        ("y,a,b\n1,2,3\n0,4,5\n", NumericRule(name="a", rename="a\tz"), "a\tz"),
+        ("y,a\tz,b\n1,2,3\n0,4,5\n", NumericRule(name="a\tz"), "a\tz"),
+        ('"y\nz",a,b\n1,2,3\n0,4,5\n', NumericRule(name="a"), "y\nz"),
+    ], ids=["rename", "header-cell", "outcome"])
+    def test_a_column_name_the_dataset_file_cannot_store_is_a_schema_error(self, text, rule,
+                                                                            name):
+        table = load_table(io.StringIO(text))
+        spec = EncodingSpec(version=1, outcome=table.columns[0], columns=(rule,))
+        with pytest.raises(SchemaError) as err:
+            encode(table, spec)
+        assert str(err.value) == (f"column name {name!r} holds a tab or line break, "
+                                  "which the dataset file cannot store")
 
     @pytest.mark.parametrize("expression, message", [
         ("x ** 0.5", "result (1.2246467991473532e-16+2j) is not a finite real number"),

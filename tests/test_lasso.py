@@ -706,8 +706,12 @@ class TestPreparedDesign:
         parent = _Design(Z)
         tail = parent.tail()
         copy = _Design(np.ascontiguousarray(Z[:, 1:]))
-        for name in ("X", "Xf", "Xsq"):
+        for name in ("X", "Xsq"):
             assert np.shares_memory(getattr(tail, name), getattr(parent, name)), name
+        assert np.shares_memory(tail.base, parent.base)
+        assert len(tail.xcols) == X.shape[1]
+        for mine, theirs in zip(tail.xcols, parent.xcols[1:]):
+            assert np.shares_memory(mine, parent.base) and np.shares_memory(mine, theirs)
         assert vars(tail)["finite"]
         lam_w = _wls_level(X, y, w, g, fit_intercept)
         lam_l = 0.3 * plugin_lambda(*X.shape)
@@ -828,6 +832,133 @@ class TestPostRefit:
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):
             post_refit(np.ones((5, 2)), np.ones(5), (), "probit")
+
+
+def _sweep_problem(seed, n, p, lead=None):
+    """Inputs of one weighted coordinate pass: three nonzero and two
+    unpenalized coordinates, zero weights on some rows and a zero column.
+    With `lead`, the residual is mostly column `lead`."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, p)) * rng.uniform(0.2, 3.0, size=p)
+    X[:, p // 2] = 0.0
+    W = rng.uniform(0.0, 0.25, size=n)
+    W[rng.random(n) < 0.1] = 0.0
+    coef = np.zeros(p)
+    coef[rng.choice(p, size=3, replace=False)] = rng.normal(size=3)
+    penal = np.ones(p, dtype=bool)
+    penal[rng.choice(p, size=2, replace=False)] = False
+    r = rng.normal(size=n) + X[:, :3] @ rng.normal(size=3)
+    if lead is not None:
+        r = 0.05 * r + 2.0 * X[:, lead]
+        coef[lead], penal[lead] = 0.0, True
+    rho = np.abs((r * W) @ X)
+    thr = np.where(penal, np.quantile(rho, 0.8) * rng.uniform(0.5, 1.5, size=p), 0.0)
+    return _Design(X), W, r, coef, thr, penal
+
+
+def _one_pass(design, W, r, coef, thr, penal, fit_intercept, screened, idx=None):
+    """One pass as _cd_solve runs it, over `idx` (default: a full sweep, with
+    or without _screened). Returns (intercept, max_d, coef, r, coordinates
+    visited)."""
+    r = r.copy()
+    cl = coef.tolist()
+    p = len(cl)
+    col_sq = (W @ design.Xsq).tolist()
+    visited = []
+    if screened:
+        xw = [None] * p
+        order = lasso._screened(design, W, r, cl, thr, penal, col_sq, xw)
+    else:
+        xw = design.columns(design.base * W[:, None])
+        order = range(p) if idx is None else idx
+
+    def visit():
+        for j in order:
+            visited.append(j)
+            yield j
+
+    intercept, max_d = lasso._sweep(design.xcols, xw, W, float(W.sum()), r, cl, 0.25, col_sq,
+                                    thr.tolist(), penal.tolist(), visit(), fit_intercept)
+    return intercept, max_d, np.array(cl), r, visited
+
+
+def _assert_same_sweep(a, b):
+    assert _bits(a[0]) == _bits(b[0]) and _bits(a[1]) == _bits(b[1])
+    assert np.array_equal(_bits(a[2]), _bits(b[2]))
+    assert np.array_equal(_bits(a[3]), _bits(b[3]))
+
+
+class TestScreenedSweep:
+    """A screened full sweep skips only coordinates whose exact update
+    leaves them at zero, so it ends where the plain sweep ends, to the bit."""
+
+    @pytest.mark.parametrize("fit_intercept", [True, False])
+    @pytest.mark.parametrize("n, p", [(50, 30), (301, 40), (2000, 12)])
+    def test_random_problems_match_the_plain_sweep(self, n, p, fit_intercept):
+        skipped = 0
+        for seed in range(20):
+            problem = _sweep_problem(seed, n, p)
+            plain = _one_pass(*problem, fit_intercept, screened=False)
+            screened = _one_pass(*problem, fit_intercept, screened=True)
+            _assert_same_sweep(screened, plain)
+            skipped += p - len(screened[4])
+        assert skipped > 0
+
+    @pytest.mark.parametrize("fit_intercept", [True, False])
+    @pytest.mark.parametrize("side", [1.0, -1.0], ids=["inside", "outside"])
+    @pytest.mark.parametrize("target", [0, 17])
+    def test_a_coordinate_at_its_threshold_matches_the_plain_sweep(self, target, side,
+                                                                   fit_intercept):
+        # The threshold sits 1e-12 relative from |rho| as the plain sweep
+        # computes it on reaching the coordinate: "inside" leaves it at zero,
+        # "outside" moves it. Coordinates before 17 may move first.
+        for seed in range(10):
+            design, W, r, coef, thr, penal = _sweep_problem(100 + seed, 120, 30, lead=target)
+            before = _one_pass(design, W, r, coef, thr, penal, fit_intercept, screened=False,
+                                 idx=range(target))
+            rho = float(before[3].dot(design.xcols[target] * W))
+            thr[target] = abs(rho) * (1.0 + side * 1e-12)
+            plain = _one_pass(design, W, r, coef, thr, penal, fit_intercept, screened=False)
+            screened = _one_pass(design, W, r, coef, thr, penal, fit_intercept, screened=True)
+            assert (plain[2][target] != 0.0) == (side < 0)
+            _assert_same_sweep(screened, plain)
+            if target == 0 and side > 0:  # nothing moved before it: the bound skips it
+                assert target not in screened[4]
+
+    @pytest.mark.parametrize("fit_intercept", [True, False])
+    def test_a_threshold_between_two_roundings_of_rho_matches_the_plain_sweep(
+            self, fit_intercept):
+        # _screened's one matrix-vector product and the sweep's dot product
+        # round rho differently; a threshold between the two is what the
+        # rounding term of the bound is for.
+        found = 0
+        for seed in range(40):
+            design, W, r, coef, thr, penal = _sweep_problem(200 + seed, 120, 30, lead=0)
+            r0 = _one_pass(design, W, r, coef, thr, penal, fit_intercept, screened=False,
+                             idx=range(0))[3]
+            rho = abs(float(r0.dot(design.xcols[0] * W)))
+            est = abs(float(((r0 * W) @ design.X)[0]))
+            thr[0] = 0.5 * (rho + est)
+            if not est < thr[0] < rho:
+                continue
+            found += 1
+            plain = _one_pass(design, W, r, coef, thr, penal, fit_intercept, screened=False)
+            screened = _one_pass(design, W, r, coef, thr, penal, fit_intercept, screened=True)
+            assert plain[2][0] != 0.0
+            _assert_same_sweep(screened, plain)
+        assert found >= 3
+
+    @pytest.mark.parametrize("unpenalized, warm", [((), False), ((0, 3), True)])
+    def test_logistic_solver_matches_with_screening_off(self, unpenalized, warm, monkeypatch):
+        X, y, _, g = _wls_instance(61, n=203, p=45)
+        yb = (y > np.median(y)).astype(float)
+        init = (0.1, np.linspace(-0.2, 0.2, 45)) if warm else None
+        lam = 0.3 * plugin_lambda(*X.shape)
+        monkeypatch.setattr(lasso, "_SCREEN_MIN_COLS", 1)
+        screened = lasso_logistic(X, yb, lam, g, unpenalized=unpenalized, init=init)
+        monkeypatch.setattr(lasso, "_SCREEN_MIN_COLS", 10**9)
+        _assert_same_fit(screened, lasso_logistic(X, yb, lam, g, unpenalized=unpenalized,
+                                                  init=init))
 
 
 def _solver_case(case):
