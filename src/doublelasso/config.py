@@ -19,18 +19,20 @@ _SCALINGS = ("sqrt-sigma", "sigma")
 # well under 1 s of fitting each) kept their bytes, but a fresh CLI call
 # took -16% to +50% wall time (median +3%) and 5-32% more CPU (median +16%)
 # over 4 rounds, so they stay serial. Above the cutoff the pool pays: the
-# README's 200-replication logistic study (8.2M cells) takes 2.9-3.6 s of
-# wall time and 5.1-5.4 s of CPU at two jobs against 3.9-5.1 s and 4.1-5.3 s
-# at one, and the 26-treatment survey fit (17M cells) 2.6-3.7 s (median
-# 2.8 s, 4.3 s of CPU) against 3.6-4.4 s (median 4.1 s, 4.2 s of CPU).
-# A plug-in logistic fit costs 0.11-0.14 us of CPU per cell at n=2000,
-# p=329 and 0.22-0.25 us at n=500, p=100, linear fits 0.10-0.18 us. A CV
+# README's 200-replication logistic study (8.2M cells) takes 1.6-1.8 s of
+# wall time and 2.8-3.1 s of CPU at two jobs against 3.0-3.7 s at one, and
+# the 26-treatment survey fit (17M cells) 1.0-1.2 s (1.5-1.8 s of CPU)
+# against 1.3-1.7 s, in fresh CLI calls. A plug-in logistic fit costs
+# 0.057-0.068 us of CPU per cell at n=2000, p=329 (the survey fit), 0.33-0.39
+# us at n=500, p=100 and 0.39-0.53 us at n=500, p=40; a plug-in linear fit
+# 0.026-0.029 us at n=2000, p=329 and 0.056-0.065 us at n=500, p=100. A CV
 # fit (1 + CV_FOLDS x CV_GRID solves per step, on centered folds with
-# extrapolated starts) costs 0.26-0.38 us (logistic) and 0.13-0.17 us
-# (linear) per cell-solve at n=500, p=100, and 0.59-0.71 us and 0.18-0.30 us
-# at n=200, p=20, over 3 seeds each with Gaussian or 0/1 controls. So a job
-# at the cutoff holds about 1-2 s of single-threaded fitting under the
-# plug-in rule and 1-6 s under CV, the most for small logistic designs.
+# extrapolated starts) costs 0.29-0.50 us (logistic) and 0.061-0.075 us
+# (linear) per cell-solve at n=500, p=100, and 0.37-0.46 us and 0.11-0.14 us
+# at n=200, p=20, over 3 seeds each with Gaussian controls. So a job at the
+# cutoff holds about 0.2-0.5 s of single-threaded fitting under the plug-in
+# rule on wide designs and linear fits, up to 3-4 s for small logistic
+# designs, and 0.5-4 s under CV.
 SERIAL_BELOW_CELLS = 8_000_000
 
 

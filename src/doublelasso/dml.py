@@ -261,8 +261,8 @@ def lasso_solves(penalty: PenaltyConfig) -> int:
     """Lasso solves per selection step: one, plus folds x grid under CV.
 
     parallel_map's size cutoff multiplies design cells by this. A solve
-    on a CV path costs 0.13-0.71 us of CPU per design cell, against
-    0.10-0.25 us per cell for a plug-in fit (see config.SERIAL_BELOW_CELLS).
+    on a CV path costs 0.06-0.50 us of CPU per design cell, against
+    0.03-0.53 us per cell for a plug-in fit (see config.SERIAL_BELOW_CELLS).
     """
     if penalty.method == "plugin":
         return 1

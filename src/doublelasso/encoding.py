@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import ast
 import csv
+import functools
 import io
 import math
 import os
@@ -115,7 +116,9 @@ def load_table(source, *, missing_tokens=DEFAULT_MISSING_TOKENS) -> RawTable:
     tokens (an encoding spec's `missing_tokens`) become None, and
     everything else stays text. A leading UTF-8 byte-order mark, as
     spreadsheet "CSV UTF-8" exports write it, is dropped.
-    Ragged rows raise ParseError with the 1-based data row index.
+    Records end at LF, CRLF or CR; any other line separator stays in its
+    cell. Blank lines are skipped, and ragged rows raise ParseError with the
+    1-based index of the data row among the rows kept, as encode counts them.
     """
     if hasattr(source, "read"):
         text = source.read()
@@ -125,7 +128,7 @@ def load_table(source, *, missing_tokens=DEFAULT_MISSING_TOKENS) -> RawTable:
     else:
         with open(source, "r", encoding="utf-8-sig", newline="") as fh:
             text = fh.read()
-    lines = text.splitlines()
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     while lines and not lines[-1].strip():
         lines.pop()
     if not lines:
@@ -133,28 +136,17 @@ def load_table(source, *, missing_tokens=DEFAULT_MISSING_TOKENS) -> RawTable:
     head = lines[0]
     delimiter = "\t" if head.count("\t") > head.count(",") else ","
     reader = csv.reader(io.StringIO("\n".join(lines)), delimiter=delimiter)
-    try:
-        header = next(reader)
-    except StopIteration:  # pragma: no cover - guarded by the emptiness check
-        raise ParseError("empty input: no header row") from None
-    columns = tuple(h.strip() for h in header)
-    tokens = tuple(missing_tokens)
+    columns = tuple(h.strip() for h in next(reader))
     # Survey tables repeat a few labels across many cells; parse each
     # distinct cell text once.
-    parsed: dict[str, object] = {}
-
-    def sniff(cell: str) -> object:
-        if cell not in parsed:
-            parsed[cell] = _sniff_cell(cell, tokens)
-        return parsed[cell]
-
+    sniff = functools.cache(functools.partial(_sniff_cell, missing_tokens=tuple(missing_tokens)))
     rows = []
-    for i, raw in enumerate(reader, start=1):
+    for raw in reader:
         if not raw:
             continue
         if len(raw) != len(columns):
             raise ParseError(
-                f"row {i}: expected {len(columns)} cells, found {len(raw)}"
+                f"row {len(rows) + 1}: expected {len(columns)} cells, found {len(raw)}"
             )
         rows.append(tuple(map(sniff, raw)))
     return RawTable(columns=columns, rows=tuple(rows))
@@ -629,6 +621,15 @@ class Dataset:
         raise KeyError(f"no design column named {name!r}")
 
 
+def _floats(cells, rows, where: str) -> np.ndarray:
+    """The cells of one column as floats, a missing cell as 0.0; EncodingError
+    names the data row, rows[i] + 1, of the first cell that is text."""
+    for i, cell in enumerate(cells):
+        if not (cell is None or isinstance(cell, float)):
+            raise EncodingError(f"{where}: non-numeric value {cell!r} at data row {rows[i] + 1}")
+    return np.array([0.0 if cell is None else cell for cell in cells])
+
+
 def encode(table: RawTable, spec: EncodingSpec) -> Dataset:
     """Apply the spec's rules to a parsed table. See the module docstring."""
     col_index = {name: i for i, name in enumerate(table.columns)}
@@ -638,38 +639,29 @@ def encode(table: RawTable, spec: EncodingSpec) -> Dataset:
         if rule.name not in col_index:
             raise SchemaError(f"spec references absent column {rule.name!r}")
 
-    oc = col_index[spec.outcome]
-    src_idx = {rule.name: col_index[rule.name] for rule in spec.columns}
+    # One tuple of cells per table column, empty when the table has no rows.
+    by_column = tuple(zip(*table.rows)) or ((),) * len(table.columns)
+    outcome = by_column[col_index[spec.outcome]]
+    sources = [by_column[col_index[rule.name]] for rule in spec.columns]
     zero_indicator = spec.missing_policy == "zero-indicator"
-
-    keep_rows: list[int] = []
-    for ri, row in enumerate(table.rows):
-        if row[oc] is None:
-            continue  # the outcome is never imputable
-        if not zero_indicator and any(row[src_idx[r.name]] is None for r in spec.columns):
-            continue
-        keep_rows.append(ri)
-    n = len(keep_rows)
+    # The outcome is never imputable; under "drop" no rule's cell is either.
+    tested = (outcome,) if zero_indicator else (outcome, *sources)
+    keep = [ri for ri, cells in enumerate(zip(*tested)) if None not in cells]
+    n = len(keep)
     n_dropped = table.n_rows - n
     if n == 0:
         raise EmptyDatasetError("all rows were dropped while encoding")
 
-    y = np.empty(n)
-    for out_i, ri in enumerate(keep_rows):
-        cell = table.rows[ri][oc]
-        if not isinstance(cell, float):
-            raise EncodingError(
-                f"outcome column {spec.outcome!r}: non-numeric value {cell!r} at data row {ri + 1}"
-            )
-        y[out_i] = cell
+    def kept(column):
+        return [column[ri] for ri in keep] if n_dropped else column
 
+    y = _floats(kept(outcome), keep, f"outcome column {spec.outcome!r}")
     infos: list[ColumnInfo] = []
     arrays: list[np.ndarray] = []
     indicator_blocks: list[tuple[ColumnInfo, np.ndarray]] = []
 
-    for rule in spec.columns:
-        ci = src_idx[rule.name]
-        cells = [table.rows[ri][ci] for ri in keep_rows]
+    for rule, column in zip(spec.columns, sources):
+        cells = kept(column)
         miss = np.array([c is None for c in cells], dtype=bool)
         if isinstance(rule, CategoricalRule):
             mm = rule.cell_map
@@ -685,46 +677,38 @@ def encode(table: RawTable, spec: EncodingSpec) -> Dataset:
                 if txt not in mm:
                     raise EncodingError(
                         f"unseen level {txt!r} in column {rule.name!r} "
-                        f"at data row {keep_rows[cells.index(cell)] + 1}"
+                        f"at data row {keep[cells.index(cell)] + 1}"
                     )
                 pos[cell] = lab_pos.get(mm[txt], -1)
             codes = np.fromiter(map(pos.__getitem__, cells), dtype=np.intp, count=n)
-            rows = np.flatnonzero(codes >= 0)
-            block = np.zeros((n, len(out_levels)))
-            block[rows, codes[rows]] = 1.0
+            block = (codes[:, None] == np.arange(len(out_levels))).astype(float)
             for k, (name, lab) in enumerate(zip(rule.output_names(), out_levels)):
                 infos.append(ColumnInfo(name=name, role=rule.role, source=rule.name, level=lab))
                 arrays.append(block[:, k])
         else:
-            vals = np.zeros(n)
+            vals = _floats(cells, keep, f"column {rule.name!r}")
             if isinstance(rule, DerivedRule):
                 fn = _compile_expression(rule.expression)
-            for i, cell in enumerate(cells):
-                if cell is None:
-                    continue
-                if not isinstance(cell, float):
-                    raise EncodingError(
-                        f"column {rule.name!r}: non-numeric value {cell!r} at data row {keep_rows[i] + 1}"
-                    )
-                if isinstance(rule, DerivedRule):
+                for i, cell in enumerate(cells):
+                    if cell is None:
+                        continue
                     try:
                         vals[i] = fn(cell)
                     except (ZeroDivisionError, OverflowError, ValueError) as exc:
                         raise EncodingError(
                             f"column {rule.name!r}: expression failed on {cell!r} "
-                            f"at data row {keep_rows[i] + 1}: {exc}"
+                            f"at data row {keep[i] + 1}: {exc}"
                         ) from None
-                else:
-                    vals[i] = rule.scale * cell + rule.offset
-            center, scale = 0.0, 1.0
-            if rule.standardize:
-                obs = vals[~miss]
-                center = float(obs.mean()) if obs.size else 0.0
-                sd = float(obs.std()) if obs.size else 0.0
-                scale = sd if sd > 0 else 1.0
-                vals = np.where(miss, 0.0, (vals - center) / scale)
             else:
-                vals = np.where(miss, 0.0, vals)
+                with np.errstate(over="ignore"):  # an overflow fails as a non-finite value
+                    vals = vals * rule.scale + rule.offset
+            center, scale = 0.0, 1.0
+            obs = vals[~miss]
+            if rule.standardize and obs.size:
+                center = float(obs.mean())
+                sd = float(obs.std())
+                scale = sd if sd > 0 else 1.0
+            vals = np.where(miss, 0.0, (vals - center) / scale)
             infos.append(ColumnInfo(
                 name=rule.output, role=rule.role, source=rule.name, level=None,
                 center=center, scale=scale,
@@ -781,10 +765,8 @@ def save_dataset(dataset: Dataset, path) -> str:
     path = os.fspath(path)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\t".join((dataset.outcome_name,) + dataset.column_names) + "\n")
-        for i in range(dataset.n):
-            cells = [repr(float(dataset.y[i]))]
-            cells.extend(repr(float(v)) for v in dataset.design[i])
-            fh.write("\t".join(cells) + "\n")
+        for row in np.column_stack([dataset.y, dataset.design]).tolist():
+            fh.write("\t".join(map(repr, row)) + "\n")
     meta = {
         "version": SPEC_VERSION,
         "outcome": dataset.outcome_name,
@@ -826,7 +808,6 @@ def load_dataset(path) -> Dataset:
         expected = [meta["outcome"]] + [c.name for c in infos]
         if header != expected:
             raise SchemaError("dataset header does not match its sidecar")
-        y = []
         rows = []
         for i, line in enumerate(fh, start=1):
             if not line.strip():
@@ -835,18 +816,17 @@ def load_dataset(path) -> Dataset:
             if len(parts) != len(expected):
                 raise ParseError(f"row {i}: expected {len(expected)} cells, found {len(parts)}")
             try:
-                vals = [float(v) for v in parts]
+                rows.append([float(v) for v in parts])
             except ValueError as exc:
                 raise ParseError(f"row {i}: {exc}") from None
-            y.append(vals[0])
-            rows.append(vals[1:])
     if not rows:
         raise EmptyDatasetError(f"{path} has no data rows")
     if len(rows) != meta["n"]:
         raise SchemaError(f"{path} has {len(rows)} data rows, but its sidecar says n: {meta['n']}")
+    matrix = np.array(rows)
     return Dataset(
-        y=np.asarray(y),
-        design=np.asarray(rows),
+        y=matrix[:, 0],
+        design=matrix[:, 1:],
         columns=infos,
         outcome_name=meta["outcome"],
         n_dropped=meta["n_dropped"],
@@ -984,7 +964,4 @@ def synthetic_survey_table(n: int, seed: int = 0) -> RawTable:
         else:
             data[rule.name] = [float(round(v, 3)) for v in rng.normal(0.0, 1.0, size=n)]
     columns = tuple(["dropout"] + [r.name for r in spec.columns])
-    rows = tuple(
-        tuple(data[c][i] for c in columns) for i in range(n)
-    )
-    return RawTable(columns=columns, rows=rows)
+    return RawTable(columns=columns, rows=tuple(zip(*(data[c] for c in columns))))

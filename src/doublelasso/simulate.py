@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 import yaml
@@ -155,6 +155,10 @@ class TruthRecord:
             arr = np.ascontiguousarray(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+
+    def __reduce__(self):
+        # Rebuild through __init__ so unpickled arrays are read-only again.
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
 def gen_dgp(spec: DgpSpec, seed: int) -> tuple[Dataset, TruthRecord]:

@@ -1,6 +1,7 @@
 """Table parsing, rule-based encoding, and the dataset round trip."""
 
 import dataclasses
+import hashlib
 import io
 import math
 import os
@@ -34,6 +35,7 @@ from doublelasso.encoding import (
     EncodingSpec,
     InteractionRule,
     NumericRule,
+    RawTable,
     load_dataset,
     sidecar_path,
 )
@@ -104,6 +106,24 @@ class TestLoadTable:
         path = tmp_path / "bom.csv"
         path.write_bytes(b"\xef\xbb\xbfa,b\n1,x\n")
         assert load_table(path) == load_table(io.StringIO("a,b\n1,x\n"))
+
+    @pytest.mark.parametrize("sep", ["\u2028", "\u2029", "\x85", "\x0c", "\x0b", "\x1c",
+                                     "\x1d", "\x1e"])
+    def test_only_lf_crlf_and_cr_end_a_record(self, sep):
+        table = load_table(io.StringIO(f"y,g\r\n1,a{sep}b\r0,c\n1,a{sep}b\n"))
+        assert table.rows == ((1.0, f"a{sep}b"), (0.0, "c"), (1.0, f"a{sep}b"))
+        spec = EncodingSpec(version=1, outcome="y", columns=(
+            CategoricalRule(name="g", levels=("c", f"a{sep}b"), baseline="c"),))
+        ds = encode(table, spec)
+        assert ds.column_names == ("g_a_b",)
+        assert ds.design[:, 0].tolist() == [1.0, 0.0, 1.0]
+
+    def test_row_numbers_count_the_rows_kept_as_encode_does(self):
+        with pytest.raises(ParseError, match=r"^row 2: expected 2 cells, found 1$"):
+            load_table(io.StringIO("a,b\n1,2\n\n3\n"))
+        spec = EncodingSpec(version=1, outcome="a", columns=(NumericRule(name="b"),))
+        with pytest.raises(EncodingError, match=r"^column 'b': non-numeric value 'x' at data row 2$"):
+            encode(load_table(io.StringIO("a,b\n1,2\n\n3,x\n")), spec)
 
     def test_repeated_cells_parse_as_each_cell_alone(self):
         # load_table parses each distinct cell text once per call; every
@@ -330,6 +350,12 @@ class TestEncode:
         spec = EncodingSpec(version=1, outcome="y", columns=(NumericRule(name="zzz"),))
         with pytest.raises(SchemaError, match="zzz"):
             encode(load_table(io.StringIO("y,a\n1,2\n")), spec)
+
+    def test_an_affine_map_that_overflows_fails_as_a_non_finite_value(self):
+        spec = EncodingSpec(version=1, outcome="y", columns=(
+            NumericRule(name="a", scale=10.0, standardize=False),))
+        with pytest.raises(ValueError, match="dataset values must be finite"):
+            encode(load_table(io.StringIO("y,a\n1,1e308\n0,1\n")), spec)
 
     def test_derived_expression_failure_is_reported(self):
         text = "y,a\n1,0\n"
@@ -678,3 +704,97 @@ class TestKeyTables:
 
     def test_the_sidecar_column_table_names_the_column_fields(self):
         assert set(encoding._COLUMN_KEYS) == _field_names(ColumnInfo)
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _encode_digests(ds: Dataset) -> tuple:
+    """SHA-256 of y, of the design, of the ColumnInfo tuple and of n_dropped."""
+    return (_sha(ds.y.tobytes()), _sha(ds.design.tobytes()),
+            _sha(repr(ds.columns).encode()), _sha(str(ds.n_dropped).encode()))
+
+
+def _messy_table(n: int = 400, seed: int = 11) -> RawTable:
+    """A seeded table with "" and NA cells in every column, text in the numeric and
+    derived columns of rows whose outcome is missing, and text and numeric levels."""
+    rng = np.random.default_rng(seed)
+    regions = ("north", "south", "east", "west-1", "")
+    grades = ("1", "2.0", "03", "4", "NA")
+
+    def cell(text: str, drop: bool) -> str:
+        u = rng.random()
+        if drop:
+            return "refused" if u < 0.5 else text
+        return "" if u < 0.04 else "NA" if u < 0.08 else text
+
+    lines = ["y,income,weight_g,birth_year,region,grade"]
+    for _ in range(n):
+        u = rng.random()
+        y = "" if u < 0.05 else "NA" if u < 0.1 else str(int(rng.integers(0, 2)))
+        no_outcome = y in ("", "NA")
+        lines.append(",".join([
+            y,
+            cell(repr(round(float(rng.lognormal(3.0, 0.7)), 2)), no_outcome),
+            cell(str(int(rng.integers(40_000, 120_000))), no_outcome),
+            cell(str(int(rng.integers(1930, 2005))), no_outcome),
+            regions[rng.integers(0, len(regions))],
+            grades[rng.integers(0, len(grades))],
+        ]))
+    return load_table(io.StringIO("\n".join(lines) + "\n"))
+
+
+def _messy_spec(policy: str) -> EncodingSpec:
+    return EncodingSpec(
+        version=1, outcome="y", missing_policy=policy,
+        columns=(
+            NumericRule(name="income", scale=2.54, offset=-0.3),
+            NumericRule(name="weight_g", rename="weight_kg", scale=0.001, offset=-1.5,
+                        standardize=False),
+            DerivedRule(name="birth_year", expression="(2013 - x) ** 2 / 7", rename="age2",
+                        role="treatment"),
+            CategoricalRule(name="region", levels=("north", "south", "east", "west-1"),
+                            baseline="north", merge={"east": "south"}, role="treatment"),
+            CategoricalRule(name="grade", levels=("1", "2", "3", "4"), baseline="1"),
+        ),
+        interactions=(InteractionRule(a="region_south", b="age2", role="treatment"),
+                      InteractionRule(a="income", b="grade_3")),
+    )
+
+
+SURVEY_ROWS = "a39a1274ef43e9ea3c36ee57b52b44972087578b8743fcd4049cb1123a421bd1"
+SURVEY_ENCODED = (
+    "24dc7ccf3d3615ab7d90da1187fe65d0dd761ad413c91d5fb1210cd1cd020905",
+    "b187db80ce07d737b98424de7b136f972b5ef4f2fb071a52d67f7f42f7e8c89e",
+    "dea754d0b32b847b4abbf4e37e6ba0128e7151707f6b41de5cb3db47cb620000",
+    "5feceb66ffc86f38d952786c6d696c79c2dbc239dd4e91b46729d73a27fb57e9",
+)
+MESSY_ENCODED = {
+    "drop": (  # 168 rows kept, 232 dropped
+        "c63b5be1bae0d8a7d4537608b01ed295a9f0771ca9035854360045151b074a64",
+        "7f1270c412f097147211157943c590782ccd0f8f8c9aa638ca4a7792bd4d246c",
+        "ce4e1d977d2cf9ce23d84ab9f1823d8ba9665f28437912968661e320e7028286",
+        "835d5e8314340ab852a2f979ab4cd53e994dbe38366afb6eed84fe4957b980c8",
+    ),
+    "zero-indicator": (  # 360 rows kept, 40 dropped
+        "34018d89253caf5d88b7893fb1bfd2f1967f43237dbb2b1cfcddbb9b1f18a46f",
+        "27173ef9e88451707d70e03c765cac8345f628e1d3b5d99eb09a16292241e5f2",
+        "4deb90e131cc953eafada2938ef959a443848e74c2fff8702f9d70601f24db57",
+        "d59eced1ded07f84c145592f65bdf854358e009c5cd705f5215bf18697fed103",
+    ),
+}
+
+
+class TestEncodePins:
+    """encode's output bits, recorded before its column-wise rewrite."""
+
+    def test_the_survey_table_rows_and_encoding_are_pinned(self):
+        table = synthetic_survey_table(n=2000, seed=1)
+        assert _sha(repr(table.rows).encode()) == SURVEY_ROWS
+        assert _encode_digests(encode(table, synthetic_survey_schema())) == SURVEY_ENCODED
+
+    @pytest.mark.parametrize("policy", ["drop", "zero-indicator"])
+    def test_a_table_with_missing_and_text_cells_is_pinned(self, policy):
+        ds = encode(_messy_table(), _messy_spec(policy))
+        assert _encode_digests(ds) == MESSY_ENCODED[policy]

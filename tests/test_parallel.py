@@ -18,6 +18,7 @@ import scipy
 from doublelasso import errors, parallel
 from doublelasso.encoding import ColumnInfo, Dataset
 from doublelasso.parallel import SERIAL_BELOW_CELLS, parallel_map, usable_cpus
+from doublelasso.simulate import confounded_benchmark, gen_dgp
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -346,6 +347,9 @@ def test_pickled_dataset_is_equal_and_read_only():
     assert np.array_equal(back.design, ds.design) and np.array_equal(back.y, ds.y)
     assert (back.columns, back.outcome_name, back.n_dropped) == (cols, "won", 2)
     assert not back.design.flags.writeable and not back.y.flags.writeable
+    data, truth = pickle.loads(pickle.dumps(gen_dgp(confounded_benchmark().dgp, 3)))
+    assert not data.design.flags.writeable
+    assert not truth.beta.flags.writeable and not truth.gamma.flags.writeable
 
 
 def _instances():
