@@ -22,7 +22,26 @@ import importlib
 
 __version__ = "0.1.0"
 
-_EXPORTS = {
+
+def _lazy_names(namespace: dict, exports: dict) -> list:
+    """Give the module whose globals are `namespace` a `__getattr__` that imports
+    each name of `exports` ({submodule: names}) on its first read and caches it
+    as a global; return the names."""
+    owner = {name: module for module, names in exports.items() for name in names}
+
+    def __getattr__(name):
+        module = owner.get(name)
+        if module is None:
+            raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
+        value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+        namespace[name] = value
+        return value
+
+    namespace["__getattr__"] = __getattr__
+    return list(owner)
+
+
+__all__ = ["__version__", *_lazy_names(globals(), {
     "config": ("DmlConfig", "PenaltyConfig"),
     "dml": (
         "DmlEstimate", "FitFailure", "dml_linear", "dml_logit", "dml_multi", "naive_linear",
@@ -44,19 +63,7 @@ _EXPORTS = {
         "run_study", "sparse_linear_benchmark", "sparse_logistic_benchmark",
         "study_spec_to_yaml",
     ),
-}
-_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
-
-__all__ = ["__version__", *_OWNER]
-
-
-def __getattr__(name):
-    module = _OWNER.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{module}", __name__), name)
-    globals()[name] = value
-    return value
+})]
 
 
 def __dir__():

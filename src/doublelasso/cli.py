@@ -10,20 +10,20 @@ explicit --jobs flag wins over the environment, which wins over the
 default of 1.
 
 Only `fit` and `simulate` load the fitting stack (`--version` imports no
-numpy, `encode` no scipy). Each command reads the _LAZY names from this
-module when it runs, so a name set on the module is the one it calls.
+numpy, `encode` no scipy). The names below the imports load on first read,
+and each command reads them from this module when it runs, so a name set on
+the module is the one it calls.
 """
 
 from __future__ import annotations
 
 import argparse
-import importlib
 import os
 import sys
 from dataclasses import replace
 from typing import TYPE_CHECKING
 
-from . import __version__
+from . import __version__, _lazy_names
 from .config import CV_FOLDS, SERIAL_BELOW_CELLS, DmlConfig, PenaltyConfig
 from .errors import (
     DoubleLassoError,
@@ -36,28 +36,18 @@ from .errors import (
 if TYPE_CHECKING:
     from .encoding import Dataset
 
-_LAZY = {
+_lazy_names(globals(), {
     "dml": ("dml_multi",),
     "encoding": ("Dataset", "encode", "encoding_spec_from_yaml", "load_dataset",
                  "load_table", "save_dataset", "sidecar_path"),
     "report": ("render_coverage_reports", "render_fit_results"),
     "simulate": ("coverage_reports_to_yaml", "run_study", "study_spec_from_yaml"),
-}
-_OWNER = {name: module for module, names in _LAZY.items() for name in names}
+})
 _cli = sys.modules[__name__]
 
 JOBS_ENV_VAR = "DOUBLELASSO_JOBS"
 PENALTY_HELP = (f"penalty level rule: plug-in formula, or {CV_FOLDS}-fold cross-validation "
                 "(default: plugin)")
-
-
-def __getattr__(name):
-    module = _OWNER.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{module}", __package__), name)
-    globals()[name] = value
-    return value
 
 
 def version_string() -> str:

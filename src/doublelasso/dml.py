@@ -25,12 +25,13 @@ Results are deterministic for a fixed seed regardless of the worker count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .config import CV_FOLDS, CV_GRID, GRID_POINTS, DmlConfig, PenaltyConfig
+from .encoding import _ArrayRecord
 from .errors import (
     DegenerateMomentError,
     DegenerateOutcomeError,
@@ -58,12 +59,15 @@ _SEARCH_WIDTH = 1.0
 
 
 @dataclass(eq=False, frozen=True)
-class NuisanceArtifacts:
+class NuisanceArtifacts(_ArrayRecord):
     """Per-observation intermediates of the three-step logit procedure.
 
     Invariants: sigma2_hat lies in (0, 0.25] elementwise and
     f_hat = w_hat / sqrt(sigma2_hat).
     """
+
+    _ARRAYS = ("eta_tilde", "w_hat", "sigma2_hat", "f_hat", "v_hat", "z_hat", "beta_tilde",
+               "theta_tilde")
 
     eta_tilde: np.ndarray
     w_hat: np.ndarray
@@ -78,20 +82,12 @@ class NuisanceArtifacts:
     theta_intercept: float
 
     def __post_init__(self):
+        super().__post_init__()
         if np.any(self.sigma2_hat <= 0.0) or np.any(self.sigma2_hat > 0.25):
             raise ValueError("sigma2_hat must lie in (0, 0.25]")
         if not np.allclose(self.f_hat * np.sqrt(self.sigma2_hat), self.w_hat,
                            rtol=1e-9, atol=1e-300):
             raise ValueError("f_hat must equal w_hat / sqrt(sigma2_hat)")
-        for name in ("eta_tilde", "w_hat", "sigma2_hat", "f_hat", "v_hat",
-                     "z_hat", "beta_tilde", "theta_tilde"):
-            arr = np.ascontiguousarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-    def __reduce__(self):
-        # Rebuild through __init__ so unpickled arrays are read-only again.
-        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
 @dataclass(eq=False, frozen=True)

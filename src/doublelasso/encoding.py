@@ -57,22 +57,13 @@ def _slug(text) -> str:
 
 
 def _canon(cell) -> str:
-    """Canonical text form of a cell for level matching ('1' == 1 == 1.0).
+    """A cell as the "unseen level" message shows it: 1.0 as '1'.
 
     Exact, so that distinct numbers never share a form.
     """
     if isinstance(cell, float):
         return str(int(cell)) if cell.is_integer() else repr(cell)
     return str(cell)
-
-
-def _level_cells(level: str) -> str:
-    """Canonical text of the cells a declared level matches.
-
-    A level reads as a cell does, so "01", "1.0" and 1.0 all match the
-    cells "1", "01" and "1.0".
-    """
-    return _canon(_sniff_cell(level, ()))
 
 
 # ---------------------------------------------------------------------------
@@ -248,11 +239,6 @@ def _plain(value):
     return value
 
 
-def _check_version(version, what: str) -> None:
-    if type(version) is not int or version != SPEC_VERSION:
-        raise SchemaError(f"{what} needs version: {SPEC_VERSION}, got {version!r}")
-
-
 def _yaml_mapping(source, what: str) -> dict:
     """The mapping that YAML text or a file holds, less its version key, which
     must be 1 in every format; SchemaError names `what` otherwise."""
@@ -262,7 +248,9 @@ def _yaml_mapping(source, what: str) -> dict:
         raise SchemaError(f"{what} is not valid YAML: {exc}") from None
     if not isinstance(doc, dict):
         raise SchemaError(f"{what} must be a mapping")
-    _check_version(doc.pop("version", None), what)
+    version = doc.pop("version", None)
+    if type(version) is not int or version != SPEC_VERSION:
+        raise SchemaError(f"{what} needs version: {SPEC_VERSION}, got {version!r}")
     return doc
 
 
@@ -373,9 +361,9 @@ class CategoricalRule:
                 raise SchemaError(
                     f"column {self.name!r}: merge key {key!r} is not a declared level"
                 )
-        seen: dict[str, str] = {}
+        seen: dict[object, str] = {}
         for lvl in levels:
-            other = seen.setdefault(_level_cells(lvl), lvl)
+            other = seen.setdefault(_sniff_cell(lvl, ()), lvl)
             if other != lvl:
                 raise SchemaError(
                     f"column {self.name!r}: levels {other!r} and {lvl!r} match the same cells"
@@ -388,9 +376,10 @@ class CategoricalRule:
         return m
 
     @property
-    def cell_map(self) -> dict[str, str]:
-        """merge_map keyed by the canonical text of the cells each level matches."""
-        return {_level_cells(lvl): lab for lvl, lab in self.merge_map.items()}
+    def cell_map(self) -> dict[object, str]:
+        """merge_map keyed by the cell each level reads as, so "01", "1.0" and
+        1.0 all match the cells "1", "01" and "1.0"."""
+        return {_sniff_cell(lvl, ()): lab for lvl, lab in self.merge_map.items()}
 
     @property
     def output_levels(self) -> tuple[str, ...]:
@@ -429,7 +418,6 @@ ColumnRule = NumericRule | DerivedRule | CategoricalRule
 class EncodingSpec:
     """Everything needed to turn a RawTable into a numeric Dataset."""
 
-    version: int
     outcome: str
     columns: tuple[ColumnRule, ...]
     interactions: tuple[InteractionRule, ...] = ()
@@ -440,7 +428,6 @@ class EncodingSpec:
         object.__setattr__(self, "columns", tuple(self.columns))
         object.__setattr__(self, "interactions", tuple(self.interactions))
         object.__setattr__(self, "missing_tokens", tuple(self.missing_tokens))
-        _check_version(self.version, "spec")
         if not self.columns:
             raise SchemaError("spec declares no columns")
         if self.missing_policy not in ("drop", "zero-indicator"):
@@ -516,7 +503,7 @@ _SPEC_KEYS = {"outcome": _text, "missing_policy": _text, "missing_tokens": _list
 def encoding_spec_from_yaml(text: str) -> EncodingSpec:
     """Parse the YAML spec document; the version field is mandatory."""
     doc = _read(_yaml_mapping(text, "spec"), _SPEC_KEYS, "spec")
-    return _build(EncodingSpec, {"version": SPEC_VERSION, **doc}, "spec")
+    return _build(EncodingSpec, doc, "spec")
 
 
 def _written(record, keys: dict) -> dict:
@@ -527,7 +514,7 @@ def _written(record, keys: dict) -> dict:
 
 
 def encoding_spec_to_yaml(spec: EncodingSpec) -> str:
-    doc = {"version": spec.version, **_written(spec, _SPEC_KEYS)}
+    doc = {"version": SPEC_VERSION, **_written(spec, _SPEC_KEYS)}
     doc["columns"] = [{"name": rule.name, "kind": kind, **_written(rule, keys)}
                       for rule in spec.columns
                       for kind, (cls, keys) in _RULES.items() if isinstance(rule, cls)]
@@ -556,12 +543,31 @@ class ColumnInfo:
         object.__setattr__(self, "scale", float(self.scale))
 
 
-@dataclass(frozen=True)
-class Dataset:
+class _ArrayRecord:
+    """Base of the frozen `eq=False` dataclasses that hold arrays: the fields
+    named in `_ARRAYS` become read-only C-contiguous floats, and a pickle
+    rebuilds the record through __init__, so they are read-only again."""
+
+    _ARRAYS: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        for name in self._ARRAYS:
+            arr = np.ascontiguousarray(getattr(self, name), dtype=float)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+
+@dataclass(eq=False, frozen=True)
+class Dataset(_ArrayRecord):
     """Outcome vector plus design matrix with per-column metadata.
 
     Immutable: arrays are set read-only at construction.
     """
+
+    _ARRAYS = ("y", "design")
 
     y: np.ndarray
     design: np.ndarray
@@ -570,8 +576,8 @@ class Dataset:
     n_dropped: int = 0
 
     def __post_init__(self):
-        y = np.ascontiguousarray(self.y, dtype=float)
-        design = np.ascontiguousarray(self.design, dtype=float)
+        super().__post_init__()
+        y, design = self.y, self.design
         if y.ndim != 1 or design.ndim != 2 or design.shape[0] != y.size:
             raise ValueError("y must be (n,) and design (n, p)")
         if design.shape[1] != len(self.columns):
@@ -583,16 +589,7 @@ class Dataset:
             raise ValueError("duplicate design column names")
         if self.outcome_name in names:
             raise ValueError("outcome name collides with a design column")
-        y.setflags(write=False)
-        design.setflags(write=False)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "design", design)
         object.__setattr__(self, "columns", tuple(self.columns))
-
-    def __reduce__(self):
-        # Rebuild through __init__ so unpickled arrays are read-only again.
-        return type(self), (self.y, self.design, self.columns, self.outcome_name,
-                            self.n_dropped)
 
     @property
     def n(self) -> int:
@@ -659,10 +656,11 @@ def encode(table: RawTable, spec: EncodingSpec) -> Dataset:
     infos: list[ColumnInfo] = []
     arrays: list[np.ndarray] = []
     indicator_blocks: list[tuple[ColumnInfo, np.ndarray]] = []
+    none_missing = np.zeros(n, dtype=bool)  # under "drop" every kept cell is present
 
     for rule, column in zip(spec.columns, sources):
         cells = kept(column)
-        miss = np.array([c is None for c in cells], dtype=bool)
+        miss = np.equal(np.array(cells, dtype=object), None) if zero_indicator else none_missing
         if isinstance(rule, CategoricalRule):
             mm = rule.cell_map
             out_levels = rule.output_levels
@@ -673,13 +671,12 @@ def encode(table: RawTable, spec: EncodingSpec) -> Dataset:
             for cell in pos:
                 if cell is None:
                     continue
-                txt = _canon(cell)
-                if txt not in mm:
+                if cell not in mm:
                     raise EncodingError(
-                        f"unseen level {txt!r} in column {rule.name!r} "
+                        f"unseen level {_canon(cell)!r} in column {rule.name!r} "
                         f"at data row {keep[cells.index(cell)] + 1}"
                     )
-                pos[cell] = lab_pos.get(mm[txt], -1)
+                pos[cell] = lab_pos.get(mm[cell], -1)
             codes = np.fromiter(map(pos.__getitem__, cells), dtype=np.intp, count=n)
             block = (codes[:, None] == np.arange(len(out_levels))).astype(float)
             for k, (name, lab) in enumerate(zip(rule.output_names(), out_levels)):
@@ -809,16 +806,17 @@ def load_dataset(path) -> Dataset:
         if header != expected:
             raise SchemaError("dataset header does not match its sidecar")
         rows = []
-        for i, line in enumerate(fh, start=1):
+        for line in fh:
             if not line.strip():
                 continue
             parts = line.rstrip("\n").split("\t")
             if len(parts) != len(expected):
-                raise ParseError(f"row {i}: expected {len(expected)} cells, found {len(parts)}")
+                raise ParseError(f"row {len(rows) + 1}: expected {len(expected)} cells, "
+                                 f"found {len(parts)}")
             try:
                 rows.append([float(v) for v in parts])
             except ValueError as exc:
-                raise ParseError(f"row {i}: {exc}") from None
+                raise ParseError(f"row {len(rows) + 1}: {exc}") from None
     if not rows:
         raise EmptyDatasetError(f"{path} has no data rows")
     if len(rows) != meta["n"]:
@@ -939,12 +937,7 @@ def synthetic_survey_schema() -> EncodingSpec:
     inters = tuple(
         InteractionRule(a="mode_online", b=p, role="treatment") for p in partners
     )
-    return EncodingSpec(
-        version=SPEC_VERSION,
-        outcome="dropout",
-        columns=tuple(cols),
-        interactions=inters,
-    )
+    return EncodingSpec(outcome="dropout", columns=tuple(cols), interactions=inters)
 
 
 def synthetic_survey_table(n: int, seed: int = 0) -> RawTable:

@@ -30,6 +30,8 @@ from .glm import PROB_EPS, link, solve_spd
 _OBJ_SLACK = 1e-12  # relative slack when comparing recorded objective values
 _MAX_SWEEPS = 10_000  # coordinate sweeps per solve, across all logistic passes
 _MAX_OUTER = 200  # reweighting passes per logistic solve
+_MLE_TOL = 1e-10  # largest coefficient move at which the logistic refit stops
+_MLE_MAX_ITER = 100  # Newton steps per logistic refit
 
 
 def _prob(eta):
@@ -83,16 +85,14 @@ class _Design:
     call that built it.
 
     The solvers' coordinate pass reads X's columns as contiguous views of
-    `base`, a Fortran-ordered array: by default a Fortran copy of X, whose
-    columns are X's. `dml_multi` instead passes one copy of the whole
-    dataset, which every treatment's design shares, and `cols`, the list of
-    its columns that are X's, in X's order.
+    `base`, a Fortran-ordered array, at `cols`, the positions of X's columns
+    in it, in X's order: by default a Fortran copy of X and range(p).
+    `dml_multi` instead passes one copy of the whole dataset, which every
+    treatment's design shares, with its own `cols`.
 
     The fitters build one design of Z = [d | X], column 0 the treatment,
     and select controls on `tail()`, which is X without a copy.
     """
-
-    cols = None  # base's columns are X's columns, in order
 
     def __init__(self, X, base=None, cols=None):
         self.X = np.asarray(X, dtype=float)
@@ -102,13 +102,10 @@ class _Design:
     def tail(self) -> _Design:
         """Columns 1.. as views of this design's arrays, with no copy.
 
-        A slice keeps each array's layout: the C views keep their rows with
-        a longer stride, and the Fortran view is one contiguous block.
+        The C views keep their rows with a longer stride, and the tail
+        shares `base`, reading it at cols[1:].
         """
-        if self.cols is None:
-            tail = _Design(self.X[:, 1:], self.base[:, 1:])
-        else:
-            tail = _Design(self.X[:, 1:], self.base, self.cols[1:])
+        tail = _Design(self.X[:, 1:], self.base, self.cols[1:])
         tail.Xsq = self.Xsq[:, 1:]
         if self.finite:
             tail.finite = True
@@ -120,10 +117,14 @@ class _Design:
     def base(self) -> np.ndarray:
         return np.asfortranarray(self.X)
 
+    @cached_property
+    def cols(self):
+        return range(self.X.shape[1])
+
     def columns(self, F) -> list:
         """X's columns of F, an array laid out as `base`, as views in X's order."""
         columns = list(F.T)
-        return columns if self.cols is None else [columns[j] for j in self.cols]
+        return [columns[j] for j in self.cols]
 
     @cached_property
     def xcols(self) -> list:
@@ -683,7 +684,7 @@ class RefitResult:
     warnings: tuple[str, ...] = ()
 
 
-def _logit_mle(Z, y, *, names=None, tol: float = 1e-10, max_iter: int = 100):
+def _logit_mle(Z, y, *, names=None):
     """Newton-Raphson logistic MLE with step halving; raises on a deficient Hessian."""
     n, k = Z.shape
     coef = np.zeros(k)
@@ -695,7 +696,7 @@ def _logit_mle(Z, y, *, names=None, tol: float = 1e-10, max_iter: int = 100):
 
     f0 = total_loss(eta)
     H = None
-    for _ in range(max_iter):
+    for _ in range(_MLE_MAX_ITER):
         prob = _prob(eta)
         om = prob * (1.0 - prob)
         score = Z.T @ (y - prob)
@@ -711,7 +712,7 @@ def _logit_mle(Z, y, *, names=None, tol: float = 1e-10, max_iter: int = 100):
             t *= 0.5
         moved = t * float(np.max(np.abs(step))) if k else 0.0
         coef, eta, f0 = new_coef, new_eta, f1
-        if moved < tol:
+        if moved < _MLE_TOL:
             break
     else:
         notes.append("logistic refit reached its iteration cap before converging")

@@ -18,16 +18,15 @@ over successes with the denominator reported.
 
 from __future__ import annotations
 
-import hashlib
 import math
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 import yaml
 
 from .dml import DmlConfig, DmlEstimate, FitFailure, dml_multi, lasso_solves
-from .encoding import (SPEC_VERSION, ColumnInfo, Dataset, _build, _float, _int, _list,
-                       _mapping, _plain, _read, _read_all, _text, _yaml_mapping)
+from .encoding import (SPEC_VERSION, ColumnInfo, Dataset, _ArrayRecord, _build, _float, _int,
+                       _list, _mapping, _plain, _read, _text, _yaml_mapping)
 from .errors import SchemaError
 from .glm import link
 from .parallel import parallel_map
@@ -138,8 +137,10 @@ class DgpSpec:
 
 
 @dataclass(eq=False, frozen=True)
-class TruthRecord:
+class TruthRecord(_ArrayRecord):
     """The parameters a replication was drawn from."""
+
+    _ARRAYS = ("beta", "gamma")
 
     alpha0: float
     intercept: float
@@ -149,16 +150,6 @@ class TruthRecord:
     nu: float
     noise_sd: float
     seed: int
-
-    def __post_init__(self):
-        for name in ("beta", "gamma"):
-            arr = np.ascontiguousarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-    def __reduce__(self):
-        # Rebuild through __init__ so unpickled arrays are read-only again.
-        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
 def gen_dgp(spec: DgpSpec, seed: int) -> tuple[Dataset, TruthRecord]:
@@ -209,14 +200,6 @@ def gen_dgp(spec: DgpSpec, seed: int) -> tuple[Dataset, TruthRecord]:
         family=spec.family, nu=spec.nu, noise_sd=spec.noise_sd, seed=seed,
     )
     return dataset, truth
-
-
-def dataset_checksum(dataset: Dataset) -> str:
-    """Content hash of the numeric payload; equal datasets hash equal."""
-    h = hashlib.sha256()
-    h.update(np.ascontiguousarray(dataset.y).tobytes())
-    h.update(np.ascontiguousarray(dataset.design).tobytes())
-    return h.hexdigest()
 
 
 def _estimation_family(dgp_family: str) -> str:
@@ -411,22 +394,6 @@ def coverage_reports_to_yaml(reports) -> str:
         "reports": [{**asdict(r), "failure_reasons": list(r.failure_reasons)} for r in reports],
     }
     return yaml.safe_dump(doc, sort_keys=False)
-
-
-# The 14 keys of each report entry; coverage_reports_to_yaml writes them all,
-# and coverage_reports_from_yaml requires them all.
-_REPORT_KEYS = {"method": _text, "reps": _int, "successes": _int, "failures": _int,
-                "alpha0": _float, "level": _float, "mean_bias": _float, "median_bias": _float,
-                "sd": _float, "mean_se": _float, "coverage": _float, "mean_ci_width": _float,
-                "rejection_rate": _float, "failure_reasons": _list(_text)}
-
-
-def coverage_reports_from_yaml(text: str) -> tuple[CoverageReport, ...]:
-    doc = _read_all(_yaml_mapping(text, "coverage report"), {"reports": _list(_mapping)},
-                    "coverage report")
-    where = "bad entry in coverage report"
-    return tuple(_build(CoverageReport, _read_all(entry, _REPORT_KEYS, where), where)
-                 for entry in doc["reports"])
 
 
 # ---------------------------------------------------------------------------

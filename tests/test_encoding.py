@@ -5,6 +5,7 @@ import hashlib
 import io
 import math
 import os
+import pickle
 import typing
 
 import numpy as np
@@ -112,7 +113,7 @@ class TestLoadTable:
     def test_only_lf_crlf_and_cr_end_a_record(self, sep):
         table = load_table(io.StringIO(f"y,g\r\n1,a{sep}b\r0,c\n1,a{sep}b\n"))
         assert table.rows == ((1.0, f"a{sep}b"), (0.0, "c"), (1.0, f"a{sep}b"))
-        spec = EncodingSpec(version=1, outcome="y", columns=(
+        spec = EncodingSpec(outcome="y", columns=(
             CategoricalRule(name="g", levels=("c", f"a{sep}b"), baseline="c"),))
         ds = encode(table, spec)
         assert ds.column_names == ("g_a_b",)
@@ -121,7 +122,7 @@ class TestLoadTable:
     def test_row_numbers_count_the_rows_kept_as_encode_does(self):
         with pytest.raises(ParseError, match=r"^row 2: expected 2 cells, found 1$"):
             load_table(io.StringIO("a,b\n1,2\n\n3\n"))
-        spec = EncodingSpec(version=1, outcome="a", columns=(NumericRule(name="b"),))
+        spec = EncodingSpec(outcome="a", columns=(NumericRule(name="b"),))
         with pytest.raises(EncodingError, match=r"^column 'b': non-numeric value 'x' at data row 2$"):
             encode(load_table(io.StringIO("a,b\n1,2\n\n3,x\n")), spec)
 
@@ -160,7 +161,7 @@ def _survey_spec(**kw):
         ),
     )
     interactions = (InteractionRule(a="gender_female", b="age", role="treatment"),)
-    return EncodingSpec(version=1, outcome="signed_up", columns=columns,
+    return EncodingSpec(outcome="signed_up", columns=columns,
                         interactions=interactions, **kw)
 
 
@@ -227,7 +228,7 @@ class TestEncode:
     def test_dummies_are_exclusive_and_baseline_rows_all_zero(self):
         text = "y,c\n1,a\n0,b\n1,c\n0,d\n"
         spec = EncodingSpec(
-            version=1, outcome="y",
+            outcome="y",
             columns=(CategoricalRule(name="c", levels=("a", "b", "c", "d"), baseline="a"),),
         )
         ds = encode(load_table(io.StringIO(text)), spec)
@@ -239,7 +240,7 @@ class TestEncode:
     def test_numeric_levels_match_canonical_declared_text(self):
         text = "y,grade\n1,1\n0,2\n"
         spec = EncodingSpec(
-            version=1, outcome="y",
+            outcome="y",
             columns=(CategoricalRule(name="grade", levels=("1", "2"), baseline="1"),),
         )
         ds = encode(load_table(io.StringIO(text)), spec)
@@ -262,10 +263,20 @@ class TestEncode:
         assert ds.column_names == names
         np.testing.assert_array_equal(ds.design[:, 0], [0.0, 1.0, 1.0])
 
+    def test_a_zero_level_matches_zero_cells_of_either_sign(self):
+        text = "y,g\n1,0\n0,1\n1,0.0\n0,-0\n"
+        spec = EncodingSpec(
+            outcome="y",
+            columns=(CategoricalRule(name="g", levels=("-0", "1"), baseline="-0"),),
+        )
+        ds = encode(load_table(io.StringIO(text)), spec)
+        assert ds.column_names == ("g_1",)
+        np.testing.assert_array_equal(ds.design[:, 0], [0.0, 1.0, 0.0, 0.0])
+
     def test_level_names_are_slugged_case_insensitively(self):
         text = "y,g\n1,Female\n0,Male\n"
         spec = EncodingSpec(
-            version=1, outcome="y",
+            outcome="y",
             columns=(CategoricalRule(name="g", levels=("Male", "Female"), baseline="Male"),),
         )
         ds = encode(load_table(io.StringIO(text)), spec)
@@ -275,7 +286,7 @@ class TestEncode:
     def test_listwise_drop_counts_add_up(self):
         text = "y,a,b\n1,1,x\n0,,x\n1,2,\n,3,x\n0,4,x\n"
         spec = EncodingSpec(
-            version=1, outcome="y",
+            outcome="y",
             columns=(
                 NumericRule(name="a", standardize=False),
                 CategoricalRule(name="b", levels=("x",), baseline="x"),
@@ -289,7 +300,7 @@ class TestEncode:
     def test_zero_indicator_keeps_rows_and_appends_flags(self):
         text = "y,a\n1,\n0,4\n"
         spec = EncodingSpec(
-            version=1, outcome="y",
+            outcome="y",
             columns=(NumericRule(name="a", standardize=False),),
             missing_policy="zero-indicator",
         )
@@ -300,7 +311,7 @@ class TestEncode:
     def test_zero_indicator_imputes_standardized_columns_at_their_center(self):
         text = "y,a\n1,\n0,4\n1,8\n"
         spec = EncodingSpec(
-            version=1, outcome="y",
+            outcome="y",
             columns=(NumericRule(name="a"),),
             missing_policy="zero-indicator",
         )
@@ -313,7 +324,7 @@ class TestEncode:
         text = "y,a\n,1\n0,2\n"
         for policy in ("drop", "zero-indicator"):
             spec = EncodingSpec(
-                version=1, outcome="y",
+                outcome="y",
                 columns=(NumericRule(name="a", standardize=False),),
                 missing_policy=policy,
             )
@@ -327,7 +338,7 @@ class TestEncode:
     ])
     def test_unseen_level_error_names_level_and_row(self, text, level, row):
         spec = EncodingSpec(
-            version=1, outcome="y",
+            outcome="y",
             columns=(CategoricalRule(name="g", levels=("male", "female"), baseline="male"),),
         )
         with pytest.raises(EncodingError) as err:
@@ -336,23 +347,23 @@ class TestEncode:
 
     def test_non_numeric_cell_in_numeric_column_is_reported(self):
         text = "y,a\n1,2\n0,oops\n"
-        spec = EncodingSpec(version=1, outcome="y", columns=(NumericRule(name="a"),))
+        spec = EncodingSpec(outcome="y", columns=(NumericRule(name="a"),))
         with pytest.raises(EncodingError, match=r"column 'a': non-numeric value 'oops' at data row 2"):
             encode(load_table(io.StringIO(text)), spec)
 
     def test_all_rows_dropped_is_an_error(self):
         text = "y,a\n,1\n,2\n"
-        spec = EncodingSpec(version=1, outcome="y", columns=(NumericRule(name="a"),))
+        spec = EncodingSpec(outcome="y", columns=(NumericRule(name="a"),))
         with pytest.raises(EmptyDatasetError):
             encode(load_table(io.StringIO(text)), spec)
 
     def test_absent_source_column_is_a_schema_error(self):
-        spec = EncodingSpec(version=1, outcome="y", columns=(NumericRule(name="zzz"),))
+        spec = EncodingSpec(outcome="y", columns=(NumericRule(name="zzz"),))
         with pytest.raises(SchemaError, match="zzz"):
             encode(load_table(io.StringIO("y,a\n1,2\n")), spec)
 
     def test_an_affine_map_that_overflows_fails_as_a_non_finite_value(self):
-        spec = EncodingSpec(version=1, outcome="y", columns=(
+        spec = EncodingSpec(outcome="y", columns=(
             NumericRule(name="a", scale=10.0, standardize=False),))
         with pytest.raises(ValueError, match="dataset values must be finite"):
             encode(load_table(io.StringIO("y,a\n1,1e308\n0,1\n")), spec)
@@ -360,7 +371,7 @@ class TestEncode:
     def test_derived_expression_failure_is_reported(self):
         text = "y,a\n1,0\n"
         spec = EncodingSpec(
-            version=1, outcome="y",
+            outcome="y",
             columns=(DerivedRule(name="a", expression="1 / x", standardize=False),),
         )
         with pytest.raises(EncodingError, match="expression failed"):
@@ -375,7 +386,7 @@ class TestEncode:
     def test_a_column_name_the_dataset_file_cannot_store_is_a_schema_error(self, text, rule,
                                                                             name):
         table = load_table(io.StringIO(text))
-        spec = EncodingSpec(version=1, outcome=table.columns[0], columns=(rule,))
+        spec = EncodingSpec(outcome=table.columns[0], columns=(rule,))
         with pytest.raises(SchemaError) as err:
             encode(table, spec)
         assert str(err.value) == (f"column name {name!r} holds a tab or line break, "
@@ -386,7 +397,7 @@ class TestEncode:
         ("1e308 * x * 10", "result -inf is not a finite real number"),
     ], ids=["complex", "infinite"])
     def test_a_complex_or_infinite_derived_value_names_the_row(self, expression, message):
-        spec = EncodingSpec(version=1, outcome="y",
+        spec = EncodingSpec(outcome="y",
                             columns=(DerivedRule(name="a", expression=expression),))
         with pytest.raises(EncodingError) as err:
             encode(load_table(io.StringIO("y,a\n1,-4\n0,4\n1,9\n")), spec)
@@ -395,24 +406,25 @@ class TestEncode:
 
 class TestSpecValidation:
     def test_wrong_version_rejected(self):
-        with pytest.raises(SchemaError, match="version"):
-            EncodingSpec(version=2, outcome="y", columns=(NumericRule(name="a"),))
+        with pytest.raises(SchemaError, match="spec needs version: 1, got 2"):
+            encoding_spec_from_yaml(
+                "version: 2\noutcome: y\ncolumns: [{name: a, kind: numeric}]\n")
 
     def test_output_name_collision_rejected(self):
         with pytest.raises(SchemaError, match="collide"):
             EncodingSpec(
-                version=1, outcome="y",
+                outcome="y",
                 columns=(NumericRule(name="a", rename="z"), NumericRule(name="b", rename="z")),
             )
 
     def test_outcome_collision_rejected(self):
         with pytest.raises(SchemaError, match="outcome"):
-            EncodingSpec(version=1, outcome="a", columns=(NumericRule(name="a"),))
+            EncodingSpec(outcome="a", columns=(NumericRule(name="a"),))
 
     def test_interaction_must_reference_declared_outputs(self):
         with pytest.raises(SchemaError, match="undeclared"):
             EncodingSpec(
-                version=1, outcome="y",
+                outcome="y",
                 columns=(NumericRule(name="a"),),
                 interactions=(InteractionRule(a="a", b="ghost"),),
             )
@@ -425,7 +437,8 @@ class TestSpecValidation:
         with pytest.raises(SchemaError, match="merge key"):
             CategoricalRule(name="g", levels=("a", "b"), baseline="a", merge={"c": "b"})
 
-    @pytest.mark.parametrize("levels", [("1", "01"), ("2", "2.0"), ("x", "1e3", " 1000")])
+    @pytest.mark.parametrize("levels", [("1", "01"), ("2", "2.0"), ("x", "1e3", " 1000"),
+                                        ("0", "-0.0")])
     def test_levels_that_match_the_same_cells_rejected(self, levels):
         with pytest.raises(SchemaError, match=f"levels {levels[-2]!r} and {levels[-1]!r} "
                                               "match the same cells"):
@@ -449,6 +462,10 @@ class TestSpecYaml:
         spec = _survey_spec(missing_policy="zero-indicator")
         again = encoding_spec_from_yaml(encoding_spec_to_yaml(spec))
         assert again == spec
+
+    def test_the_writer_stamps_the_one_spec_version(self):
+        doc = yaml.safe_load(encoding_spec_to_yaml(_survey_spec()))
+        assert doc["version"] == 1
 
     def test_missing_version_rejected(self):
         with pytest.raises(SchemaError, match="version"):
@@ -513,10 +530,7 @@ class TestSpecYaml:
     def test_the_package_loader_reads_what_the_pure_loader_reads(self, text):
         assert yaml.load(text, Loader=YAML_LOADER) == yaml.safe_load(text)
 
-    @pytest.mark.parametrize("parse", [
-        encoding_spec_from_yaml, simulate.study_spec_from_yaml,
-        simulate.coverage_reports_from_yaml,
-    ])
+    @pytest.mark.parametrize("parse", [encoding_spec_from_yaml, simulate.study_spec_from_yaml])
     def test_invalid_yaml_is_a_schema_error_for_every_parser(self, parse):
         with pytest.raises(SchemaError, match="not valid YAML"):
             parse("version: 1\nreports: [unclosed\n")
@@ -529,7 +543,7 @@ class TestEncodedInteractions:
 
     def _encode(self, *pairs, role="control", policy="drop", text=TEXT):
         spec = EncodingSpec(
-            version=1, outcome="y",
+            outcome="y",
             columns=(NumericRule(name="u"),
                      CategoricalRule(name="v", levels=("a", "b"), baseline="a")),
             interactions=tuple(InteractionRule(a=a, b=b, role=role) for a, b in pairs),
@@ -640,6 +654,21 @@ class TestDatasetRoundTrip:
         with pytest.raises(SchemaError, match="header"):
             load_dataset(out)
 
+    @pytest.mark.parametrize("bad, message", [
+        (lambda cells: cells + ["0.0"], "row 2: expected 7 cells, found 8"),
+        (lambda cells: ["yes"] + cells[1:], "row 2: could not convert string to float: 'yes'"),
+    ], ids=["ragged", "text-cell"])
+    def test_a_bad_row_after_a_blank_line_names_its_data_row(self, tmp_path, bad, message):
+        ds = encode(load_table(io.StringIO(_SURVEY_TEXT)), _survey_spec())
+        out = tmp_path / "data.tsv"
+        save_dataset(ds, out)
+        head, first, second, *rest = out.read_text().splitlines(keepends=True)
+        second = "\t".join(bad(second.rstrip("\n").split("\t"))) + "\n"
+        out.write_text("".join([head, first, "\n", second, *rest]))
+        with pytest.raises(ParseError) as err:
+            load_dataset(out)
+        assert str(err.value) == message
+
 
 class TestDataset:
     def test_arrays_are_read_only(self):
@@ -648,6 +677,12 @@ class TestDataset:
             ds.design[0, 0] = 9.9
         with pytest.raises(ValueError):
             ds.y[0] = 9.9
+
+    def test_equality_is_identity_and_a_dataset_hashes(self):
+        ds = encode(load_table(io.StringIO(_SURVEY_TEXT)), _survey_spec())
+        back = pickle.loads(pickle.dumps(ds))
+        assert ds == ds and ds != back
+        assert len({ds, back, ds}) == 2
 
     def test_index_of_unknown_column(self):
         ds = encode(load_table(io.StringIO(_SURVEY_TEXT)), _survey_spec())
@@ -747,7 +782,7 @@ def _messy_table(n: int = 400, seed: int = 11) -> RawTable:
 
 def _messy_spec(policy: str) -> EncodingSpec:
     return EncodingSpec(
-        version=1, outcome="y", missing_policy=policy,
+        outcome="y", missing_policy=policy,
         columns=(
             NumericRule(name="income", scale=2.54, offset=-0.3),
             NumericRule(name="weight_g", rename="weight_kg", scale=0.001, offset=-1.5,
