@@ -4,10 +4,7 @@ Exit statuses are stable API: 0 success, 2 input or validation problems,
 3 estimation failure under --fail-fast, 4 a study exceeding its failure
 ceiling. All outputs are byte-deterministic given (inputs, config, seed):
 files are written with fixed newlines, numbers print through repr or fixed
-decimals, and parallel execution never reorders results. The default job
-count can be set through the DOUBLELASSO_JOBS environment variable; an
-explicit --jobs flag wins over the environment, which wins over the
-default of 1.
+decimals, and parallel execution never reorders results.
 
 Only `fit` and `simulate` load the fitting stack (`--version` imports no
 numpy, `encode` no scipy). The names below the imports load on first read,
@@ -37,7 +34,7 @@ if TYPE_CHECKING:
     from .encoding import Dataset
 
 _lazy_names(globals(), {
-    "dml": ("dml_multi",),
+    "dml": ("binary_outcome", "dml_multi"),
     "encoding": ("Dataset", "encode", "encoding_spec_from_yaml", "load_dataset",
                  "load_table", "save_dataset", "sidecar_path"),
     "report": ("render_coverage_reports", "render_fit_results"),
@@ -45,32 +42,12 @@ _lazy_names(globals(), {
 })
 _cli = sys.modules[__name__]
 
-JOBS_ENV_VAR = "DOUBLELASSO_JOBS"
 PENALTY_HELP = (f"penalty level rule: plug-in formula, or {CV_FOLDS}-fold cross-validation "
                 "(default: plugin)")
 
 
 def version_string() -> str:
     return f"doublelasso {__version__} [{DmlConfig().fingerprint()}]"
-
-
-def _resolve_jobs(flag_value) -> int:
-    if flag_value is not None:
-        jobs = flag_value
-    else:
-        raw = os.environ.get(JOBS_ENV_VAR)
-        if raw is None or raw.strip() == "":
-            jobs = 1
-        else:
-            try:
-                jobs = int(raw)
-            except ValueError:
-                raise ValueError(
-                    f"{JOBS_ENV_VAR} must be an integer, got {raw!r}"
-                ) from None
-    if jobs < 1:
-        raise ValueError("jobs must be at least 1")
-    return jobs
 
 
 def _read_text(path: str) -> str:
@@ -147,7 +124,6 @@ def _load_fit_dataset(args) -> Dataset:
 
 
 def cmd_fit(args) -> int:
-    jobs = _resolve_jobs(args.jobs)
     if args.decimals < 0:  # the renderer checks too, but only after every fit
         raise ValueError("decimals must be nonnegative")
     config = DmlConfig(
@@ -172,14 +148,9 @@ def cmd_fit(args) -> int:
     if not dataset.treatment_names:
         raise SchemaError("no treatment columns selected")
 
-    if args.family:
-        family = args.family
-    else:
-        import numpy as np
-
-        family = "logit" if np.isin(np.unique(dataset.y), (0.0, 1.0)).all() else "linear"
+    family = args.family or ("logit" if _cli.binary_outcome(dataset.y) else "linear")
     results = _cli.dml_multi(dataset, family=family, method="dml", config=config,
-                             fail_fast=args.fail_fast, jobs=jobs)
+                             fail_fast=args.fail_fast, jobs=args.jobs)
     text = _cli.render_fit_results(results, level=args.level, fmt=args.format,
                                    decimals=args.decimals)
     _emit(text, args.out)
@@ -187,7 +158,6 @@ def cmd_fit(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    jobs = _resolve_jobs(args.jobs)
     if args.out and args.format != "structured" and args.decimals < 0:
         raise ValueError("decimals must be nonnegative")
     study = _cli.study_spec_from_yaml(_read_text(args.spec))
@@ -200,7 +170,7 @@ def cmd_simulate(args) -> int:
         level=study.level,
         seed=study.base_seed,
     )
-    reports = _cli.run_study(study, config=config, jobs=jobs)
+    reports = _cli.run_study(study, config=config, jobs=args.jobs)
     if args.out:
         if args.format == "structured":
             text = _cli.coverage_reports_to_yaml(reports)
@@ -228,8 +198,9 @@ def cmd_simulate(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     jobs_help = (
         f"processes that fit: this one plus JOBS-1 workers, each on one BLAS thread "
-        f"(default: ${JOBS_ENV_VAR} or 1); jobs under {SERIAL_BELOW_CELLS / 1e6:g}M design "
-        f"cells (times the lasso solves per step under --penalty cv) run in this process"
+        f"(default: 1); jobs under {SERIAL_BELOW_CELLS / 1e6:g}M design cells (times the "
+        f"lasso solves per step under --penalty cv) run in this process; the measured "
+        f"prices behind the cutoff are in doublelasso/config.py"
     )
     ap = argparse.ArgumentParser(
         prog="doublelasso",
@@ -266,8 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--out", help="write the table here instead of stdout")
     fit.add_argument("--fail-fast", action="store_true",
                      help="stop on the first estimation failure (exit 3)")
-    fit.add_argument("--jobs", type=int, default=None,
-                     help=jobs_help)
+    fit.add_argument("--jobs", type=int, default=1, help=jobs_help)
     fit.set_defaults(func=cmd_fit)
 
     sim = sub.add_parser("simulate", help="run a Monte Carlo study from a spec")
@@ -280,8 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--level", type=float, default=None, help="override the level")
     sim.add_argument("--penalty", choices=("plugin", "cv"), default="plugin",
                      help=PENALTY_HELP)
-    sim.add_argument("--jobs", type=int, default=None,
-                     help=jobs_help)
+    sim.add_argument("--jobs", type=int, default=1, help=jobs_help)
     sim.set_defaults(func=cmd_simulate)
     return ap
 

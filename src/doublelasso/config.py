@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 _SCALINGS = ("sqrt-sigma", "sigma")
 
 # Jobs smaller than this many design cells (items x rows x design columns,
-# times the lasso solves per selection step, dml.lasso_solves) run serially.
+# times the lasso solves per selection step, lasso_solves below) run serially.
 # Measured on a 2-core host: a forked worker boots in 10-25 ms of wall time
 # and 4-8 ms of CPU, so the boot does not set the break-even. What does is
 # that each of two processes fitting side by side fits slower. At a 250k
@@ -34,6 +34,17 @@ _SCALINGS = ("sqrt-sigma", "sigma")
 # rule on wide designs and linear fits, up to 3-4 s for small logistic
 # designs, and 0.5-4 s under CV.
 SERIAL_BELOW_CELLS = 8_000_000
+
+
+def lasso_solves(penalty: PenaltyConfig) -> int:
+    """Lasso solves per selection step: one, plus folds x grid under CV.
+
+    parallel_map's size cutoff multiplies design cells by this; see the
+    SERIAL_BELOW_CELLS comment for what a cell-solve costs.
+    """
+    if penalty.method == "plugin":
+        return 1
+    return 1 + CV_FOLDS * CV_GRID
 
 
 # The estimator's fixed tuning. The plug-in level is

@@ -24,13 +24,14 @@ Results are deterministic for a fixed seed regardless of the worker count.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .config import CV_FOLDS, CV_GRID, GRID_POINTS, DmlConfig, PenaltyConfig
+from .config import GRID_POINTS, DmlConfig, PenaltyConfig, lasso_solves
 from .encoding import _ArrayRecord
 from .errors import (
     DegenerateMomentError,
@@ -222,8 +223,7 @@ def _checked_inputs(y, design, names, family: str):
         raise DegenerateTreatmentError("treatment column is constant")
     if np.all(y == y[0]):
         raise DegenerateOutcomeError("outcome column is constant")
-    if family == "logit" and not np.isin(np.unique(y), (0.0, 1.0)).all():
-        raise ValueError("outcome must be binary 0/1 for the logit family")
+    _check_outcome_family(y, family)
     p = Z.shape[1] - 1
     if names is None:
         return y, d, design, tuple(f"x{j}" for j in range(p))
@@ -231,6 +231,16 @@ def _checked_inputs(y, design, names, family: str):
     if len(names) != p:
         raise ValueError("names must match the number of control columns")
     return y, d, design, names
+
+
+def binary_outcome(y) -> bool:
+    """Whether every entry of y is 0 or 1, as the logit family needs."""
+    return bool(np.isin(np.unique(y), (0.0, 1.0)).all())
+
+
+def _check_outcome_family(y, family: str) -> None:
+    if family == "logit" and not binary_outcome(y):
+        raise ValueError("outcome must be binary 0/1 for the logit family")
 
 
 def _estimate(cfg: DmlConfig, treatment, family, method, n, alpha, se, support1,
@@ -251,18 +261,6 @@ def _estimate(cfg: DmlConfig, treatment, family, method, n, alpha, se, support1,
         warnings=tuple(dict.fromkeys(notes)), diagnostics=diagnostics,
         artifacts=artifacts,
     )
-
-
-def lasso_solves(penalty: PenaltyConfig) -> int:
-    """Lasso solves per selection step: one, plus folds x grid under CV.
-
-    parallel_map's size cutoff multiplies design cells by this. A solve
-    on a CV path costs 0.06-0.50 us of CPU per design cell, against
-    0.03-0.53 us per cell for a plug-in fit (see config.SERIAL_BELOW_CELLS).
-    """
-    if penalty.method == "plugin":
-        return 1
-    return 1 + CV_FOLDS * CV_GRID
 
 
 def _select(design, y, family, w, penalty, unpen, seed):
@@ -538,9 +536,8 @@ _FITTERS = {
 _ESTIMATION_ERRORS = (DoubleLassoError, ValueError, np.linalg.LinAlgError)
 
 
-def _fit_treatment(shared, t: str):
-    """One dml_multi row; module level so worker processes can run it."""
-    dataset, base, family, fitter, config, fail_fast = shared
+def _fit_treatment(dataset, base, family, fitter, config, fail_fast, t: str):
+    """One dml_multi row."""
     ti = dataset.index_of(t)
     order = [ti] + [j for j in range(dataset.p) if j != ti]
     all_names = dataset.column_names
@@ -565,7 +562,8 @@ def dml_multi(dataset, *, family: str = "logit", method: str = "dml",
     For each treatment the remaining treatment columns join the controls, so
     single-treatment fits are a special case. Estimation failures (typed
     errors, invalid values, singular linear algebra) become FitFailure
-    records unless fail_fast is set; any other exception propagates.
+    records unless fail_fast is set; any other exception propagates. A
+    logit outcome that is not binary 0/1 raises ValueError before any fit.
     jobs > 1 fans the per-treatment fits out to this process and jobs - 1
     workers when the job is large enough (see parallel.parallel_map); the
     result order and values do not depend on jobs.
@@ -580,8 +578,9 @@ def dml_multi(dataset, *, family: str = "logit", method: str = "dml",
         raise ValueError("treatment list contains duplicates")
     for t in wanted:
         dataset.index_of(t)
+    _check_outcome_family(dataset.y, family)
     solves = lasso_solves((config or DmlConfig()).penalty)
     # Made before any worker forks, so every process reads the one copy.
     base = np.asfortranarray(dataset.design)
-    return tuple(parallel_map(_fit_treatment, (dataset, base, family, fitter, config, fail_fast),
-                              wanted, jobs, cells_per_item=dataset.n * dataset.p * solves))
+    fit = functools.partial(_fit_treatment, dataset, base, family, fitter, config, fail_fast)
+    return tuple(parallel_map(fit, wanted, jobs, cells_per_item=dataset.n * dataset.p * solves))

@@ -545,14 +545,16 @@ class ColumnInfo:
 
 class _ArrayRecord:
     """Base of the frozen `eq=False` dataclasses that hold arrays: the fields
-    named in `_ARRAYS` become read-only C-contiguous floats, and a pickle
-    rebuilds the record through __init__, so they are read-only again."""
+    named in `_ARRAYS` become read-only C-contiguous float views, and a
+    pickle rebuilds the record through __init__, so they are read-only
+    again. A view of an array that is already C-contiguous float shares the
+    caller's buffer without changing the caller's flags."""
 
     _ARRAYS: tuple[str, ...] = ()
 
     def __post_init__(self):
         for name in self._ARRAYS:
-            arr = np.ascontiguousarray(getattr(self, name), dtype=float)
+            arr = np.ascontiguousarray(getattr(self, name), dtype=float).view()
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -564,7 +566,7 @@ class _ArrayRecord:
 class Dataset(_ArrayRecord):
     """Outcome vector plus design matrix with per-column metadata.
 
-    Immutable: arrays are set read-only at construction.
+    Immutable: its arrays are read-only views, made at construction.
     """
 
     _ARRAYS = ("y", "design")
@@ -735,6 +737,8 @@ def encode(table: RawTable, spec: EncodingSpec) -> Dataset:
         if any(ch in name for ch in "\t\r\n"):
             raise SchemaError(f"column name {name!r} holds a tab or line break, "
                               "which the dataset file cannot store")
+    if not arrays:
+        raise SchemaError("spec yields no design column")
     return Dataset(
         y=y,
         design=np.column_stack(arrays),

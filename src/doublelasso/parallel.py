@@ -1,14 +1,15 @@
 """The one way the package runs independent work on several cores.
 
-`parallel_map(fn, shared, items, jobs, cells_per_item=...)` returns
-`[fn(shared, item) for item in items]`, in item order. Large jobs run on
-the calling process plus a pool of `jobs - 1` forked worker processes;
-small ones, and every job with `jobs == 1` or a single item, run in the
-calling process alone.
+`parallel_map(fn, items, jobs, cells_per_item=...)` returns
+`[fn(item) for item in items]`, in item order. Large jobs run on the
+calling process plus a pool of `jobs - 1` forked worker processes; small
+ones, and every job with `jobs == 1` or a single item, run in the calling
+process alone. A caller binds the inputs its items share into `fn` with
+`functools.partial` or a closure.
 
 Workers are forked: they start in tens of milliseconds and inherit `fn`,
-`shared`, the items and the imported package instead of importing or
-unpickling them; only results cross back, by pickle. Fork copies only the
+its bound inputs, the items and the imported package instead of importing
+or unpickling them; only results cross back, by pickle. Fork copies only the
 calling thread, so the pool forks only on Linux and only when no other
 Python thread is alive; elsewhere, including a call from a non-main
 thread, the job runs serially in the calling process. A forked worker also
@@ -104,8 +105,8 @@ def _caller_blas_on_one_thread():
             set_(count)
 
 
-def parallel_map(fn, shared, items, jobs: int, *, cells_per_item: int) -> list:
-    """[fn(shared, item) for item in items], on up to `jobs` processes.
+def parallel_map(fn, items, jobs: int, *, cells_per_item: int) -> list:
+    """[fn(item) for item in items], on up to `jobs` processes.
 
     The calling process is one of them and a pool of forked workers holds
     the others. The pool is used only when more than one process would work
@@ -122,11 +123,11 @@ def parallel_map(fn, shared, items, jobs: int, *, cells_per_item: int) -> list:
     with _caller_blas_on_one_thread():
         if (workers <= 1 or len(items) * cells_per_item < SERIAL_BELOW_CELLS
                 or not sys.platform.startswith("linux") or threading.active_count() > 1):
-            return [fn(shared, item) for item in items]
-        return _pooled_map(fn, shared, items, workers)
+            return [fn(item) for item in items]
+        return _pooled_map(fn, items, workers)
 
 
-def _pooled_map(fn, shared, items, workers: int) -> list:
+def _pooled_map(fn, items, workers: int) -> list:
     import multiprocessing  # here, so that a process whose jobs stay serial never loads it
 
     ctx = multiprocessing.get_context("fork")
@@ -144,7 +145,7 @@ def _pooled_map(fn, shared, items, workers: int) -> list:
         """Run item k and every item this process claims after it."""
         while k is not None:
             try:
-                outcomes[k] = (False, fn(shared, items[k]))
+                outcomes[k] = (False, fn(items[k]))
                 k = claim()
             except Exception as exc:  # raised in item order below
                 outcomes[k] = (True, exc)

@@ -18,13 +18,15 @@ over successes with the denominator reported.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 import yaml
 
-from .dml import DmlConfig, DmlEstimate, FitFailure, dml_multi, lasso_solves
+from .config import lasso_solves
+from .dml import _FITTERS, DmlConfig, DmlEstimate, FitFailure, dml_multi
 from .encoding import (SPEC_VERSION, ColumnInfo, Dataset, _ArrayRecord, _build, _float, _int,
                        _list, _mapping, _plain, _read, _text, _yaml_mapping)
 from .errors import SchemaError
@@ -33,7 +35,7 @@ from .parallel import parallel_map
 
 _FAMILIES = ("logistic", "linear")
 _CORRS = ("independent", "exchangeable", "ar1")
-_METHODS = ("dml", "naive")
+_METHODS = tuple(dict.fromkeys(method for _, method in _FITTERS))
 
 
 # The study-spec format, stated once: each YAML key and the converter that
@@ -275,9 +277,8 @@ class CoverageReport:
             raise ValueError("coverage must lie in [0, 1]")
 
 
-def _replicate(shared, r: int) -> dict:
-    """Replication r of every method; module level so worker processes can run it."""
-    study, family, config = shared
+def _replicate(study, family, config, r: int) -> dict:
+    """Replication r of every method."""
     ds, _ = gen_dgp(study.dgp, seed=study.base_seed + r)
     return {
         m: dml_multi(ds, family=family, method=m, treatments=("d",), config=config)[0]
@@ -299,8 +300,8 @@ def run_replications(study: StudySpec, *, config: DmlConfig | None = None,
     if cfg.level != study.level:
         cfg = replace(cfg, level=study.level)
     dgp = study.dgp
-    rows = parallel_map(_replicate, (study, _estimation_family(dgp.family), cfg),
-                        range(study.reps), jobs,
+    replicate = functools.partial(_replicate, study, _estimation_family(dgp.family), cfg)
+    rows = parallel_map(replicate, range(study.reps), jobs,
                         cells_per_item=(dgp.n * (dgp.p + 1) * len(study.methods)
                                         * lasso_solves(cfg.penalty)))
     return {m: [row[m] for row in rows] for m in study.methods}

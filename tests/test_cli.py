@@ -7,6 +7,7 @@ the end call `cli.main` in this process instead, so that they can replace
 a name the command calls.
 """
 
+import argparse
 import json
 import os
 import re
@@ -22,23 +23,16 @@ from doublelasso import save_dataset
 from doublelasso.encoding import ColumnInfo, Dataset, load_dataset, sidecar_path
 from doublelasso.glm import link
 from doublelasso import cli
-from doublelasso.cli import JOBS_ENV_VAR, version_string
+from doublelasso.cli import version_string
 from doublelasso.parallel import SERIAL_BELOW_CELLS, usable_cpus
+from doublelasso.simulate import DgpSpec, gen_dgp
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def run_cli(*args, env=None):
-    merged = os.environ.copy()
-    merged.pop(JOBS_ENV_VAR, None)
-    if env:
-        merged.update(env)
-    return subprocess.run(
-        [sys.executable, "-m", "doublelasso", *args],
-        capture_output=True,
-        text=True,
-        env=merged,
-    )
+def run_cli(*args):
+    return subprocess.run([sys.executable, "-m", "doublelasso", *args],
+                          capture_output=True, text=True)
 
 
 SPEC_YAML = """\
@@ -594,11 +588,10 @@ def test_fit_is_byte_deterministic_across_jobs(ws, tmp_path):
         ("--jobs", "4"),
         (),
     ]
-    envs = [None, None, {JOBS_ENV_VAR: "4"}]
-    for out, extra, env in zip(outs, cmds, envs):
+    for out, extra in zip(outs, cmds):
         proc = run_cli("fit", "--data", str(ws["encoded"]),
                        "--treatments", "d,x1", "--format", "tsv",
-                       "--out", str(out), *extra, env=env)
+                       "--out", str(out), *extra)
         assert proc.returncode == 0, proc.stderr
     blobs = [o.read_bytes() for o in outs]
     assert blobs[0] == blobs[1] == blobs[2]
@@ -772,20 +765,23 @@ def test_fit_fail_fast_exits_3(ws):
     assert proc.stdout == ""
 
 
-def test_jobs_env_var_must_be_an_integer(ws):
-    proc = run_cli("fit", "--data", str(ws["encoded"]),
-                   env={JOBS_ENV_VAR: "many"})
-    assert proc.returncode == 2
-    assert "must be an integer" in proc.stderr
+def test_fit_logit_on_a_non_binary_outcome_exits_2_before_fitting(tmp_path):
+    path = tmp_path / "linear.tsv"
+    save_dataset(gen_dgp(DgpSpec(family="linear", n=60, p=8, alpha0=0.5), seed=5)[0], str(path))
+    for extra in ((), ("--fail-fast",)):
+        proc = run_cli("fit", "--data", str(path), "--family", "logit", *extra)
+        assert proc.returncode == 2
+        assert proc.stderr == "error: outcome must be binary 0/1 for the logit family\n"
+        assert proc.stdout == ""
 
 
-def test_jobs_flag_wins_over_bad_env_value(ws):
-    bad_env = {JOBS_ENV_VAR: "0"}
-    proc = run_cli("fit", "--data", str(ws["encoded"]), env=bad_env)
+@pytest.mark.parametrize("command", ["fit", "simulate"])
+def test_jobs_below_one_exits_2(ws, command):
+    source = ("--data", str(ws["encoded"])) if command == "fit" else ("--spec", str(ws["study"]))
+    proc = run_cli(command, *source, "--jobs", "0")
     assert proc.returncode == 2
-    assert "at least 1" in proc.stderr
-    proc = run_cli("fit", "--data", str(ws["encoded"]), "--jobs", "1", env=bad_env)
-    assert proc.returncode == 0
+    assert proc.stderr == "error: jobs must be at least 1\n"
+    assert proc.stdout == ""
 
 
 # ---------------------------------------------------------------- simulate
@@ -1007,3 +1003,25 @@ def test_commands_call_the_names_set_on_the_cli_module(ws, tmp_path, monkeypatch
     assert cli.main([arg.format(tmp=tmp_path, **paths) for arg in argv]) == 0
     capsys.readouterr()
     assert called == expected
+
+
+# Every option of every command, in parser order. Adding, removing or
+# renaming a flag is a deliberate edit of this table.
+OPTIONS = {
+    "doublelasso": ("-h", "--help", "--version"),
+    "encode": ("-h", "--help", "--data", "--spec", "--out"),
+    "fit": ("-h", "--help", "--data", "--spec", "--outcome", "--treatments", "--controls",
+            "--family", "--penalty", "--level", "--seed", "--format", "--decimals", "--out",
+            "--fail-fast", "--jobs"),
+    "simulate": ("-h", "--help", "--spec", "--out", "--format", "--decimals", "--seed",
+                 "--level", "--penalty", "--jobs"),
+}
+
+
+def test_command_line_options_are_pinned():
+    parser = cli.build_parser()
+    commands = next(action.choices for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    got = {name: tuple(flag for action in p._actions for flag in action.option_strings)
+           for name, p in {"doublelasso": parser, **commands}.items()}
+    assert got == OPTIONS

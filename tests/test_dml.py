@@ -508,6 +508,13 @@ class TestDmlMulti:
                 else:  # repr spells every float exactly, nan included
                     assert repr(va) == repr(vb), f.name
 
+    @pytest.mark.parametrize("fail_fast", [False, True])
+    def test_a_non_binary_logit_outcome_raises_before_any_fit(self, monkeypatch, fail_fast):
+        ds = _toy_dataset(seed=3, n_treat=2, family="linear")
+        monkeypatch.setattr(dml, "parallel_map", lambda *args, **kwargs: pytest.fail("fitted"))
+        with pytest.raises(ValueError, match="^outcome must be binary 0/1 for the logit family$"):
+            dml_multi(ds, family="logit", fail_fast=fail_fast)
+
     def test_twenty_six_treatments_give_twenty_six_rows(self):
         ds = _toy_dataset(seed=10, n=260, n_treat=26, n_ctrl=4, family="linear")
         res = dml_multi(ds, family="linear", jobs=4)

@@ -404,6 +404,13 @@ class TestEncode:
         assert str(err.value) == f"column 'a': expression failed on -4.0 at data row 1: {message}"
 
 
+    def test_a_spec_that_yields_no_design_column_is_a_schema_error(self):
+        spec = EncodingSpec(outcome="y",
+                            columns=(CategoricalRule(name="g", levels=("a",), baseline="a"),))
+        with pytest.raises(SchemaError, match="^spec yields no design column$"):
+            encode(load_table(io.StringIO("y,g\n1,a\n0,a\n")), spec)
+
+
 class TestSpecValidation:
     def test_wrong_version_rejected(self):
         with pytest.raises(SchemaError, match="spec needs version: 1, got 2"):
@@ -677,6 +684,33 @@ class TestDataset:
             ds.design[0, 0] = 9.9
         with pytest.raises(ValueError):
             ds.y[0] = 9.9
+
+    @pytest.mark.parametrize("record", ["Dataset", "TruthRecord", "NuisanceArtifacts"])
+    def test_a_record_leaves_the_callers_arrays_writeable(self, record):
+        from doublelasso.dml import NuisanceArtifacts
+        from doublelasso.simulate import TruthRecord
+
+        v = np.array([0.25, 0.2, 0.1])
+        cols = (ColumnInfo(name="d", role="treatment", source="d"),
+                ColumnInfo(name="x", role="control", source="x"))
+        arrays, build = {
+            "Dataset": ({"y": np.array([0.0, 1.0, 1.0]), "design": np.ones((3, 2))},
+                        lambda a: Dataset(columns=cols, **a)),
+            "TruthRecord": ({"beta": v.copy(), "gamma": v.copy()},
+                            lambda a: TruthRecord(alpha0=0.5, intercept=0.0, family="linear",
+                                                  nu=1.0, noise_sd=1.0, seed=0, **a)),
+            "NuisanceArtifacts": (
+                {"eta_tilde": v.copy(), "w_hat": v.copy(), "sigma2_hat": v.copy(),
+                 "f_hat": np.sqrt(v), "v_hat": v.copy(), "z_hat": v.copy(),
+                 "beta_tilde": v.copy(), "theta_tilde": v.copy()},
+                lambda a: NuisanceArtifacts(alpha_tilde=0.5, intercept_tilde=0.0,
+                                            theta_intercept=0.0, **a)),
+        }[record]
+        held = build(arrays)
+        for name, arr in arrays.items():
+            assert arr.flags.writeable, name
+            assert not getattr(held, name).flags.writeable, name
+            assert np.array_equal(getattr(held, name), arr)
 
     def test_equality_is_identity_and_a_dataset_hashes(self):
         ds = encode(load_table(io.StringIO(_SURVEY_TEXT)), _survey_spec())

@@ -1,5 +1,6 @@
 """The process pool behind --jobs: when it starts and what crosses into it."""
 
+import functools
 import gc
 import json
 import os
@@ -27,26 +28,27 @@ needs_blas_control = pytest.mark.skipif(not parallel._blas_thread_control(),
                                         reason="no bundled BLAS exports a thread control")
 
 
-def _where(shared, item):
-    return os.getpid(), os.environ.get("OPENBLAS_NUM_THREADS"), shared + item
+def _where(offset, item):
+    return os.getpid(), os.environ.get("OPENBLAS_NUM_THREADS"), offset + item
 
 
-def _fail_at(shared, item):
-    if item == shared:
+def _fail_at(bad, item):
+    if item == bad:
         raise errors.RankDeficiencyError(("x3", "x7"))
     return item
 
 
 def test_small_job_stays_in_the_calling_process():
     per_item = SERIAL_BELOW_CELLS // 3 - 1
-    got = parallel_map(_where, 10, range(3), 4, cells_per_item=per_item)
+    got = parallel_map(functools.partial(_where, 10), range(3), 4, cells_per_item=per_item)
     assert got == [(os.getpid(), os.environ.get("OPENBLAS_NUM_THREADS"), 10 + k)
                    for k in range(3)]
 
 
 @pytest.mark.parametrize("jobs, items", [(1, range(4)), (4, range(1))])
 def test_one_job_or_one_item_stays_serial(jobs, items):
-    got = parallel_map(_where, 0, items, jobs, cells_per_item=SERIAL_BELOW_CELLS)
+    got = parallel_map(functools.partial(_where, 0), items, jobs,
+                       cells_per_item=SERIAL_BELOW_CELLS)
     assert {pid for pid, _, _ in got} == {os.getpid()}
 
 
@@ -65,7 +67,7 @@ def test_large_job_runs_in_workers_with_single_threaded_blas(monkeypatch):
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "7")
     monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
     before = _thread_counts()
-    got = parallel_map(_blas_threads_of, os.getpid(), range(6), 2,
+    got = parallel_map(functools.partial(_blas_threads_of, os.getpid()), range(6), 2,
                        cells_per_item=SERIAL_BELOW_CELLS)
     assert [item for _, _, item in got] == list(range(6))
     assert len({pid for pid, _, _ in got}) <= 2
@@ -80,12 +82,13 @@ def test_large_job_runs_in_workers_with_single_threaded_blas(monkeypatch):
 @needs_two_cpus
 def test_worker_errors_reach_the_caller_unchanged():
     with pytest.raises(errors.RankDeficiencyError) as info:
-        parallel_map(_fail_at, 2, range(4), 2, cells_per_item=SERIAL_BELOW_CELLS)
+        parallel_map(functools.partial(_fail_at, 2), range(4), 2,
+                     cells_per_item=SERIAL_BELOW_CELLS)
     assert info.value.columns == ("x3", "x7")
     assert str(info.value) == "rank-deficient design; offending columns: x3, x7"
 
 
-def _blas_threads(shared, item):
+def _blas_threads(item):
     return os.getpid(), _thread_counts()
 
 
@@ -99,7 +102,7 @@ def test_caller_fits_on_one_blas_thread_and_restores_the_count(cells_per_item):
     for _, set_ in controls:
         set_(2)
     try:
-        got = parallel_map(_blas_threads, None, range(6), 2, cells_per_item=cells_per_item)
+        got = parallel_map(_blas_threads, range(6), 2, cells_per_item=cells_per_item)
         assert _thread_counts() == [2] * len(controls)
     finally:
         for (_, set_), count in zip(controls, before):
@@ -131,20 +134,20 @@ def _fail_low_and_last(caller_pid, item):
 @needs_two_cpus
 def test_first_error_in_item_order_wins_over_the_callers():
     with pytest.raises(errors.ParseError) as info:
-        parallel_map(_fail_low_and_last, os.getpid(), range(12), 2,
+        parallel_map(functools.partial(_fail_low_and_last, os.getpid()), range(12), 2,
                      cells_per_item=SERIAL_BELOW_CELLS)
     assert str(info.value) != f"item 0 in pid {os.getpid()}"  # the pool ran item 0
 
 
 class _Shared:
-    """A `shared` argument that a weak reference can follow."""
+    """An input bound into `fn` that a weak reference can follow."""
 
     def __init__(self):
         self.caller = os.getpid()
 
 
-def _pid_of(shared, item):
-    if os.getpid() == shared.caller:
+def _pid_of(holder, item):
+    if os.getpid() == holder.caller:
         time.sleep(0.05)  # let the pool claim the front items first
     return os.getpid()
 
@@ -152,14 +155,14 @@ def _pid_of(shared, item):
 @needs_two_cpus
 def test_pooled_job_frees_its_state_without_a_collection(pool_always):
     # A CLI process runs with the collector off, so anything a pooled job
-    # leaves in a reference cycle (the pool, its futures, `shared`) would
-    # live until the process exits.
+    # leaves in a reference cycle (the pool, its futures, the inputs bound
+    # into `fn`) would live until the process exits.
     shared = _Shared()
     ref = weakref.ref(shared)
     enabled = gc.isenabled()
     gc.disable()
     try:
-        pids = parallel_map(_pid_of, shared, range(6), 2, cells_per_item=1)
+        pids = parallel_map(functools.partial(_pid_of, shared), range(6), 2, cells_per_item=1)
         del shared
         freed = ref() is None
     finally:
@@ -198,10 +201,11 @@ def _run_bounded(code, timeout=120):
 @needs_two_cpus
 def test_many_tiny_items_each_run_once_in_order(tmp_path):
     got = _run_bounded(
-        "import json\n"
+        "import functools, json\n"
         "from test_parallel import _claim\n"
         "from doublelasso.parallel import SERIAL_BELOW_CELLS, parallel_map\n"
-        f"print(json.dumps(parallel_map(_claim, {str(tmp_path)!r}, range(200), 2,\n"
+        f"claim = functools.partial(_claim, {str(tmp_path)!r})\n"
+        "print(json.dumps(parallel_map(claim, range(200), 2,\n"
         "                               cells_per_item=SERIAL_BELOW_CELLS)))\n")
     assert [item for item, _ in got] == list(range(200))
     runs = [(tmp_path / f"{item}").read_text().splitlines() for item in range(200)]
@@ -219,11 +223,11 @@ def _die_in_worker(caller_pid, item):
 @needs_two_cpus
 def test_a_dead_worker_raises_instead_of_hanging():
     got = _run_bounded(
-        "import json, os\n"
+        "import functools, json, os\n"
         "from test_parallel import _die_in_worker\n"
         "from doublelasso.parallel import SERIAL_BELOW_CELLS, parallel_map\n"
         "try:\n"
-        "    parallel_map(_die_in_worker, os.getpid(), range(20), 2,\n"
+        "    parallel_map(functools.partial(_die_in_worker, os.getpid()), range(20), 2,\n"
         "                 cells_per_item=SERIAL_BELOW_CELLS)\n"
         "except Exception as exc:\n"
         "    print(json.dumps(type(exc).__name__))\n")
@@ -240,7 +244,7 @@ def _unpicklable_in_worker(caller_pid, item):
 @needs_two_cpus
 def test_a_result_that_does_not_pickle_raises_its_pickling_error():
     with pytest.raises(TypeError, match="pickle"):
-        parallel_map(_unpicklable_in_worker, os.getpid(), range(4), 2,
+        parallel_map(functools.partial(_unpicklable_in_worker, os.getpid()), range(4), 2,
                      cells_per_item=SERIAL_BELOW_CELLS)
 
 
@@ -254,11 +258,11 @@ def _interrupt_in_caller(caller_pid, item):
 @needs_two_cpus
 def test_an_interrupt_in_the_caller_ends_a_worker_blocked_on_sending():
     got = _run_bounded(
-        "import json, multiprocessing, os\n"
+        "import functools, json, multiprocessing, os\n"
         "from test_parallel import _interrupt_in_caller\n"
         "from doublelasso.parallel import SERIAL_BELOW_CELLS, parallel_map\n"
         "try:\n"
-        "    parallel_map(_interrupt_in_caller, os.getpid(), range(6), 2,\n"
+        "    parallel_map(functools.partial(_interrupt_in_caller, os.getpid()), range(6), 2,\n"
         "                 cells_per_item=SERIAL_BELOW_CELLS)\n"
         "except KeyboardInterrupt:\n"
         "    print(json.dumps(len(multiprocessing.active_children())))\n", timeout=60)
@@ -276,7 +280,6 @@ SERIAL_COMMANDS = {
 def test_a_serial_command_loads_no_process_pool(argv):
     got = _run_bounded(
         "import contextlib, io, json, os, sys\n"
-        "os.environ.pop('DOUBLELASSO_JOBS', None)\n"
         "from doublelasso.__main__ import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    status = main({argv!r})\n"
@@ -290,7 +293,7 @@ def test_a_serial_command_loads_no_process_pool(argv):
 @needs_two_cpus
 def test_pool_forks_after_a_threaded_blas_call():
     got = _run_bounded(
-        "import json, os\n"
+        "import functools, json, os\n"
         "import numpy as np\n"
         "from scipy.linalg import blas\n"
         "from test_parallel import _blas_threads_of\n"
@@ -301,7 +304,7 @@ def test_pool_forks_after_a_threaded_blas_call():
         "a @ a\n"
         "blas.dgemm(1.0, a, a)\n"
         "print(json.dumps([os.getpid(), parallel.parallel_map(\n"
-        "    _blas_threads_of, os.getpid(), range(6), 2,\n"
+        "    functools.partial(_blas_threads_of, os.getpid()), range(6), 2,\n"
         "    cells_per_item=parallel.SERIAL_BELOW_CELLS)]))\n")
     caller, rows = got
     assert [item for _, _, item in rows] == list(range(6))
@@ -315,8 +318,8 @@ def test_call_from_another_thread_stays_serial():
     outcome = {}
 
     def run():
-        outcome["got"] = parallel_map(_blas_threads_of, os.getpid(), range(4), 2,
-                                      cells_per_item=SERIAL_BELOW_CELLS)
+        outcome["got"] = parallel_map(functools.partial(_blas_threads_of, os.getpid()),
+                                      range(4), 2, cells_per_item=SERIAL_BELOW_CELLS)
 
     runner = threading.Thread(target=run, daemon=True)
     runner.start()
@@ -329,13 +332,14 @@ def test_call_from_another_thread_stays_serial():
 @needs_two_cpus
 def test_jobs_stay_serial_off_linux(monkeypatch):
     monkeypatch.setattr(sys, "platform", "darwin")
-    got = parallel_map(_where, 0, range(4), 2, cells_per_item=SERIAL_BELOW_CELLS)
+    got = parallel_map(functools.partial(_where, 0), range(4), 2,
+                       cells_per_item=SERIAL_BELOW_CELLS)
     assert [(pid, value) for pid, _, value in got] == [(os.getpid(), k) for k in range(4)]
 
 
 def test_jobs_below_one_rejected():
     with pytest.raises(ValueError, match="jobs"):
-        parallel_map(_where, 0, range(2), 0, cells_per_item=1)
+        parallel_map(functools.partial(_where, 0), range(2), 0, cells_per_item=1)
 
 
 def test_pickled_dataset_is_equal_and_read_only():

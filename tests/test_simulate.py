@@ -211,6 +211,11 @@ class TestStudySpecValidation:
         with pytest.raises(ValueError, match="unknown method"):
             StudySpec(dgp=_linear_spec(), reps=1, methods=("bayes",))
 
+    def test_unknown_method_error_lists_the_fitters_methods(self):
+        with pytest.raises(ValueError) as err:
+            StudySpec(dgp=_linear_spec(), reps=1, methods=("bayes",))
+        assert str(err.value) == "unknown method 'bayes'; choose from ('dml', 'naive')"
+
     def test_last_replication_seed_must_be_below_2_to_the_64(self):
         assert StudySpec(dgp=_linear_spec(), reps=3, base_seed=2**64 - 3).base_seed == 2**64 - 3
         with pytest.raises(ValueError, match=r"base_seed \+ reps - 1 must be below 2\*\*64"):
