@@ -40,7 +40,7 @@ from .errors import (
     DoubleLassoError,
     WeakInstrumentError,
 )
-from .glm import link, link_deriv, solve_spd
+from .glm import binary_outcome, link, link_deriv, solve_spd
 from .lasso import (
     _Design,
     cv_lambda,
@@ -231,11 +231,6 @@ def _checked_inputs(y, design, names, family: str):
     if len(names) != p:
         raise ValueError("names must match the number of control columns")
     return y, d, design, names
-
-
-def binary_outcome(y) -> bool:
-    """Whether every entry of y is 0 or 1, as the logit family needs."""
-    return bool(np.isin(np.unique(y), (0.0, 1.0)).all())
 
 
 def _check_outcome_family(y, family: str) -> None:

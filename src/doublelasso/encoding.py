@@ -108,8 +108,10 @@ def load_table(source, *, missing_tokens=DEFAULT_MISSING_TOKENS) -> RawTable:
     everything else stays text. A leading UTF-8 byte-order mark, as
     spreadsheet "CSV UTF-8" exports write it, is dropped.
     Records end at LF, CRLF or CR; any other line separator stays in its
-    cell. Blank lines are skipped, and ragged rows raise ParseError with the
-    1-based index of the data row among the rows kept, as encode counts them.
+    cell. Blank lines are skipped, as is a line with no delimiter that holds
+    only whitespace (a line of delimiters is a row of empty cells). Ragged
+    rows raise ParseError with the 1-based index of the data row among the
+    rows kept, as encode counts them.
     """
     if hasattr(source, "read"):
         text = source.read()
@@ -133,7 +135,7 @@ def load_table(source, *, missing_tokens=DEFAULT_MISSING_TOKENS) -> RawTable:
     sniff = functools.cache(functools.partial(_sniff_cell, missing_tokens=tuple(missing_tokens)))
     rows = []
     for raw in reader:
-        if not raw:
+        if len(raw) < 2 and not "".join(raw).strip():
             continue
         if len(raw) != len(columns):
             raise ParseError(

@@ -27,6 +27,11 @@ def _finite_array(t, name: str) -> np.ndarray:
     return arr
 
 
+def binary_outcome(y) -> bool:
+    """Whether every entry of y is 0 or 1, as a logistic fit needs."""
+    return bool(np.isin(np.unique(y), (0.0, 1.0)).all())
+
+
 def link(t):
     """Logistic link G(t) = exp(t) / (1 + exp(t)), clamped away from 0 and 1.
 

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .config import CV_FOLDS, CV_GRID, CV_MIN_RATIO, PLUGIN_C
-from .glm import PROB_EPS, link, solve_spd
+from .glm import PROB_EPS, binary_outcome, link, solve_spd
 
 _OBJ_SLACK = 1e-12  # relative slack when comparing recorded objective values
 _MAX_SWEEPS = 10_000  # coordinate sweeps per solve, across all logistic passes
@@ -166,13 +166,13 @@ def _validate_common(X, y, lam, loadings, unpenalized):
         loadings = np.asarray(loadings, dtype=float)
         if loadings.shape != (p,) or not np.all(np.isfinite(loadings)) or np.any(loadings <= 0):
             raise ValueError("loadings must be a positive vector of length p")
-    unpen = np.zeros(p, dtype=bool)
+    penal = np.ones(p, dtype=bool)
     for j in unpenalized:
         jj = int(j)
         if not 0 <= jj < p:
             raise ValueError(f"unpenalized index {jj} out of range")
-        unpen[jj] = True
-    return design, y, float(lam), loadings, unpen
+        penal[jj] = False
+    return design, y, float(lam), loadings, penal, np.where(penal, loadings, 0.0)
 
 
 def _start(init, p: int, fit_intercept: bool):
@@ -363,19 +363,17 @@ def lasso_wls(X, y, w, lam, loadings=None, *, fit_intercept: bool = True,
     otherwise. `X` may be a prepared `_Design`, whose derived arrays are
     then reused instead of rebuilt.
     """
-    design, y, lam, loadings, unpen = _validate_common(X, y, lam, loadings, unpenalized)
+    design, y, lam, loadings, penal, pen_load = _validate_common(X, y, lam, loadings, unpenalized)
     X = design.X
     w = np.asarray(w, dtype=float)
     if w.shape != y.shape or not np.all(np.isfinite(w)) or np.any(w < 0):
         raise ValueError("w must be a nonnegative vector matching y")
     n, p = X.shape
     W = w * w
-    penal = ~unpen
     thr = np.where(penal, lam * loadings / 2.0, 0.0)
 
     intercept, coef = _start(init, p, fit_intercept)
     r = y - intercept - X @ coef
-    pen_load = np.where(penal, loadings, 0.0)
 
     def objective() -> float:
         return float(W @ (r * r)) / n + (lam / n) * float(pen_load @ np.abs(coef))
@@ -396,24 +394,24 @@ def lasso_logistic(X, y, lam, loadings=None, *, unpenalized=(), tol: float = 1e-
 
     Each outer pass builds the curvature-weighted quadratic at the current
     fit and solves it by coordinate descent. If a pass ever increases the
-    penalized objective, it is redone from the previous iterate with the
-    global curvature bound 0.25, which majorizes the logistic loss along
-    every coordinate, so the recorded objective sequence is nonincreasing.
+    penalized objective, it is redone from the pass's start with the global
+    curvature bound 0.25, which majorizes the logistic loss along every
+    coordinate; if that pass increases it too, the fit stays put and stops.
+    So the recorded objective sequence is nonincreasing.
     The descent starts from the log-odds intercept and zero coefficients,
     or from `init=(intercept, coef)` when given (a warm start along a path).
     It stops after _MAX_OUTER passes or _MAX_SWEEPS sweeps in all, with a
     warning. `X` may be a prepared `_Design`, whose derived arrays are then
     reused instead of rebuilt.
     """
-    design, y, lam, loadings, unpen = _validate_common(X, y, lam, loadings, unpenalized)
+    design, y, lam, loadings, penal, pen_load = _validate_common(X, y, lam, loadings, unpenalized)
     X = design.X
-    uniq = np.unique(y)
-    if not np.isin(uniq, (0.0, 1.0)).all():
+    if not binary_outcome(y):
         raise ValueError("outcome must be binary 0/1 for the logistic objective")
     n, p = X.shape
-    penal = ~unpen
     thr = np.where(penal, lam * loadings, 0.0)  # quadratic carries a 1/2 factor
-    pen_load = np.where(penal, loadings, 0.0)
+    screen = p >= _SCREEN_MIN_COLS
+    quarter = np.full(n, 0.25)
 
     intercept, coef = _start(init, p, True)
     if init is None:
@@ -436,35 +434,32 @@ def lasso_logistic(X, y, lam, loadings=None, *, unpenalized=(), tol: float = 1e-
         prev_coef = coef.copy()
         prev_obj = path[-1]
         p_hat = _prob(eta)
-
-        def quad_pass(om):
-            """At most 50 sweeps on the quadratic with curvature weights om."""
-            nonlocal intercept, total_sweeps, eta
-            budget = min(50, max(1, _MAX_SWEEPS - total_sweeps))
+        new_obj = None  # until a pass is accepted
+        # The Newton curvature first; if its pass overshoots, the 0.25
+        # majorizer from the same start, unless no sweep is left for it.
+        for om in (p_hat * (1.0 - p_hat), quarter):
+            if total_sweeps >= _MAX_SWEEPS:
+                break
             intercept, used, _ = _cd_solve(
                 design, om, (y - p_hat) / om, coef, intercept, thr, penal,
-                True, tol, budget, None, p >= _SCREEN_MIN_COLS,
+                True, tol, min(50, _MAX_SWEEPS - total_sweeps), None, screen,
             )
             total_sweeps += used
             eta = intercept + X @ coef
-
-        quad_pass(p_hat * (1.0 - p_hat))
-        new_obj = objective()
-        if new_obj > prev_obj + _OBJ_SLACK * (1.0 + abs(prev_obj)):
-            # Newton quadratic overshot: retry from the previous iterate with
-            # the provable 0.25 majorizer.
-            intercept = prev_intercept
-            coef[:] = prev_coef
-            eta = intercept + X @ coef
-            quad_pass(np.full(n, 0.25))
-            new_obj = objective()
-            if new_obj > prev_obj + _OBJ_SLACK * (1.0 + abs(prev_obj)):
-                # No descent available beyond rounding noise: stay put.
+            obj = objective()
+            if obj > prev_obj + _OBJ_SLACK * (1.0 + abs(prev_obj)):
                 intercept = prev_intercept
                 coef[:] = prev_coef
                 eta = intercept + X @ coef
-                new_obj = prev_obj
-                converged = True
+            else:
+                new_obj = obj
+                break
+        else:
+            # No descent available beyond rounding noise: stay put.
+            new_obj = prev_obj
+            converged = True
+        if new_obj is None:
+            break  # no sweep left for the retry: keep the pass's start
         path.append(new_obj)
         if not sep_warned and float(np.max(np.abs(eta))) > 30.0:
             notes.append(
@@ -478,16 +473,15 @@ def lasso_logistic(X, y, lam, loadings=None, *, unpenalized=(), tol: float = 1e-
         )
         if delta < tol:
             converged = True
-        if converged:
-            break
-        if total_sweeps >= _MAX_SWEEPS:
-            notes.append(
-                f"logistic lasso stopped at the sweep cap ({_MAX_SWEEPS}) before reaching tol={tol:g}"
-            )
+        if converged or total_sweeps >= _MAX_SWEEPS:
             break
     else:
         notes.append(
             f"logistic lasso stopped at the pass cap ({_MAX_OUTER}) before reaching tol={tol:g}"
+        )
+    if not converged and total_sweeps >= _MAX_SWEEPS:
+        notes.append(
+            f"logistic lasso stopped at the sweep cap ({_MAX_SWEEPS}) before reaching tol={tol:g}"
         )
 
     return _result(intercept, coef, penal, lam, loadings, total_sweeps, converged, path, notes)
@@ -694,14 +688,15 @@ def _logit_mle(Z, y, *, names=None):
     def total_loss(e):
         return float(np.sum(np.logaddexp(0.0, e) - y * e))
 
+    def curvature(e):
+        """Fitted probabilities at e and the Hessian Z' diag(p(1-p)) Z."""
+        prob = _prob(e)
+        return prob, Z.T @ (Z * (prob * (1.0 - prob))[:, None])
+
     f0 = total_loss(eta)
-    H = None
     for _ in range(_MLE_MAX_ITER):
-        prob = _prob(eta)
-        om = prob * (1.0 - prob)
-        score = Z.T @ (y - prob)
-        H = Z.T @ (Z * om[:, None])
-        step = solve_spd(H, score, names=names)
+        prob, H = curvature(eta)
+        step = solve_spd(H, Z.T @ (y - prob), names=names)
         t = 1.0
         while True:
             new_coef = coef + t * step
@@ -718,11 +713,8 @@ def _logit_mle(Z, y, *, names=None):
         notes.append("logistic refit reached its iteration cap before converging")
     if float(np.max(np.abs(eta))) > 30.0:
         notes.append("possible separation in the logistic refit: |eta| exceeded 30")
-    prob = _prob(eta)
-    om = prob * (1.0 - prob)
-    H = Z.T @ (Z * om[:, None])
-    eye = np.eye(k)
-    Hinv = solve_spd(H, eye, names=names)
+    prob, H = curvature(eta)
+    Hinv = solve_spd(H, np.eye(k), names=names)
     B = Z.T @ (Z * ((y - prob) ** 2)[:, None])
     cov_sand = Hinv @ B @ Hinv
     return coef, Hinv, cov_sand, float(f0 / n), tuple(notes)
@@ -753,8 +745,7 @@ def post_refit(X, y, support, family: str, *, w=None, keep=(),
     Z = np.column_stack([np.ones(n), X[:, cols]])
 
     if family == "logistic":
-        uniq = np.unique(y)
-        if not np.isin(uniq, (0.0, 1.0)).all():
+        if not binary_outcome(y):
             raise ValueError("outcome must be binary 0/1 for a logistic refit")
         sol, cov, cov_sand, loss, notes = _logit_mle(Z, y, names=sub_names)
     else:

@@ -92,6 +92,19 @@ class TestLoadTable:
         t = load_table(io.StringIO("a\n1\n\n\n"))
         assert t.n_rows == 1
 
+    @pytest.mark.parametrize("text, rows", [
+        ("a,b\n1,2\n   \n3,4\n", ((1.0, 2.0), (3.0, 4.0))),
+        ("a,b\n1,2\n3,4\n \t \n", ((1.0, 2.0), (3.0, 4.0))),
+        ("a\tb\n1\t2\n  \n3\t4\n", ((1.0, 2.0), (3.0, 4.0))),
+        ("y\n1\n   \n2\n", ((1.0,), (2.0,))),
+    ], ids=["mid-file", "end-of-file", "tab-delimited", "one-column"])
+    def test_a_whitespace_only_line_is_blank_wherever_it_sits(self, text, rows):
+        assert load_table(io.StringIO(text)).rows == rows
+
+    def test_a_line_of_delimiters_is_a_row_of_empty_cells(self):
+        assert load_table(io.StringIO("a\tb\n1\t2\n\t\n3\t4\n")).rows == (
+            (1.0, 2.0), (None, None), (3.0, 4.0))
+
     def test_non_finite_numbers_stay_text(self):
         t = load_table(io.StringIO("a\ninf\n"))
         assert t.rows[0] == ("inf",)

@@ -12,7 +12,7 @@ import oracles
 from oracles import soft_threshold
 from doublelasso import lasso
 from doublelasso import PenaltyConfig, lambda_max_wls, lasso_logistic, lasso_wls, plugin_lambda
-from doublelasso.glm import wls_fit
+from doublelasso.glm import PROB_EPS, wls_fit
 from doublelasso.lasso import (
     _Design,
     cv_lambda,
@@ -344,12 +344,24 @@ def _separable_instance():
     return X, (X[:, 0] > 0).astype(float)
 
 
+def _near_separable_instance(seed):
+    """A small logistic problem with badly scaled columns and a steep true
+    index, drawn as (X, y, lam): seed 331 gives n=21, p=5, lam=0.01, whose
+    Newton passes overshoot 162 times; seed 196 gives n=31, p=10, lam=0.01."""
+    rng = np.random.default_rng(seed)
+    n, p = int(rng.integers(15, 80)), int(rng.integers(2, 12))
+    X = rng.normal(size=(n, p)) * rng.choice([1, 5, 30], size=p)
+    eta = X @ rng.normal(scale=rng.choice([0.5, 3, 10]), size=p)
+    y = (rng.random(n) < 1 / (1 + np.exp(-eta))).astype(float)
+    return X, y, float(rng.choice([0.0, 0.01, 0.1, 1.0]))
+
+
 class TestSolverCaps:
     """Both solvers stop at their caps with a warning that names the cap."""
 
-    def _assert_capped(self, fit, text):
+    def _assert_capped(self, fit, text, cap=3):
         assert not fit.converged
-        assert fit.iterations <= 3
+        assert fit.iterations <= cap
         assert any(text in note for note in fit.warnings), fit.warnings
         path = fit.objective_path
         assert np.all(np.diff(path) <= 1e-10 * (1.0 + np.abs(path[:-1])))
@@ -362,6 +374,14 @@ class TestSolverCaps:
         X, yb, g = _logistic_instance(28)
         fit = lasso_logistic(X, yb, 0.25 * plugin_lambda(*X.shape), g)
         self._assert_capped(fit, "logistic lasso stopped at the sweep cap (3)")
+
+    def test_sweep_cap_holds_when_the_last_newton_pass_overshoots(self):
+        # The Newton pass here spends the last of the sweeps and raises the
+        # objective; with none left for the 0.25 retry, the solve keeps that
+        # pass's starting point and stops at the cap instead of overrunning it.
+        fit = lasso_logistic(*_near_separable_instance(196))
+        self._assert_capped(fit, "logistic lasso stopped at the sweep cap (10000)",
+                            cap=lasso._MAX_SWEEPS)
 
     def test_separable_solve_reports_the_pass_cap(self):
         fit = lasso_logistic(*_separable_instance(), 0.0)
@@ -977,6 +997,15 @@ def _solver_case(case):
         return lasso_wls(_Design(Z).tail(), y, w, _wls_level(X, y, w, g, True), g)
     if case == "logistic-separable":
         return lasso_logistic(*_separable_instance(), 0.0)
+    if case == "logistic-retry":
+        return lasso_logistic(*_near_separable_instance(331))
+    if case == "logistic-stay-put":
+        # A negative slack makes every pass look like an ascent, so both
+        # curvatures are rejected and the solve stays at its start.
+        X, y, _ = _near_separable_instance(331)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lasso, "_OBJ_SLACK", -1.0)
+            return lasso_logistic(X, y, 0.5)
     X, yb, g = _logistic_instance(32)
     lam = 0.3 * plugin_lambda(*X.shape)
     if case == "logistic-plain":
@@ -1063,6 +1092,24 @@ SOLVER_BITS = {
         'support': (0, 1, 2),
         'warnings': ('possible separation: |eta| exceeded 30 while the loss kept shrinking; coefficients remain bounded by the penalty', 'logistic lasso stopped at the pass cap (200) before reaching tol=1e-08'),
     },
+    'logistic-retry': {
+        'intercept': '-0x1.8cda6ff8c265fp+1',
+        'coef_sha': '8aa3a1e48350e904',
+        'objective_path_sha': '74cbff8b360e53ad',
+        'iterations': 10000,
+        'converged': False,
+        'support': (0, 1, 2, 3),
+        'warnings': ('possible separation: |eta| exceeded 30 while the loss kept shrinking; coefficients remain bounded by the penalty', 'logistic lasso stopped at the sweep cap (10000) before reaching tol=1e-08'),
+    },
+    'logistic-stay-put': {
+        'intercept': '-0x1.8663f7927492fp-4',
+        'coef_sha': '2c34ce1df23b838c',
+        'objective_path_sha': 'fff0604a3b23eabc',
+        'iterations': 38,
+        'converged': True,
+        'support': (),
+        'warnings': (),
+    },
 }
 
 
@@ -1080,11 +1127,50 @@ class TestSolverBits:
     def test_solver_output_bits_are_unchanged(self, case):
         assert _solver_record(case) == SOLVER_BITS[case]
 
+    @staticmethod
+    def _passes(monkeypatch, case):
+        """(weights, intercept, coef) at the start of each coordinate solve of a case."""
+        passes = []
+
+        def spy(design, W, r, coef, intercept, *args):
+            passes.append((W, intercept, coef.copy()))
+            return solve(design, W, r, coef, intercept, *args)
+
+        solve = lasso._cd_solve
+        monkeypatch.setattr(lasso, "_cd_solve", spy)
+        return _solver_case(case), passes
+
+    @staticmethod
+    def _assert_retries_restart(passes):
+        """Every 0.25 pass starts where the Newton pass before it started."""
+        retries = [k for k, (W, _, _) in enumerate(passes) if np.all(W == 0.25)]
+        assert retries
+        for k in retries:
+            assert passes[k][1] == passes[k - 1][1]
+            np.testing.assert_array_equal(passes[k][2], passes[k - 1][2])
+
+    def test_retry_case_redoes_overshooting_passes_with_the_quarter_bound(self, monkeypatch):
+        _, passes = self._passes(monkeypatch, "logistic-retry")
+        self._assert_retries_restart(passes)
+
+    def test_stay_put_case_returns_its_start(self, monkeypatch):
+        X, y, _ = _near_separable_instance(331)
+        fit, passes = self._passes(monkeypatch, "logistic-stay-put")
+        assert len(passes) == 2
+        self._assert_retries_restart(passes)
+        assert fit.converged
+        ybar = float(np.mean(y))
+        assert fit.intercept == float(np.log((ybar + PROB_EPS) / (1.0 - ybar + PROB_EPS)))
+        assert not fit.coef.any()
+        assert fit.objective_path.size == 2
+        assert fit.objective_path[0] == fit.objective_path[1]
+
 
 if __name__ == "__main__":
     print("SOLVER_BITS = {")
     for case in ("wls-plain", "wls-unpenalized-init", "wls-no-intercept", "wls-tail",
-                 "logistic-plain", "logistic-unpenalized-init", "logistic-separable"):
+                 "logistic-plain", "logistic-unpenalized-init", "logistic-separable",
+                 "logistic-retry", "logistic-stay-put"):
         print(f"    {case!r}: {{")
         for key, value in _solver_record(case).items():
             print(f"        {key!r}: {value!r},")
