@@ -109,9 +109,11 @@ def load_table(source, *, missing_tokens=DEFAULT_MISSING_TOKENS) -> RawTable:
     spreadsheet "CSV UTF-8" exports write it, is dropped.
     Records end at LF, CRLF or CR; any other line separator stays in its
     cell. Blank lines are skipped, as is a line with no delimiter that holds
-    only whitespace (a line of delimiters is a row of empty cells). Ragged
-    rows raise ParseError with the 1-based index of the data row among the
-    rows kept, as encode counts them.
+    only whitespace. Mid-file, a line of delimiters (a tab-only line in a
+    tab-delimited file) is a row of empty cells; at the end of the file,
+    every line that holds only whitespace, tab-only lines included, is
+    dropped. Ragged rows raise ParseError with the 1-based index of the data
+    row among the rows kept, as encode counts them.
     """
     if hasattr(source, "read"):
         text = source.read()
@@ -151,17 +153,43 @@ def load_table(source, *, missing_tokens=DEFAULT_MISSING_TOKENS) -> RawTable:
 # of its own YAML type and otherwise raises ValueError naming that type.
 
 
+def _spelled(value, integral: bool) -> str:
+    """For text that reads as a finite number, how to write it so that YAML
+    reads a number: ", written unquoted as ..."; "" for any other value.
+
+    YAML reads a float only with a decimal point and a signed exponent
+    (1.0e+3), so 1e3, 1.0e3 and 1E+3 are text, as is any quoted value.
+    """
+    if not isinstance(value, str):
+        return ""
+    try:
+        number = float(value)
+    except ValueError:
+        return ""
+    if not math.isfinite(number) or (integral and not number.is_integer()):
+        return ""
+    if integral:
+        return f", written unquoted as {int(number)}"
+    mantissa, _, exponent = repr(number).partition("e")
+    if not exponent:
+        return f", written unquoted as {mantissa}"
+    if "." not in mantissa:
+        mantissa += ".0"
+    return (", written unquoted with a decimal point and a signed exponent as "
+            f"{mantissa}e{exponent}")
+
+
 def _int(value) -> int:
     if isinstance(value, float) and value.is_integer():
         value = int(value)
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError("an integer")
+        raise ValueError("an integer" + _spelled(value, True))
     return value
 
 
 def _float(value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError("a number")
+        raise ValueError("a number" + _spelled(value, False))
     if not abs(value) <= sys.float_info.max:  # nan, an infinity, or an int past every float
         raise ValueError("a finite number")
     return float(value)
@@ -547,16 +575,20 @@ class ColumnInfo:
 
 class _ArrayRecord:
     """Base of the frozen `eq=False` dataclasses that hold arrays: the fields
-    named in `_ARRAYS` become read-only C-contiguous float views, and a
-    pickle rebuilds the record through __init__, so they are read-only
-    again. A view of an array that is already C-contiguous float shares the
-    caller's buffer without changing the caller's flags."""
+    named in `_ARRAYS` become read-only Fortran-contiguous float views, and
+    a pickle rebuilds the record through __init__, so they are read-only
+    again. A view of an array that is already Fortran-contiguous float
+    shares the caller's buffer without changing the caller's flags; any
+    other input, a C-ordered matrix included, is copied. A contiguous 1-D
+    array is both, so only a matrix field's layout differs from C order:
+    Dataset.design is column-major, the layout the solvers read columns
+    from."""
 
     _ARRAYS: tuple[str, ...] = ()
 
     def __post_init__(self):
         for name in self._ARRAYS:
-            arr = np.ascontiguousarray(getattr(self, name), dtype=float).view()
+            arr = np.asfortranarray(getattr(self, name), dtype=float).view()
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -743,7 +775,7 @@ def encode(table: RawTable, spec: EncodingSpec) -> Dataset:
         raise SchemaError("spec yields no design column")
     return Dataset(
         y=y,
-        design=np.column_stack(arrays),
+        design=np.array(arrays).T,  # column-major, as Dataset keeps it
         columns=tuple(infos),
         outcome_name=spec.outcome,
         n_dropped=n_dropped,
@@ -825,9 +857,14 @@ def load_dataset(path) -> Dataset:
                 raise ParseError(f"row {len(rows) + 1}: {exc}") from None
     if not rows:
         raise EmptyDatasetError(f"{path} has no data rows")
+    matrix = np.array(rows)
+    bad = np.argwhere(~np.isfinite(matrix))
+    if bad.size:  # float() reads nan and inf; name the first such cell
+        i, j = bad[0].tolist()
+        raise ParseError(f"row {i + 1}: column {expected[j]!r} is {float(matrix[i, j])!r}, "
+                         "not a finite number")
     if len(rows) != meta["n"]:
         raise SchemaError(f"{path} has {len(rows)} data rows, but its sidecar says n: {meta['n']}")
-    matrix = np.array(rows)
     return Dataset(
         y=matrix[:, 0],
         design=matrix[:, 1:],

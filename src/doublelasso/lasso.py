@@ -87,8 +87,8 @@ class _Design:
     The solvers' coordinate pass reads X's columns as contiguous views of
     `base`, a Fortran-ordered array, at `cols`, the positions of X's columns
     in it, in X's order: by default a Fortran copy of X and range(p).
-    `dml_multi` instead passes one copy of the whole dataset, which every
-    treatment's design shares, with its own `cols`.
+    `dml_multi` instead passes the dataset's own column-major design, which
+    every treatment's design shares, with its own `cols`.
 
     The fitters build one design of Z = [d | X], column 0 the treatment,
     and select controls on `tail()`, which is X without a copy.
@@ -121,14 +121,11 @@ class _Design:
     def cols(self):
         return range(self.X.shape[1])
 
-    def columns(self, F) -> list:
-        """X's columns of F, an array laid out as `base`, as views in X's order."""
-        columns = list(F.T)
-        return [columns[j] for j in self.cols]
-
     @cached_property
     def xcols(self) -> list:
-        return self.columns(self.base)
+        """X's columns as views of `base`, in X's order."""
+        columns = list(self.base.T)
+        return [columns[j] for j in self.cols]
 
     @cached_property
     def Xsq(self) -> np.ndarray:
@@ -190,11 +187,14 @@ def _start(init, p: int, fit_intercept: bool):
 
 
 def _sweep(xcols, xwcols, Wvec, sumW, r, coef, intercept, col_sq, thr, penal, idx, fit_intercept):
-    """One coordinate pass over `idx`; mutates r and the list coef in place.
+    """One coordinate pass over `idx`; mutates r and the lists coef and xwcols in place.
 
-    `xcols` and `xwcols` hold the columns of X and of the weighted X;
-    col_sq, thr, penal and coef are Python lists, which index faster than
-    arrays and give the same doubles.
+    `xcols` holds the columns of X. `xwcols[j]` holds x_j * Wvec, the same
+    doubles as column j of X * Wvec, or None: the pass forms it when it
+    visits j and finds None, and keeps it only while j is nonzero or
+    unpenalized, so a sweep over zero coordinates holds one weighted column
+    at a time. col_sq, thr, penal and coef are Python lists, which index
+    faster than arrays and give the same doubles.
     """
     max_d = 0.0
     if fit_intercept and sumW > 0.0:
@@ -208,7 +208,10 @@ def _sweep(xcols, xwcols, Wvec, sumW, r, coef, intercept, col_sq, thr, penal, id
         if cj <= 0.0:
             continue
         old = coef[j]
-        rho = float(r.dot(xwcols[j])) + cj * old
+        xw = xwcols[j]
+        if xw is None:
+            xw = xcols[j] * Wvec
+        rho = float(r.dot(xw)) + cj * old
         if penal[j]:
             t = thr[j]
             if rho > t:
@@ -217,8 +220,10 @@ def _sweep(xcols, xwcols, Wvec, sumW, r, coef, intercept, col_sq, thr, penal, id
                 new = (rho + t) / cj
             else:
                 new = 0.0
+                xw = None
         else:
             new = rho / cj
+        xwcols[j] = xw
         d = new - old
         if d != 0.0:
             coef[j] = new
@@ -241,7 +246,7 @@ _SCREEN_MIN_COLS = 250
 _UNIT = 2.0 ** -53  # unit roundoff of a double
 
 
-def _screened(design, W, r, cl, thr, penal, col_sq, xwcols):
+def _screened(design, W, r, cl, thr, penal, col_sq):
     """The coordinates of one full sweep that can move, in order, for _sweep's idx.
 
     _sweep draws the first one after its intercept update. With r0 the
@@ -251,11 +256,9 @@ def _screened(design, W, r, cl, thr, penal, col_sq, xwcols):
     roundoff) plus |x_j| D, where D bounds |(r - r0) W| through the updates
     made so far. A zero penalized coordinate whose bound stays below its
     threshold would compute new == 0.0 and change nothing, so it is skipped;
-    every other one runs _sweep's arithmetic unchanged. Fills xwcols[j] with
-    x_j * W, the same doubles as column j of X * W, for each coordinate it
-    yields.
+    every other one runs _sweep's arithmetic unchanged, weighted column
+    included.
     """
-    xcols = design.xcols
     n = r.size
     slack = 8.0 * n * _UNIT
     rw = r * W
@@ -268,8 +271,6 @@ def _screened(design, W, r, cl, thr, penal, col_sq, xwcols):
     start = 0
     while True:
         for j in (np.flatnonzero(drift * reach[start:] >= gap[start:]) + start).tolist():
-            if xwcols[j] is None:
-                xwcols[j] = xcols[j] * W
             old = cl[j]
             yield j
             if cl[j] != old:
@@ -288,19 +289,16 @@ def _cd_solve(design, W, r, coef, intercept, thr, penal, fit_intercept, tol, bud
     """Full sweep + active-set cycling on the quadratic with row weights W
     until the sup-norm change drops below tol.
 
-    Builds the weighted columns X * W and their weighted squared norms
-    W @ design.Xsq itself; with `screen`, full sweeps run through _screened
-    and only the columns they visit are built. Mutates r and coef in place
-    and returns (intercept, sweeps_used, converged). `record`, when given,
-    is called after every sweep, with coef up to date, to append an
-    objective value.
+    Computes the weighted squared norms W @ design.Xsq itself, and _sweep
+    builds each weighted column x_j * W when it visits j, so no solve forms
+    the whole weighted design; with `screen`, full sweeps run through
+    _screened. Mutates r and coef in place and returns (intercept,
+    sweeps_used, converged). `record`, when given, is called after every
+    sweep, with coef up to date, to append an objective value.
     """
     xcols = design.xcols
     p = len(xcols)
-    if screen:
-        xwcols = [None] * p
-    else:
-        xwcols = design.columns(design.base * W[:, None])  # same products as X * W
+    xwcols = [None] * p
     cl = coef.tolist()
     col_sq, thr_l, penal_l = (W @ design.Xsq).tolist(), thr.tolist(), penal.tolist()
     sumW = float(W.sum())
@@ -319,7 +317,7 @@ def _cd_solve(design, W, r, coef, intercept, thr, penal, fit_intercept, tol, bud
     full = range(p)
     converged = False
     while sweeps < budget:
-        if sweep(_screened(design, W, r, cl, thr, penal, col_sq, xwcols) if screen
+        if sweep(_screened(design, W, r, cl, thr, penal, col_sq) if screen
                  else full) < tol:
             converged = True
             break

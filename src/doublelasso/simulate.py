@@ -194,9 +194,8 @@ def gen_dgp(spec: DgpSpec, seed: int) -> tuple[Dataset, TruthRecord]:
         ColumnInfo(name=f"x{j + 1}", role="control", source=f"x{j + 1}")
         for j in range(p)
     ]
-    dataset = Dataset(
-        y=y, design=np.column_stack([d, X]), columns=tuple(columns), outcome_name="y"
-    )
+    dataset = Dataset(y=y, design=np.vstack([d, X.T]).T,  # column-major, as Dataset keeps it
+                      columns=tuple(columns), outcome_name="y")
     truth = TruthRecord(
         alpha0=spec.alpha0, intercept=spec.intercept, beta=beta, gamma=gamma,
         family=spec.family, nu=spec.nu, noise_sd=spec.noise_sd, seed=seed,

@@ -5,6 +5,7 @@ import hashlib
 import math
 import pickle
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -407,6 +408,46 @@ class TestSurveyBits:
         ds = encode(synthetic_survey_table(n=300, seed=seed), synthetic_survey_schema())
         assert ds.p - 1 >= lasso._SCREEN_MIN_COLS
         assert _survey_record(dml_multi(ds, jobs=jobs)) == SURVEY_BITS[seed]
+
+
+class TestSharedDesign:
+    """dml_multi fits every treatment from the dataset's own column-major
+    design: it copies no design, and each treatment gets a C-ordered
+    Z = [d | X] whose solvers read their columns from the dataset."""
+
+    def test_each_treatment_design_reads_the_datasets_columns(self, monkeypatch):
+        ds = _toy_dataset(seed=5, n=101, n_treat=2, n_ctrl=4)
+        seen = []
+
+        def spy(y, design, names, family):
+            seen.append(design)
+            return checked(y, design, names, family)
+
+        checked = dml._checked_inputs
+        monkeypatch.setattr(dml, "_checked_inputs", spy)
+        # Every column as the treatment: first, inner and last positions.
+        rows = dml_multi(ds, treatments=ds.column_names, fail_fast=True)
+        assert len(rows) == len(seen) == ds.p
+        for ti, design in enumerate(seen):
+            order = [ti] + [j for j in range(ds.p) if j != ti]
+            assert np.shares_memory(design.base, ds.design)
+            assert list(design.cols) == order
+            assert design.X.flags.c_contiguous
+            assert np.array_equal(design.X.view(np.uint64), ds.design[:, order].view(np.uint64))
+
+    def test_a_survey_fit_holds_under_three_designs_of_memory(self):
+        # Each treatment holds its Z and Z * Z, two designs' worth; a third
+        # leaves no room for a copy of the dataset's design or for a whole
+        # weighted design in a solve.
+        ds = encode(synthetic_survey_table(n=2000, seed=1), synthetic_survey_schema())
+        tracemalloc.start()
+        try:
+            rows = dml_multi(ds, treatments=ds.treatment_names[:2])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not any(isinstance(r, FitFailure) for r in rows)
+        assert peak < 3 * ds.design.nbytes
 
 
 class TestDmlMulti:

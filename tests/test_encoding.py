@@ -105,6 +105,11 @@ class TestLoadTable:
         assert load_table(io.StringIO("a\tb\n1\t2\n\t\n3\t4\n")).rows == (
             (1.0, 2.0), (None, None), (3.0, 4.0))
 
+    @pytest.mark.parametrize("tail", ["\t\n", "\t\n \t \n\n", "\t"])
+    def test_trailing_lines_of_whitespace_are_dropped_tab_only_ones_included(self, tail):
+        # Mid-file the same tab-only line is a row of empty cells (above).
+        assert load_table(io.StringIO("a\tb\n1\t2\n" + tail)).rows == ((1.0, 2.0),)
+
     def test_non_finite_numbers_stay_text(self):
         t = load_table(io.StringIO("a\ninf\n"))
         assert t.rows[0] == ("inf",)
@@ -541,6 +546,37 @@ class TestSpecYaml:
             encoding_spec_from_yaml(text)
         assert str(err.value) == f"column 'a': {message}"
 
+    @pytest.mark.parametrize("rule, message", [
+        ("scale: 1.0e308", "scale must be a number, written unquoted with a decimal point "
+                           "and a signed exponent as 1.0e+308, got '1.0e308'"),
+        ("scale: 1e-7", "scale must be a number, written unquoted with a decimal point "
+                        "and a signed exponent as 1.0e-07, got '1e-7'"),
+        ("offset: 1E+3", "offset must be a number, written unquoted as 1000.0, got '1E+3'"),
+        ("offset: '0.5'", "offset must be a number, written unquoted as 0.5, got '0.5'"),
+        ("scale: abc", "scale must be a number, got 'abc'"),
+        ("scale: 1e400", "scale must be a number, got '1e400'"),
+    ], ids=["exponent-without-sign", "exponent-without-point", "capital-e", "quoted",
+            "not-a-number", "past-every-float"])
+    def test_text_that_reads_as_a_number_says_how_to_write_it(self, rule, message):
+        text = f"version: 1\noutcome: y\ncolumns: [{{name: a, kind: numeric, {rule}}}]\n"
+        with pytest.raises(SchemaError) as err:
+            encoding_spec_from_yaml(text)
+        assert str(err.value) == f"column 'a': {message}"
+
+    @pytest.mark.parametrize("text", ["1e3", "1.0e3", "1E+3", "-2.5e300", "1e-7", "'7'",
+                                      "'0.05'", "123456789e10"])
+    def test_the_spelling_an_error_gives_reads_as_that_number(self, text):
+        value = yaml.safe_load(text)
+        assert isinstance(value, str)
+        for convert, integral in ((encoding._float, False), (encoding._int, True)):
+            with pytest.raises(ValueError) as err:
+                convert(value)
+            if integral and not float(value).is_integer():
+                assert "written" not in str(err.value)
+                continue
+            spelled = str(err.value).rsplit(" as ", 1)[1]
+            assert convert(yaml.safe_load(spelled)) == float(value)
+
     def test_a_number_reads_as_text_where_text_belongs(self):
         spec = encoding_spec_from_yaml(
             "version: 1\noutcome: 7\ncolumns: [{name: 2020, kind: numeric, rename: 5}]\n")
@@ -677,7 +713,11 @@ class TestDatasetRoundTrip:
     @pytest.mark.parametrize("bad, message", [
         (lambda cells: cells + ["0.0"], "row 2: expected 7 cells, found 8"),
         (lambda cells: ["yes"] + cells[1:], "row 2: could not convert string to float: 'yes'"),
-    ], ids=["ragged", "text-cell"])
+        (lambda cells: cells[:3] + ["nan"] + cells[4:],
+         "row 2: column 'age' is nan, not a finite number"),
+        (lambda cells: ["-inf"] + cells[1:],
+         "row 2: column 'signed_up' is -inf, not a finite number"),
+    ], ids=["ragged", "text-cell", "nan-cell", "inf-outcome"])
     def test_a_bad_row_after_a_blank_line_names_its_data_row(self, tmp_path, bad, message):
         ds = encode(load_table(io.StringIO(_SURVEY_TEXT)), _survey_spec())
         out = tmp_path / "data.tsv"
@@ -744,6 +784,74 @@ class TestDataset:
                 design=np.ones((2, 1)),
                 columns=(ColumnInfo(name="a", role="control", source="a"),),
             )
+
+
+def _encoded(tmp_path):
+    ds = encode(load_table(io.StringIO(_SURVEY_TEXT)), _survey_spec())
+    assert ds.column_names == ("income", "weight_kg", "age", "gender_female",
+                               "citizenship_other", "gender_female*age")
+    income = np.array([10.0, 20.0, 30.0, 40.0])
+    age = np.array([23.0, 28.0, 13.0, 43.0])
+    female = np.array([1.0, 0.0, 1.0, 0.0])
+    return ds, np.column_stack([
+        (income - income.mean()) / income.std(),
+        np.array([70000.0, 80000.0, 60000.0, 90000.0]) * 0.001,
+        age, female, np.array([1.0, 0.0, 1.0, 1.0]), female * age,
+    ])
+
+
+def _loaded(tmp_path):
+    ds, design = _encoded(tmp_path)
+    save_dataset(ds, tmp_path / "data.tsv")
+    return load_dataset(tmp_path / "data.tsv"), design
+
+
+def _pickled(tmp_path):
+    ds, design = _encoded(tmp_path)
+    return pickle.loads(pickle.dumps(ds)), design
+
+
+def _simulated(tmp_path):
+    spec = simulate.DgpSpec(family="linear", n=40, p=6, alpha0=0.5, x_corr="independent")
+    ds, truth = simulate.gen_dgp(spec, 9)
+    # gen_dgp's draws: the control block, then the treatment noise
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(9)))
+    X = rng.standard_normal((40, 6))
+    d = X @ truth.gamma + spec.nu * rng.standard_normal(40)
+    return ds, np.column_stack([d, X])
+
+
+def _subset(tmp_path):
+    from doublelasso.cli import _subset_dataset
+    ds, design = _encoded(tmp_path)
+    return _subset_dataset(ds, ["gender_female"], ["income", "age"]), design[:, [3, 0, 2]]
+
+
+class TestDatasetLayout:
+    """Every path that makes a Dataset gives it a read-only column-major
+    design, the layout the solvers read columns from, equal to its input."""
+
+    @pytest.mark.parametrize("make", [_encoded, _loaded, _pickled, _simulated, _subset],
+                             ids=["encode", "load_dataset", "pickle", "gen_dgp", "subset"])
+    def test_the_design_is_read_only_and_column_major(self, make, tmp_path):
+        ds, expected = make(tmp_path)
+        assert np.array_equal(ds.design.view(np.uint64), expected.view(np.uint64))
+        assert ds.design.flags.f_contiguous and not ds.design.flags.writeable
+        assert ds.y.ndim == 1 and ds.y.flags.c_contiguous and not ds.y.flags.writeable
+
+    def test_a_c_ordered_design_is_copied_and_a_fortran_one_shared(self):
+        cols = tuple(ColumnInfo(name=f"x{j}", role="control", source="x") for j in range(3))
+        y = np.zeros(4)
+        c_design = np.arange(12.0).reshape(4, 3)
+        f_design = np.asfortranarray(c_design)
+        from_c = Dataset(y=y, design=c_design, columns=cols)
+        from_f = Dataset(y=y, design=f_design, columns=cols)
+        assert not np.shares_memory(from_c.design, c_design)
+        assert np.shares_memory(from_f.design, f_design)
+        for ds in (from_c, from_f):
+            assert ds.design.flags.f_contiguous and not ds.design.flags.writeable
+            assert np.array_equal(ds.design, c_design)
+            assert np.shares_memory(ds.y, y)
 
 
 class TestSyntheticSurvey:

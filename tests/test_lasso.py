@@ -885,11 +885,10 @@ def _one_pass(design, W, r, coef, thr, penal, fit_intercept, screened, idx=None)
     p = len(cl)
     col_sq = (W @ design.Xsq).tolist()
     visited = []
+    xw = [None] * p
     if screened:
-        xw = [None] * p
-        order = lasso._screened(design, W, r, cl, thr, penal, col_sq, xw)
+        order = lasso._screened(design, W, r, cl, thr, penal, col_sq)
     else:
-        xw = design.columns(design.base * W[:, None])
         order = range(p) if idx is None else idx
 
     def visit():
@@ -979,6 +978,35 @@ class TestScreenedSweep:
         monkeypatch.setattr(lasso, "_SCREEN_MIN_COLS", 10**9)
         _assert_same_fit(screened, lasso_logistic(X, yb, lam, g, unpenalized=unpenalized,
                                                   init=init))
+
+
+class TestWeightedColumns:
+    """A solve forms x_j * W when a sweep visits j and keeps it only while j
+    is nonzero or unpenalized, so it never holds the whole weighted design."""
+
+    @pytest.mark.parametrize("unpenalized, warm", [((), False), ((0, 3), True)])
+    def test_kept_columns_are_the_nonzero_or_unpenalized_ones(self, unpenalized, warm,
+                                                             monkeypatch):
+        X, y, w, g = _wls_instance(33)
+        X[:, 7] = 0.0  # zero variance: never visited, so never formed
+        p = X.shape[1]
+        init = (0.1, np.linspace(-0.2, 0.2, p)) if warm else None
+        passes = []
+
+        def spy(xcols, xwcols, Wvec, *args):
+            passes.append(xwcols)
+            return sweep(xcols, xwcols, Wvec, *args)
+
+        sweep = lasso._sweep
+        monkeypatch.setattr(lasso, "_sweep", spy)
+        fit = lasso_wls(X, y, w, _wls_level(X, y, w, g, True), g, unpenalized=unpenalized,
+                        init=init)
+        assert len(passes) == fit.iterations and all(xw is passes[0] for xw in passes)
+        kept = [j for j, col in enumerate(passes[0]) if col is not None]
+        assert kept == [j for j in range(p) if fit.coef[j] != 0.0 or j in unpenalized]
+        assert 0 < len(kept) < p - 1
+        for j in kept:
+            assert np.array_equal(_bits(passes[0][j]), _bits(X[:, j] * (w * w)))
 
 
 def _solver_case(case):
