@@ -17,18 +17,23 @@ collector would have little to reclaim while the command runs.
 A command's process also defers the numpy modules that nothing it runs
 uses. scipy's array-API shim clones the numpy namespace with `from numpy
 import *`, which executes every submodule numpy otherwise loads on first
-use: `numpy.f2py`, `numpy.testing`, `numpy.polynomial` and
-`numpy.ctypeslib` among them, with `unittest`, `email`, `charset_normalizer`
+use: `numpy.f2py`, `numpy.testing`, `numpy.polynomial`, `numpy.ctypeslib`
+and `numpy.ma` among them, with `unittest`, `email`, `charset_normalizer`
 and more behind them. `main` puts a one-shot finder on `sys.meta_path`
-that, on the first `import scipy`, removes itself and installs those four
+that, on the first `import scipy`, removes itself and installs those five
 as `importlib.util.LazyLoader` modules. Each one runs in full on its first
 attribute access, so whoever uses one sees no change. Measured on a 2-core
-host (CPython 3.11, numpy 2.4, scipy 1.17) over 16 alternating pairs of
-runs with the same stdout, a demo `fit` loads 413 modules instead of 598,
-peaks at 57 MB of RSS instead of 66 MB and takes a median 0.31 s of CPU
-instead of 0.36-0.38 s. `numpy.ma` and `numpy.random` stay eager: fits use
-both (`np.unique` calls `np.ma.is_masked`). `--version` loads no numpy and
-`encode` no scipy, so neither fires the finder.
+host (CPython 3.11, numpy 2.4, scipy 1.17) with the same stdout, a demo
+`fit` loads 411 modules instead of 598 and peaks at about 55.4 MB of RSS
+instead of 66 MB (56.5 MB with `numpy.ma` eager, medians of 7 runs). A fit
+never reads `numpy.ma`: `glm.binary_outcome` compares instead of calling
+`np.unique`, which calls `np.ma.is_masked`. `simulate` runs it only in
+`summarize` (`np.median`), after its fits. `numpy.random` stays eager:
+`scipy._lib._util` evaluates `np.random.Generator | np.random.RandomState`
+at import. So does `secrets`, which with `hmac` and libcrypto is about
+3.7 MB of `numpy.random`'s ~6.1 MB: `numpy.random` imports it, and
+`secrets` and `hmac` read attributes of what they import. `--version`
+loads no numpy and `encode` no scipy, so neither fires the finder.
 
 This policy belongs to the process, so it lives here and nowhere else:
 `import doublelasso`, `cli.main` called from Python and every library call
@@ -40,9 +45,8 @@ import gc
 import os
 import sys
 
-# numpy submodules that `from numpy import *` executes and that neither the
-# package nor the scipy functions it calls use.
-_DEFERRED = ("numpy.f2py", "numpy.testing", "numpy.polynomial", "numpy.ctypeslib")
+# numpy submodules that `from numpy import *` executes and that no fit uses.
+_DEFERRED = ("numpy.f2py", "numpy.testing", "numpy.polynomial", "numpy.ctypeslib", "numpy.ma")
 
 
 class _DeferNumpyExtras:

@@ -28,8 +28,12 @@ def _finite_array(t, name: str) -> np.ndarray:
 
 
 def binary_outcome(y) -> bool:
-    """Whether every entry of y is 0 or 1, as a logistic fit needs."""
-    return bool(np.isin(np.unique(y), (0.0, 1.0)).all())
+    """Whether every entry of y is 0 or 1, as a logistic fit needs.
+
+    One comparison, not `np.unique`: it does not sort, and it does not read
+    `numpy.ma`, which a command's process defers (see `__main__`).
+    """
+    return bool(np.all((y == 0.0) | (y == 1.0)))
 
 
 def link(t):

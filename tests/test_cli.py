@@ -350,7 +350,8 @@ def test_a_run_leaves_no_cyclic_garbage_beyond_the_parser(ws, argv, status, pool
 
 # One module that each deferred package executes as soon as it runs.
 DEFERRED_BODIES = ["numpy.f2py.crackfortran", "numpy.testing._private.utils",
-                   "numpy.polynomial.polynomial", "numpy.ctypeslib._ctypeslib"]
+                   "numpy.polynomial.polynomial", "numpy.ctypeslib._ctypeslib",
+                   "numpy.ma.core"]
 
 DEFERRED_PROBE = """\
 import contextlib, io, json, sys
@@ -374,6 +375,7 @@ import numpy
 numpy.testing.assert_equal(1, 1)
 print(json.dumps({{"statuses": statuses, "finders": finders, "fired": len(fired),
                   "executed": executed, "polynomial": bool(numpy.polynomial.Polynomial([1, 2])(1) == 3),
+                  "masked": bool(numpy.ma.is_masked(numpy.ma.masked_array([1.0], mask=[True]))),
                   "loaded": [name for name in {bodies!r} if name in sys.modules]}}))
 """
 
@@ -383,17 +385,24 @@ def _deferred_probe(*argvs) -> dict:
                                                    bodies=DEFERRED_BODIES))[-1])
 
 
-@pytest.mark.parametrize("argv", [
-    DEMO_FIT, [*DEMO_FIT, "--penalty", "cv"], ["simulate", "--spec", "{study}"],
-], ids=["fit", "fit-cv", "simulate"])
-def test_entry_point_fits_without_executing_the_deferred_numpy_modules(ws, argv):
-    probe = _deferred_probe([arg.format(study=ws["study"]) for arg in argv])
+# `simulate` runs `numpy.ma` only in `summarize`, whose `np.median` calls
+# `np.ma.is_masked`, after every fit.
+@pytest.mark.parametrize("argv, executed", [
+    (["fit", "--data", "{encoded}"], []),
+    (DEMO_FIT, []),
+    ([*DEMO_FIT, "--penalty", "cv"], []),
+    (["simulate", "--spec", "{study}"], ["numpy.ma.core"]),
+], ids=["fit", "fit-spec", "fit-cv", "simulate"])
+def test_entry_point_fits_without_executing_the_deferred_numpy_modules(ws, argv, executed):
+    probe = _deferred_probe([arg.format(**ws) for arg in argv])
     assert (probe["statuses"], probe["finders"], probe["fired"]) == ([0], [0], 1)
-    assert probe["executed"] == []
+    assert probe["executed"] == executed
     # Used after the command, each deferred module runs and works as usual.
     assert probe["polynomial"] is True
+    assert probe["masked"] is True
     assert "numpy.testing._private.utils" in probe["loaded"]
     assert "numpy.polynomial.polynomial" in probe["loaded"]
+    assert "numpy.ma.core" in probe["loaded"]
 
 
 def test_entry_point_installs_one_finder_however_often_it_runs():

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from doublelasso import RankDeficiencyError
-from doublelasso.glm import link, link_deriv, solve_spd, wls_fit
+from doublelasso import RankDeficiencyError, lasso_logistic
+from doublelasso.glm import binary_outcome, link, link_deriv, solve_spd, wls_fit
+from doublelasso.lasso import post_refit
 from oracles import CoefficientVector, neg_loglik, wls_fit_rescued
 
 LN3 = math.log(3.0)
@@ -33,6 +34,27 @@ class TestLink:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             link(float("nan"))
+
+
+class TestBinaryOutcome:
+    @pytest.mark.parametrize("y", [
+        np.array([]), np.array([0.0, 1.0]), np.array([-0.0, 1.0]), np.array([0.5]),
+        np.array([np.nan]), np.array([np.inf]), np.array([0, 1, 1]), np.array([0, 2]),
+        np.array([True, False]), np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([[0.0], [0.3]]),
+    ], ids=["empty", "zero-one", "negative-zero", "half", "nan", "inf", "int", "int-two",
+            "bool", "2d", "2d-continuous"])
+    def test_matches_the_set_of_distinct_values(self, y):
+        assert binary_outcome(y) is bool(np.isin(np.unique(y), (0.0, 1.0)).all())
+
+    # `dml_multi(family="logit")` and `fit --family logit` are pinned in
+    # tests/test_dml.py and tests/test_cli.py.
+    def test_lasso_logistic_and_the_logistic_refit_reject_a_continuous_outcome(self):
+        rng = np.random.default_rng(5)
+        X, y = rng.normal(size=(20, 3)), rng.normal(size=20)
+        with pytest.raises(ValueError, match="^outcome must be binary 0/1 for the logistic objective$"):
+            lasso_logistic(X, y, 1.0)
+        with pytest.raises(ValueError, match="^outcome must be binary 0/1 for a logistic refit$"):
+            post_refit(X, y, (0,), "logistic")
 
 
 class TestLinkDeriv:
