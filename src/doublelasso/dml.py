@@ -195,7 +195,7 @@ def _fit_inputs(y, d, X, names, family: str):
     """Checked (y, d, design of Z = [d | X], control names) for one fit.
 
     Column 0 of Z is the treatment and columns 1.. are the controls, in the
-    order given; Z is a fresh C-ordered float array.
+    order given.
     """
     y = np.asarray(y, dtype=float)
     d = np.asarray(d, dtype=float)
@@ -204,23 +204,32 @@ def _fit_inputs(y, d, X, names, family: str):
         raise ValueError("y and d must be equal-length vectors")
     if X.ndim != 2 or X.shape[0] != y.size:
         raise ValueError("X must be a matrix with one row per observation")
-    return _checked_inputs(y, _Design(np.ascontiguousarray(np.column_stack([d, X]))), names,
-                           family)
+    D = np.empty((y.size, X.shape[1] + 1), order="F")
+    D[:, 0] = d
+    D[:, 1:] = X
+    return _checked_inputs(y, D, 0, names, family)
 
 
-def _checked_inputs(y, design, names, family: str):
-    """_fit_inputs for the design of a stacked Z = [d | X] with one row per
-    entry of y.
+def _checked_inputs(y, D, ti, names, family: str):
+    """_fit_inputs for column ti of the column-major D as the treatment and
+    D's other columns, in their order, as the controls.
 
-    Z is used in C order, which keeps every product with it on the BLAS
-    kernel that the plain C-ordered controls would take.
+    The design's X is Z = [d | X] in C order, which keeps every product with
+    it on the BLAS kernel that the plain C-ordered controls would take. Z is
+    stacked by three slice copies: a gather (np.take) from the column-major
+    D is ~4x slower. The solvers read their columns from D itself.
     """
+    Z = np.empty(D.shape)
+    Z[:, 0] = D[:, ti]
+    Z[:, 1:ti + 1] = D[:, :ti]
+    Z[:, ti + 1:] = D[:, ti + 1:]
+    columns = list(D.T)
+    design = _Design(Z, [columns[ti], *columns[:ti], *columns[ti + 1:]])
     y = np.ascontiguousarray(y, dtype=float)
     if y.size == 0:
         raise ValueError("no observations to fit")
     if not (np.all(np.isfinite(y)) and design.finite):
         raise ValueError("inputs must be finite")
-    Z = design.X
     d = np.ascontiguousarray(Z[:, 0])
     if np.all(d == d[0]):
         raise DegenerateTreatmentError("treatment column is constant")
@@ -520,7 +529,7 @@ def _naive_linear(y, d, design, names, treatment, config):
 
 
 # Each takes (y, d, design of [d | X], names, treatment, config) from
-# _fit_inputs or _checked_inputs.
+# _checked_inputs.
 _FITTERS = {
     ("logit", "dml"): _dml_logit,
     ("logit", "naive"): _naive_logit,
@@ -537,20 +546,9 @@ _ESTIMATION_ERRORS = (DoubleLassoError, ValueError, np.linalg.LinAlgError)
 def _fit_treatment(dataset, family, fitter, config, fail_fast, t: str):
     """One dml_multi row."""
     ti = dataset.index_of(t)
-    order = [ti] + [j for j in range(dataset.p) if j != ti]
-    all_names = dataset.column_names
-    names = tuple(all_names[j] for j in order[1:])
+    names = dataset.column_names[:ti] + dataset.column_names[ti + 1:]
     try:
-        # Z = [d | X] in C order by three slice copies: a gather (np.take)
-        # from the column-major design is ~4x slower. The solvers read
-        # their columns from that design itself.
-        D = dataset.design
-        Z = np.empty(D.shape)
-        Z[:, 0] = D[:, ti]
-        Z[:, 1:ti + 1] = D[:, :ti]
-        Z[:, ti + 1:] = D[:, ti + 1:]
-        return fitter(*_checked_inputs(dataset.y, _Design(Z, D, order), names, family),
-                      t, config)
+        return fitter(*_checked_inputs(dataset.y, dataset.design, ti, names, family), t, config)
     except _ESTIMATION_ERRORS as exc:
         if fail_fast:
             raise

@@ -66,6 +66,12 @@ def _canon(cell) -> str:
     return str(cell)
 
 
+def _first_duplicate(names):
+    """The first name that repeats an earlier one, or None."""
+    seen = set()
+    return next((name for name in names if name in seen or seen.add(name)), None)
+
+
 # ---------------------------------------------------------------------------
 # Raw tables
 
@@ -78,8 +84,8 @@ class RawTable:
     rows: tuple[tuple[object, ...], ...]
 
     def __post_init__(self):
-        if len(set(self.columns)) != len(self.columns):
-            raise SchemaError("duplicate column names in table header")
+        if (dup := _first_duplicate(self.columns)) is not None:
+            raise SchemaError(f"table header names column {dup!r} more than once")
 
     @property
     def n_rows(self) -> int:
@@ -464,14 +470,13 @@ class EncodingSpec:
             raise SchemaError(
                 f"missing_policy must be 'drop' or 'zero-indicator', got {self.missing_policy!r}"
             )
-        sources = [r.name for r in self.columns]
-        if len(set(sources)) != len(sources):
-            raise SchemaError("spec lists a source column more than once")
+        if (dup := _first_duplicate(r.name for r in self.columns)) is not None:
+            raise SchemaError(f"spec lists source column {dup!r} more than once")
         outs = self.base_output_names()
-        if len(set(outs)) != len(outs):
-            raise SchemaError("encoded column names collide")
+        if (dup := _first_duplicate(outs)) is not None:
+            raise SchemaError(f"encoded column names collide: {dup!r} is made more than once")
         if self.outcome in outs:
-            raise SchemaError("outcome name collides with an encoded column")
+            raise SchemaError(f"outcome name {self.outcome!r} collides with an encoded column")
         declared = set(outs)
         seen_products = set()
         for inter in self.interactions:
@@ -567,8 +572,8 @@ class ColumnInfo:
     scale: float = 1.0
 
     def __post_init__(self):
-        if self.role not in ("treatment", "control", "intercept"):
-            raise ValueError(f"bad column role {self.role!r}")
+        if self.role not in _ROLES:
+            raise ValueError(f"role must be one of {_ROLES}, got {self.role!r}")
         object.__setattr__(self, "center", float(self.center))
         object.__setattr__(self, "scale", float(self.scale))
 
@@ -620,11 +625,9 @@ class Dataset(_ArrayRecord):
             raise ValueError("column metadata does not match the design width")
         if not (np.all(np.isfinite(y)) and np.all(np.isfinite(design))):
             raise ValueError("dataset values must be finite")
-        names = [c.name for c in self.columns]
-        if len(set(names)) != len(names):
-            raise ValueError("duplicate design column names")
-        if self.outcome_name in names:
-            raise ValueError("outcome name collides with a design column")
+        names = [self.outcome_name] + [c.name for c in self.columns]
+        if (dup := _first_duplicate(names)) is not None:
+            raise ValueError(f"{dup!r} names more than one of the outcome and design columns")
         object.__setattr__(self, "columns", tuple(self.columns))
 
     @property
@@ -764,13 +767,18 @@ def encode(table: RawTable, spec: EncodingSpec) -> Dataset:
         infos.append(ColumnInfo(name=inter.output, role=inter.role, source=inter.output))
         arrays.append(encoded[inter.a] * encoded[inter.b])
 
-    if any(info.name == spec.outcome for info in infos):
-        raise SchemaError("outcome name collides with an encoded column")
-    # The dataset file is tab-separated text, read back line by line.
+    # One pass over the dataset file's header, which is tab-separated text
+    # read back line by line. A zero-indicator column, <source>_missing, is
+    # the one name the spec cannot check.
+    seen = set()
     for name in (spec.outcome, *(info.name for info in infos)):
         if any(ch in name for ch in "\t\r\n"):
             raise SchemaError(f"column name {name!r} holds a tab or line break, "
                               "which the dataset file cannot store")
+        if name in seen:
+            owner = "the outcome" if name == spec.outcome else "another encoded column"
+            raise SchemaError(f"encoded column {name!r} collides with {owner}")
+        seen.add(name)
     if not arrays:
         raise SchemaError("spec yields no design column")
     return Dataset(
@@ -983,11 +991,19 @@ def synthetic_survey_schema() -> EncodingSpec:
     return EncodingSpec(outcome="dropout", columns=tuple(cols), interactions=inters)
 
 
+def _philox(seed) -> np.random.Generator:
+    """The counter-based generator keyed by `seed`, an integer in [0, 2**64)."""
+    seed = int(seed)
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be a nonnegative integer below 2**64, got {seed}")
+    return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+
+
 def synthetic_survey_table(n: int, seed: int = 0) -> RawTable:
     """Draw a raw table matching synthetic_survey_schema (counter-based RNG)."""
     if n < 1:
         raise ValueError("n must be positive")
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    rng = _philox(seed)
     spec = synthetic_survey_schema()
     data: dict[str, list] = {}
     data["dropout"] = [float(v) for v in rng.binomial(1, 0.2, size=n)]

@@ -84,28 +84,27 @@ class _Design:
     BLAS kernel as on the plain array. Nothing holds a design beyond the
     call that built it.
 
-    The solvers' coordinate pass reads X's columns as contiguous views of
-    `base`, a Fortran-ordered array, at `cols`, the positions of X's columns
-    in it, in X's order: by default a Fortran copy of X and range(p).
-    `dml_multi` instead passes the dataset's own column-major design, which
-    every treatment's design shares, with its own `cols`.
+    The solvers' coordinate pass reads X's columns from `xcols`, contiguous
+    views in X's order: those of a Fortran copy of X unless the caller
+    passes its own. The fitters pass the columns of the column-major array
+    they stack Z from, which for `dml_multi` is the dataset's own design.
 
     The fitters build one design of Z = [d | X], column 0 the treatment,
     and select controls on `tail()`, which is X without a copy.
     """
 
-    def __init__(self, X, base=None, cols=None):
+    def __init__(self, X, xcols=None):
         self.X = np.asarray(X, dtype=float)
-        if base is not None:
-            self.base, self.cols = base, cols
+        if xcols is not None:
+            self.xcols = xcols
 
     def tail(self) -> _Design:
         """Columns 1.. as views of this design's arrays, with no copy.
 
         The C views keep their rows with a longer stride, and the tail
-        shares `base`, reading it at cols[1:].
+        reads its columns from xcols[1:].
         """
-        tail = _Design(self.X[:, 1:], self.base, self.cols[1:])
+        tail = _Design(self.X[:, 1:], self.xcols[1:])
         tail.Xsq = self.Xsq[:, 1:]
         if self.finite:
             tail.finite = True
@@ -114,18 +113,8 @@ class _Design:
         return tail
 
     @cached_property
-    def base(self) -> np.ndarray:
-        return np.asfortranarray(self.X)
-
-    @cached_property
-    def cols(self):
-        return range(self.X.shape[1])
-
-    @cached_property
     def xcols(self) -> list:
-        """X's columns as views of `base`, in X's order."""
-        columns = list(self.base.T)
-        return [columns[j] for j in self.cols]
+        return list(np.asfortranarray(self.X).T)
 
     @cached_property
     def Xsq(self) -> np.ndarray:

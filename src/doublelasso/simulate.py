@@ -28,7 +28,7 @@ import yaml
 from .config import lasso_solves
 from .dml import _FITTERS, DmlConfig, DmlEstimate, FitFailure, dml_multi
 from .encoding import (SPEC_VERSION, ColumnInfo, Dataset, _ArrayRecord, _build, _float, _int,
-                       _list, _mapping, _plain, _read, _text, _yaml_mapping)
+                       _list, _mapping, _philox, _plain, _read, _text, _yaml_mapping)
 from .errors import SchemaError
 from .glm import link
 from .parallel import parallel_map
@@ -161,12 +161,7 @@ def gen_dgp(spec: DgpSpec, seed: int) -> tuple[Dataset, TruthRecord]:
     noise, then outcome noise (or the Bernoulli uniforms). The treatment
     column is named "d" and controls "x1".."xp".
     """
-    seed = int(seed)
-    if seed < 0:
-        raise ValueError("seed must be nonnegative")
-    if seed >= 2**64:
-        raise ValueError("seed must be below 2**64")
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    rng = _philox(seed)
     n, p = spec.n, spec.p
     E = rng.standard_normal((n, p))
     if spec.x_corr == "independent" or spec.rho == 0.0:

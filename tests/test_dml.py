@@ -410,18 +410,24 @@ class TestSurveyBits:
         assert _survey_record(dml_multi(ds, jobs=jobs)) == SURVEY_BITS[seed]
 
 
+def _address(a):
+    return a.__array_interface__["data"][0]
+
+
 class TestSharedDesign:
     """dml_multi fits every treatment from the dataset's own column-major
-    design: it copies no design, and each treatment gets a C-ordered
-    Z = [d | X] whose solvers read their columns from the dataset."""
+    design: each treatment stacks its own C-ordered Z = [d | X], and its
+    solvers read their columns as views of the dataset's design."""
 
     def test_each_treatment_design_reads_the_datasets_columns(self, monkeypatch):
         ds = _toy_dataset(seed=5, n=101, n_treat=2, n_ctrl=4)
         seen = []
 
-        def spy(y, design, names, family):
-            seen.append(design)
-            return checked(y, design, names, family)
+        def spy(y, D, ti, names, family):
+            assert D is ds.design
+            out = checked(y, D, ti, names, family)
+            seen.append(out[2])
+            return out
 
         checked = dml._checked_inputs
         monkeypatch.setattr(dml, "_checked_inputs", spy)
@@ -430,8 +436,11 @@ class TestSharedDesign:
         assert len(rows) == len(seen) == ds.p
         for ti, design in enumerate(seen):
             order = [ti] + [j for j in range(ds.p) if j != ti]
-            assert np.shares_memory(design.base, ds.design)
-            assert list(design.cols) == order
+            assert len(design.xcols) == ds.p
+            for col, j in zip(design.xcols, order):
+                # A view of the dataset's column j itself: same memory, no copy.
+                assert _address(col) == _address(ds.design[:, j])
+                assert col.shape == (ds.n,) and col.flags.c_contiguous
             assert design.X.flags.c_contiguous
             assert np.array_equal(design.X.view(np.uint64), ds.design[:, order].view(np.uint64))
 

@@ -85,8 +85,8 @@ class TestLoadTable:
         assert t.rows[1] == ("NA",)
 
     def test_duplicate_header_rejected(self):
-        with pytest.raises(SchemaError):
-            load_table(io.StringIO("a,a\n1,2\n"))
+        with pytest.raises(SchemaError, match="table header names column 'b' more than once"):
+            load_table(io.StringIO("a,b,c,b\n1,2,3,4\n"))
 
     def test_trailing_blank_lines_ignored(self):
         t = load_table(io.StringIO("a\n1\n\n\n"))
@@ -193,6 +193,27 @@ _SURVEY_TEXT = (
 
 
 class TestEncode:
+    # Under zero-indicator, a column with a missing cell gains <source>_missing,
+    # a name that the spec cannot check against the other encoded columns.
+    @pytest.mark.parametrize("text, spec, message", [
+        ("y,q\n1,yes\n0,missing\n1,\n0,yes\n",
+         EncodingSpec(outcome="y", missing_policy="zero-indicator", columns=(
+             CategoricalRule(name="q", levels=("yes", "missing"), baseline="yes"),)),
+         "encoded column 'q_missing' collides with another encoded column"),
+        ("y,a,b\n1,1,3\n0,,2\n1,3,1\n",
+         EncodingSpec(outcome="y", missing_policy="zero-indicator", columns=(
+             NumericRule(name="a"), NumericRule(name="b", rename="a_missing"))),
+         "encoded column 'a_missing' collides with another encoded column"),
+        ("a_missing,a\n1,1\n0,\n1,3\n",
+         EncodingSpec(outcome="a_missing", missing_policy="zero-indicator", columns=(
+             NumericRule(name="a"),)),
+         "encoded column 'a_missing' collides with the outcome"),
+    ], ids=["categorical-level", "renamed-numeric", "outcome"])
+    def test_a_missing_indicator_that_collides_is_a_schema_error(self, text, spec, message):
+        with pytest.raises(SchemaError) as err:
+            encode(load_table(io.StringIO(text)), spec)
+        assert str(err.value) == message
+
     def test_column_layout_and_roles(self):
         ds = encode(load_table(io.StringIO(_SURVEY_TEXT)), _survey_spec())
         assert ds.column_names == (
@@ -436,7 +457,8 @@ class TestSpecValidation:
                 "version: 2\noutcome: y\ncolumns: [{name: a, kind: numeric}]\n")
 
     def test_output_name_collision_rejected(self):
-        with pytest.raises(SchemaError, match="collide"):
+        with pytest.raises(SchemaError, match="encoded column names collide: 'z' is made "
+                                              "more than once"):
             EncodingSpec(
                 outcome="y",
                 columns=(NumericRule(name="a", rename="z"), NumericRule(name="b", rename="z")),
@@ -445,6 +467,11 @@ class TestSpecValidation:
     def test_outcome_collision_rejected(self):
         with pytest.raises(SchemaError, match="outcome"):
             EncodingSpec(outcome="a", columns=(NumericRule(name="a"),))
+
+    def test_a_repeated_source_column_is_named(self):
+        with pytest.raises(SchemaError, match="spec lists source column 'a' more than once"):
+            EncodingSpec(outcome="y", columns=(NumericRule(name="a"),
+                                               NumericRule(name="a", rename="b")))
 
     def test_interaction_must_reference_declared_outputs(self):
         with pytest.raises(SchemaError, match="undeclared"):
@@ -700,6 +727,19 @@ class TestDatasetRoundTrip:
         with pytest.raises(SchemaError, match=f"{out} has 3 data rows, but its sidecar says n: 4"):
             load_dataset(out)
 
+    def test_a_sidecar_role_other_than_treatment_or_control_is_a_schema_error(self, tmp_path):
+        ds = encode(load_table(io.StringIO(_SURVEY_TEXT)), _survey_spec())
+        out = tmp_path / "data.tsv"
+        side = save_dataset(ds, out)
+        with open(side, encoding="utf-8") as fh:
+            text = fh.read()
+        with open(side, "w", encoding="utf-8") as fh:
+            fh.write(text.replace("role: control", "role: intercept", 1))
+        with pytest.raises(SchemaError, match="role must be one of .*got 'intercept'"):
+            load_dataset(out)
+        with pytest.raises(ValueError):
+            ColumnInfo(name="k", role="intercept", source="k")
+
     def test_header_sidecar_mismatch_rejected(self, tmp_path):
         ds = encode(load_table(io.StringIO(_SURVEY_TEXT)), _survey_spec())
         out = tmp_path / "data.tsv"
@@ -770,6 +810,14 @@ class TestDataset:
         back = pickle.loads(pickle.dumps(ds))
         assert ds == ds and ds != back
         assert len({ds, back, ds}) == 2
+
+    @pytest.mark.parametrize("names, outcome, dup", [(("a", "b", "a"), "y", "a"),
+                                                     (("a", "y"), "y", "y")])
+    def test_a_repeated_column_name_is_named(self, names, outcome, dup):
+        cols = tuple(ColumnInfo(name=s, role="control", source=s) for s in names)
+        with pytest.raises(ValueError, match=f"'{dup}' names more than one of the outcome"):
+            Dataset(y=np.array([0.0, 1.0]), design=np.ones((2, len(names))), columns=cols,
+                    outcome_name=outcome)
 
     def test_index_of_unknown_column(self):
         ds = encode(load_table(io.StringIO(_SURVEY_TEXT)), _survey_spec())
@@ -868,6 +916,12 @@ class TestSyntheticSurvey:
         a = synthetic_survey_table(30, seed=5)
         b = synthetic_survey_table(30, seed=5)
         assert a == b
+
+    @pytest.mark.parametrize("seed, message", [(-1, "nonnegative"), (2**64, r"below 2\*\*64")])
+    def test_a_seed_outside_64_bits_is_a_value_error(self, seed, message):
+        with pytest.raises(ValueError, match=message):
+            synthetic_survey_table(3, seed=seed)
+        assert synthetic_survey_table(3, seed=2**64 - 1).n_rows == 3
 
 
 def _field_names(cls) -> set:
