@@ -264,10 +264,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(raw)
     try:
         return args.func(args)
-    except (ParseError, SchemaError, EncodingError, EmptyDatasetError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (FileNotFoundError, IsADirectoryError, ValueError) as exc:
+    except (ParseError, SchemaError, EncodingError, EmptyDatasetError,
+            FileNotFoundError, IsADirectoryError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DoubleLassoError as exc:

@@ -17,8 +17,9 @@ penalized selection with the treatment kept unpenalized, then a plain
 refit). They are included to quantify what the orthogonalized procedures
 buy; their confidence intervals are not selection-robust.
 
-`dml_multi` fits each declared treatment in turn, moving the remaining
-treatments into the control pool, optionally across worker processes.
+`dml_multi` fits each treatment column of a dataset in turn, moving the
+remaining treatments into the control pool, optionally across worker
+processes.
 Results are deterministic for a fixed seed regardless of the worker count.
 """
 
@@ -543,12 +544,13 @@ _FITTERS = {
 _ESTIMATION_ERRORS = (DoubleLassoError, ValueError, np.linalg.LinAlgError)
 
 
-def _fit_treatment(dataset, family, fitter, config, fail_fast, t: str):
-    """One dml_multi row."""
-    ti = dataset.index_of(t)
-    names = dataset.column_names[:ti] + dataset.column_names[ti + 1:]
+def _fit_treatment(dataset, family, fitter, config, fail_fast, ti: int):
+    """One dml_multi row: design column ti as the treatment."""
+    names = dataset.column_names
+    t = names[ti]
     try:
-        return fitter(*_checked_inputs(dataset.y, dataset.design, ti, names, family), t, config)
+        return fitter(*_checked_inputs(dataset.y, dataset.design, ti,
+                                       names[:ti] + names[ti + 1:], family), t, config)
     except _ESTIMATION_ERRORS as exc:
         if fail_fast:
             raise
@@ -556,29 +558,28 @@ def _fit_treatment(dataset, family, fitter, config, fail_fast, t: str):
 
 
 def dml_multi(dataset, *, family: str = "logit", method: str = "dml",
-              treatments=None, config: DmlConfig | None = None,
-              fail_fast: bool = False, jobs: int = 1):
-    """Fit every requested treatment of a Dataset, one coefficient per row.
+              config: DmlConfig | None = None, fail_fast: bool = False, jobs: int = 1):
+    """Fit every treatment column of a Dataset, one coefficient per row.
 
-    For each treatment the remaining treatment columns join the controls, so
-    single-treatment fits are a special case. Estimation failures (typed
-    errors, invalid values, singular linear algebra) become FitFailure
-    records unless fail_fast is set; any other exception propagates. A
-    logit outcome that is not binary 0/1 raises ValueError before any fit.
-    jobs > 1 fans the per-treatment fits out to this process and jobs - 1
-    workers when the job is large enough (see parallel.parallel_map); the
-    result order and values do not depend on jobs.
+    The dataset's column roles decide what is fitted: each column with role
+    "treatment" is fitted in design order, with every other column, the
+    remaining treatments included, as its controls. To fit a subset,
+    declare the roles in the encoding spec or re-role the columns (the CLI's
+    --treatments/--controls do that). Estimation failures (typed errors,
+    invalid values, singular linear algebra) become FitFailure records
+    unless fail_fast is set; any other exception propagates. A dataset with
+    no treatment column, or a logit outcome that is not binary 0/1, raises
+    ValueError before any fit. jobs > 1 fans the per-treatment fits out to
+    this process and jobs - 1 workers when the job is large enough (see
+    parallel.parallel_map); the result order and values do not depend on
+    jobs.
     """
     fitter = _FITTERS.get((family, method))
     if fitter is None:
         raise ValueError(f"unknown family/method pair ({family!r}, {method!r})")
-    wanted = tuple(treatments) if treatments is not None else dataset.treatment_names
+    wanted = [i for i, c in enumerate(dataset.columns) if c.role == "treatment"]
     if not wanted:
         raise ValueError("no treatment columns to fit")
-    if len(set(wanted)) != len(wanted):
-        raise ValueError("treatment list contains duplicates")
-    for t in wanted:
-        dataset.index_of(t)
     _check_outcome_family(dataset.y, family)
     solves = lasso_solves((config or DmlConfig()).penalty)
     fit = functools.partial(_fit_treatment, dataset, family, fitter, config, fail_fast)

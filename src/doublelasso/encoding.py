@@ -21,6 +21,7 @@ import functools
 import io
 import math
 import os
+import re
 import sys
 from dataclasses import MISSING, asdict, dataclass, fields
 
@@ -43,17 +44,8 @@ YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 def _slug(text) -> str:
-    out = []
-    prev_us = False
-    for ch in str(text).lower():
-        if ch.isalnum():
-            out.append(ch)
-            prev_us = False
-        elif not prev_us:
-            out.append("_")
-            prev_us = True
-    s = "".join(out).strip("_")
-    return s or "x"
+    """Lower-cased text with each run of non-alphanumerics as one "_", trimmed."""
+    return re.sub(r"[\W_]+", "_", str(text).lower()).strip("_") or "x"
 
 
 def _canon(cell) -> str:

@@ -541,12 +541,6 @@ def lambda_max_wls(X, y, w, loadings) -> float:
     return float(np.max(np.abs(score) / loadings))
 
 
-def _lambda_max_logistic(X, y, loadings):
-    yc = y - float(np.mean(y))
-    score = yc @ X  # n * mean[(y - ybar) x_j]
-    return float(np.max(np.abs(score) / loadings))
-
-
 def cv_lambda(X, y, family: str, *, loadings, w=None, unpenalized=(),
               seed: int = 0, notes: list | None = None) -> float:
     """CV_FOLDS-fold cross-validated penalty level on a geometric grid of
@@ -597,7 +591,9 @@ def cv_lambda(X, y, family: str, *, loadings, w=None, unpenalized=(),
     if family == "linear":
         top = lambda_max_wls(X, y, w, loadings)
     else:
-        top = _lambda_max_logistic(X, y, loadings)
+        # The logistic score at the intercept-only fit is half the unit-weight
+        # least-squares one: max_j |sum_i (y_i - ybar) x_ij| / loading_j.
+        top = lambda_max_wls(X, y, np.ones(n), loadings) / 2.0
     if top <= 0:
         return 0.0
     grid = np.geomspace(top, top * CV_MIN_RATIO, CV_GRID)

@@ -61,10 +61,6 @@ def _table(fmt, headers, aligns, rows, note, sections) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _ordered_unique(items) -> list[str]:
-    return list(dict.fromkeys(items))
-
-
 def render_fit_results(results, *, level: float, fmt: str = "aligned",
                        decimals: int = 3) -> str:
     """One row per treatment: Coefficient, p-value, interval bounds, SE.
@@ -78,7 +74,7 @@ def render_fit_results(results, *, level: float, fmt: str = "aligned",
     lo_lab, hi_lab = percent_labels(level)
     estimates = [r for r in results if isinstance(r, DmlEstimate)]
     failures = [r for r in results if isinstance(r, FitFailure)]
-    all_warnings = _ordered_unique(w for e in estimates for w in e.warnings)
+    all_warnings = list(dict.fromkeys(w for e in estimates for w in e.warnings))
 
     if fmt == "structured":
         doc = {
@@ -145,5 +141,5 @@ def render_coverage_reports(reports, *, fmt: str = "aligned",
         )
         for r in reports
     ]
-    reasons = _ordered_unique(s for r in reports for s in r.failure_reasons)
+    reasons = list(dict.fromkeys(s for r in reports for s in r.failure_reasons))
     return _table(fmt, headers, "<" + ">" * 10, rows, None, [("failure", "Failures", reasons)])

@@ -89,25 +89,11 @@ class DgpSpec:
             raise ValueError(f"family must be one of {_FAMILIES}")
         if self.n < 2 or self.p < 1:
             raise ValueError("need n >= 2 and p >= 1")
-        for pat, spars, decay, custom, what in (
-            (self.beta_pattern, self.beta_sparsity, self.beta_decay,
-             self.beta_custom, "beta"),
-            (self.gamma_pattern, self.gamma_sparsity, self.gamma_decay,
-             self.gamma_custom, "gamma"),
-        ):
-            if pat not in _PATTERNS:
-                raise ValueError(f"{what} pattern must be one of {tuple(_PATTERNS)}")
-            if pat == "first-s" and not 0 <= spars <= self.p:
-                raise ValueError(f"{what} sparsity must lie in [0, p]")
-            if pat == "geometric" and not 0.0 < decay < 1.0:
-                raise ValueError(f"{what} decay must lie in (0, 1)")
-            if pat == "custom":
-                if custom is None or len(custom) != self.p:
-                    raise ValueError(f"{what}: custom pattern needs a length-p vector")
-        if self.beta_custom is not None:
-            object.__setattr__(self, "beta_custom", tuple(float(v) for v in self.beta_custom))
-        if self.gamma_custom is not None:
-            object.__setattr__(self, "gamma_custom", tuple(float(v) for v in self.gamma_custom))
+        for what in ("beta", "gamma"):
+            self._coefficients(what)
+            custom = getattr(self, f"{what}_custom")
+            if custom is not None:
+                object.__setattr__(self, f"{what}_custom", tuple(float(v) for v in custom))
         if self.nu <= 0 or self.noise_sd <= 0:
             raise ValueError("noise scales must be positive")
         if self.x_corr not in _CORRS:
@@ -119,23 +105,28 @@ class DgpSpec:
                 "exchangeable correlation needs rho > -1/(p-1) to stay positive definite"
             )
 
-    def _pattern(self, pat, magnitude, sparsity, decay, custom) -> np.ndarray:
+    def _coefficients(self, what: str) -> np.ndarray:
+        """The `what` ("beta" or "gamma") vector, built from its pattern's
+        fields once they are checked."""
+        pat, custom = getattr(self, f"{what}_pattern"), getattr(self, f"{what}_custom")
+        if pat not in _PATTERNS:
+            raise ValueError(f"{what} pattern must be one of {tuple(_PATTERNS)}")
         if pat == "custom":
+            if custom is None or len(custom) != self.p:
+                raise ValueError(f"{what}: custom pattern needs a length-p vector")
             return np.asarray(custom, dtype=float)
         v = np.zeros(self.p)
         if pat == "first-s":
-            v[:sparsity] = magnitude
+            sparsity = getattr(self, f"{what}_sparsity")
+            if not 0 <= sparsity <= self.p:
+                raise ValueError(f"{what} sparsity must lie in [0, p]")
+            v[:sparsity] = getattr(self, f"{what}_magnitude")
         else:
-            v[:] = magnitude * np.power(decay, np.arange(self.p))
+            decay = getattr(self, f"{what}_decay")
+            if not 0.0 < decay < 1.0:
+                raise ValueError(f"{what} decay must lie in (0, 1)")
+            v[:] = getattr(self, f"{what}_magnitude") * np.power(decay, np.arange(self.p))
         return v
-
-    def beta_vector(self) -> np.ndarray:
-        return self._pattern(self.beta_pattern, self.beta_magnitude,
-                             self.beta_sparsity, self.beta_decay, self.beta_custom)
-
-    def gamma_vector(self) -> np.ndarray:
-        return self._pattern(self.gamma_pattern, self.gamma_magnitude,
-                             self.gamma_sparsity, self.gamma_decay, self.gamma_custom)
 
 
 @dataclass(eq=False, frozen=True)
@@ -176,8 +167,8 @@ def gen_dgp(spec: DgpSpec, seed: int) -> tuple[Dataset, TruthRecord]:
         R = np.full((p, p), spec.rho)
         np.fill_diagonal(R, 1.0)
         X = E @ np.linalg.cholesky(R).T
-    beta = spec.beta_vector()
-    gamma = spec.gamma_vector()
+    beta = spec._coefficients("beta")
+    gamma = spec._coefficients("gamma")
     d = X @ gamma + spec.nu * rng.standard_normal(n)
     index = spec.intercept + spec.alpha0 * d + X @ beta
     if spec.family == "linear":
@@ -275,7 +266,7 @@ def _replicate(study, family, config, r: int) -> dict:
     """Replication r of every method."""
     ds, _ = gen_dgp(study.dgp, seed=study.base_seed + r)
     return {
-        m: dml_multi(ds, family=family, method=m, treatments=("d",), config=config)[0]
+        m: dml_multi(ds, family=family, method=m, config=config)[0]
         for m in study.methods
     }
 

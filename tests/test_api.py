@@ -46,7 +46,7 @@ PUBLIC = {
 # The options of every public callable, and the fields of the settings and
 # study classes: adding or removing one is a deliberate edit here.
 SIGNATURES = {
-    "dml_multi": ("dataset", "family", "method", "treatments", "config", "fail_fast", "jobs"),
+    "dml_multi": ("dataset", "family", "method", "config", "fail_fast", "jobs"),
     "encode": ("table", "spec"),
     "encoding_spec_from_yaml": ("text",),
     "load_table": ("source", "missing_tokens"),

@@ -582,6 +582,33 @@ def test_fit_treatment_subset_in_request_order(ws):
     assert lines[2].split()[0] == "d"
 
 
+def test_fit_treatments_leaves_out_the_unselected_treatments(tmp_path):
+    # Three correlated treatments t0-t2 and six controls x0-x5.
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(33)))
+    n = 400
+    X = rng.standard_normal((n, 6))
+    T = 0.5 * X[:, :3] + rng.standard_normal((n, 3))
+    T[:, 1:] += 0.6 * T[:, :1]
+    y = (rng.random(n) < link(0.5 * T[:, 0] + 0.7 * T[:, 1] - 0.6 * T[:, 2]
+                               + 0.5 * X[:, 0])).astype(float)
+    columns = tuple(ColumnInfo(name=f"t{j}", role="treatment", source=f"t{j}") for j in range(3))
+    columns += tuple(ColumnInfo(name=f"x{j}", role="control", source=f"x{j}") for j in range(6))
+    path = tmp_path / "three.tsv"
+    save_dataset(Dataset(y=y, design=np.column_stack([T, X]), columns=columns), str(path))
+
+    def t0_row(*selectors):
+        proc = run_cli("fit", "--data", str(path), "--format", "tsv", *selectors)
+        assert proc.returncode == 0, proc.stderr
+        (row,) = [ln for ln in proc.stdout.splitlines() if ln.startswith("t0\t")]
+        return row
+
+    every = t0_row()
+    # Without --controls, the controls are the dataset's own: t1 and t2 are left out.
+    assert t0_row("--treatments", "t0") != every
+    # Naming them as controls puts them back, and the row is fit's to the byte.
+    assert t0_row("--treatments", "t0", "--controls", "t1,t2,x0,x1,x2,x3,x4,x5") == every
+
+
 def test_fit_writes_out_file_and_says_so(ws, tmp_path):
     out = tmp_path / "fit.txt"
     proc = run_cli("fit", "--data", str(ws["encoded"]), "--out", str(out))

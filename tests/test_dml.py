@@ -381,6 +381,14 @@ def _toy_dataset(seed=0, n=300, n_treat=2, n_ctrl=4, family="logit"):
     return Dataset(y=y, design=design, columns=cols)
 
 
+def _reroled(ds, treatments):
+    """ds with exactly the named columns as treatments, sharing its design."""
+    columns = tuple(
+        dataclasses.replace(c, role="treatment" if c.name in treatments else "control")
+        for c in ds.columns)
+    return Dataset(y=ds.y, design=ds.design, columns=columns, outcome_name=ds.outcome_name)
+
+
 def _survey_record(rows) -> str:
     """sha256 prefix over each row's alpha and std_error hex, supports and a
     hash of its diagnostics (a FitFailure row by its error and message)."""
@@ -420,7 +428,9 @@ class TestSharedDesign:
     solvers read their columns as views of the dataset's design."""
 
     def test_each_treatment_design_reads_the_datasets_columns(self, monkeypatch):
+        # Every column as a treatment: first, inner and last positions.
         ds = _toy_dataset(seed=5, n=101, n_treat=2, n_ctrl=4)
+        ds = _reroled(ds, ds.column_names)
         seen = []
 
         def spy(y, D, ti, names, family):
@@ -431,8 +441,7 @@ class TestSharedDesign:
 
         checked = dml._checked_inputs
         monkeypatch.setattr(dml, "_checked_inputs", spy)
-        # Every column as the treatment: first, inner and last positions.
-        rows = dml_multi(ds, treatments=ds.column_names, fail_fast=True)
+        rows = dml_multi(ds, fail_fast=True)
         assert len(rows) == len(seen) == ds.p
         for ti, design in enumerate(seen):
             order = [ti] + [j for j in range(ds.p) if j != ti]
@@ -449,9 +458,10 @@ class TestSharedDesign:
         # leaves no room for a copy of the dataset's design or for a whole
         # weighted design in a solve.
         ds = encode(synthetic_survey_table(n=2000, seed=1), synthetic_survey_schema())
+        ds = _reroled(ds, ds.treatment_names[:2])
         tracemalloc.start()
         try:
-            rows = dml_multi(ds, treatments=ds.treatment_names[:2])
+            rows = dml_multi(ds)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -462,7 +472,7 @@ class TestSharedDesign:
 class TestDmlMulti:
     def test_single_treatment_reduces_to_the_direct_fit(self):
         ds = _toy_dataset(seed=1, n_treat=1)
-        (est,) = dml_multi(ds, treatments=("t0",))
+        (est,) = dml_multi(ds)
         direct = dml_logit(
             ds.y, ds.design[:, 0], ds.design[:, 1:],
             names=ds.column_names[1:], treatment="t0",
@@ -501,25 +511,24 @@ class TestDmlMulti:
             assert repr(sorted(row.diagnostics.items())) == repr(
                 sorted(direct.diagnostics.items()))
 
-    def test_results_come_back_in_request_order(self):
-        ds = _toy_dataset(seed=3, n_treat=3)
-        res = dml_multi(ds, treatments=("t2", "t0"))
-        assert [r.treatment for r in res] == ["t2", "t0"]
+    def test_rows_follow_the_designs_column_order(self):
+        ds = _reroled(_toy_dataset(seed=3, n_treat=3), ("c1", "t2", "t0"))
+        res = dml_multi(ds)
+        assert [r.treatment for r in res] == ["t0", "t2", "c1"]
 
-    def test_duplicate_treatment_ids_rejected(self):
-        ds = _toy_dataset(seed=4)
-        with pytest.raises(ValueError, match="duplicate"):
-            dml_multi(ds, treatments=("t0", "t0"))
-
-    def test_unknown_treatment_rejected_up_front(self):
+    def test_a_control_reroled_as_a_treatment_is_fitted(self):
         ds = _toy_dataset(seed=5)
-        with pytest.raises(KeyError):
-            dml_multi(ds, treatments=("ghost",))
+        (est,) = dml_multi(_reroled(ds, ("c0",)))
+        keep = [j for j in range(ds.p) if j != 2]
+        direct = dml_logit(ds.y, ds.design[:, 2], ds.design[:, keep],
+                           names=tuple(ds.column_names[j] for j in keep), treatment="c0")
+        assert (est.treatment, est.alpha, est.std_error) == ("c0", direct.alpha,
+                                                            direct.std_error)
 
-    def test_empty_treatment_list_rejected(self):
-        ds = _toy_dataset(seed=6)
+    def test_a_dataset_without_treatments_is_rejected(self):
+        ds = _reroled(_toy_dataset(seed=6), ())
         with pytest.raises(ValueError, match="no treatment"):
-            dml_multi(ds, treatments=())
+            dml_multi(ds)
 
     def test_failures_are_recorded_per_treatment(self):
         ds = _toy_dataset(seed=7, n_treat=2)

@@ -11,6 +11,8 @@ import typing
 import numpy as np
 import pytest
 import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from doublelasso import (
     EmptyDatasetError,
@@ -321,6 +323,26 @@ class TestEncode:
         ds = encode(load_table(io.StringIO(text)), spec)
         assert ds.column_names == ("g_female",)
         np.testing.assert_array_equal(ds.design[:, 0], [1.0, 0.0])
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.text() | st.integers() | st.floats())
+    @example("Ünïcödé  __ Straße--ǅ 2")
+    @example("_-_")
+    @example("٣٤ x²")
+    def test_a_slug_is_the_one_the_character_loop_made(self, text):
+        def loop_slug(text):
+            # The character loop _slug was before it became one substitution.
+            out, prev_us = [], False
+            for ch in str(text).lower():
+                if ch.isalnum():
+                    out.append(ch)
+                    prev_us = False
+                elif not prev_us:
+                    out.append("_")
+                    prev_us = True
+            return "".join(out).strip("_") or "x"
+
+        assert encoding._slug(text) == loop_slug(text)
 
     def test_listwise_drop_counts_add_up(self):
         text = "y,a,b\n1,1,x\n0,,x\n1,2,\n,3,x\n0,4,x\n"

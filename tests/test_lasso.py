@@ -643,6 +643,38 @@ class TestCvLambda:
         with pytest.raises(ValueError):
             cv_lambda(np.ones((4, 1)), np.ones(4), "poisson", loadings=np.ones(1))
 
+    @pytest.mark.parametrize("layout", ["C", "F", "column-view"])
+    def test_the_logistic_grid_top_is_the_old_formula_to_the_bit(self, monkeypatch, layout):
+        def old_top(X, y, loadings):
+            # The logistic grid top before it became lambda_max_wls / 2.
+            yc = y - float(np.mean(y))
+            return float(np.max(np.abs(yc @ X) / loadings))
+
+        class GridTop(Exception):
+            pass
+
+        def grid_top(top, *args, **kwargs):
+            raise GridTop(top)
+
+        monkeypatch.setattr(np, "geomspace", grid_top)
+        rng = np.random.default_rng({"C": 71, "F": 72, "column-view": 73}[layout])
+        for i in range(300):
+            n, p = int(rng.integers(10, 150)), int(rng.integers(1, 12))
+            wide = rng.normal(size=(n, p + 2)) * 10.0 ** rng.uniform(-3, 3, size=p + 2)
+            wide[:, 1] = rng.random(n) < rng.uniform(0.05, 0.95)  # a 0/1 dummy
+            X = wide[:, 1:]  # a view of C-ordered columns
+            if layout == "C":
+                X = np.ascontiguousarray(X)
+            elif layout == "F":
+                X = np.asfortranarray(X)
+            y = (rng.random(n) < rng.uniform(0.05, 0.95)).astype(float)
+            y[:2] = (0.0, 1.0)
+            g = 10.0 ** rng.uniform(-1, 1, size=p + 1)
+            with pytest.raises(GridTop) as got:
+                cv_lambda(X, y, "logistic", loadings=g, unpenalized=(0,) if i % 2 else (),
+                          seed=i)
+            assert got.value.args[0].hex() == old_top(X, y, g).hex()
+
 
 def _bits(a):
     return np.asarray(a, dtype=float).view(np.int64)

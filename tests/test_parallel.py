@@ -250,8 +250,10 @@ def test_a_result_that_does_not_pickle_raises_its_pickling_error():
 
 def _interrupt_in_caller(caller_pid, item):
     if os.getpid() == caller_pid:
-        time.sleep(0.5)  # let the worker run every other item and start sending
+        time.sleep(1.5)  # let the worker run every other item and start sending
         raise KeyboardInterrupt
+    if item == 0:
+        time.sleep(1.0)  # the worker's first item: the caller claims item 1 meanwhile
     return b"x" * 200_000  # more than a pipe holds, so its sender blocks
 
 

@@ -1,6 +1,7 @@
 """Synthetic designs, paired replication studies, and their serialization."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -127,6 +128,59 @@ class TestGenDgp:
         assert float(np.max(np.abs(off))) < 0.08
 
 
+def _old_pattern(p, pat, magnitude, sparsity, decay, custom):
+    """DgpSpec's coefficient builder before it shared one method with the checks."""
+    if pat == "custom":
+        return np.asarray(custom, dtype=float)
+    v = np.zeros(p)
+    if pat == "first-s":
+        v[:sparsity] = magnitude
+    else:
+        v[:] = magnitude * np.power(decay, np.arange(p))
+    return v
+
+
+PATTERN_CASES = {
+    "first-s-empty": dict(pattern="first-s", magnitude=0.7, sparsity=0),
+    "first-s": dict(pattern="first-s", magnitude=-1.3, sparsity=3),
+    "first-s-full": dict(pattern="first-s", magnitude=0.1, sparsity=7),
+    "geometric": dict(pattern="geometric", magnitude=1.1, decay=0.3),
+    "geometric-slow": dict(pattern="geometric", magnitude=-0.4, decay=0.999),
+    "custom": dict(pattern="custom", custom=[1, 0, -2.5, 3e-300, 0, 0.1, 7]),
+}
+
+BAD_PATTERNS = {
+    "unknown": (dict(pattern="fancy"),
+                "{what} pattern must be one of ('first-s', 'geometric', 'custom')"),
+    "negative-sparsity": (dict(sparsity=-1), "{what} sparsity must lie in [0, p]"),
+    "sparsity-above-p": (dict(sparsity=8), "{what} sparsity must lie in [0, p]"),
+    "zero-decay": (dict(pattern="geometric", decay=0.0), "{what} decay must lie in (0, 1)"),
+    "unit-decay": (dict(pattern="geometric", decay=1.0), "{what} decay must lie in (0, 1)"),
+    "custom-missing": (dict(pattern="custom"), "{what}: custom pattern needs a length-p vector"),
+    "custom-short": (dict(pattern="custom", custom=(1.0,) * 6),
+                     "{what}: custom pattern needs a length-p vector"),
+}
+
+
+class TestDgpSpecPatterns:
+    @pytest.mark.parametrize("what", ["beta", "gamma"])
+    @pytest.mark.parametrize("case", PATTERN_CASES.values(), ids=PATTERN_CASES)
+    def test_each_pattern_gives_the_vector_it_gave_before(self, what, case):
+        spec = _linear_spec(p=7, **{f"{what}_{key}": v for key, v in case.items()})
+        want = _old_pattern(7, *(getattr(spec, f"{what}_{key}")
+                                 for key in ("pattern", "magnitude", "sparsity", "decay",
+                                             "custom")))
+        _, truth = gen_dgp(spec, seed=0)
+        got = getattr(truth, what)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("what", ["beta", "gamma"])
+    @pytest.mark.parametrize("case, message", BAD_PATTERNS.values(), ids=BAD_PATTERNS)
+    def test_each_bad_pattern_raises_its_message(self, what, case, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message.format(what=what))}$"):
+            _linear_spec(p=7, **{f"{what}_{key}": v for key, v in case.items()})
+
+
 class TestDgpSpecValidation:
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):
@@ -161,8 +215,7 @@ class TestRunReplications:
         for r in range(2):
             ds, _ = gen_dgp(spec, seed=123 + r)
             for m in ("dml", "naive"):
-                direct = dml_multi(ds, family="linear", method=m,
-                                   treatments=("d",), config=DmlConfig())[0]
+                direct = dml_multi(ds, family="linear", method=m, config=DmlConfig())[0]
                 assert results[m][r].alpha == direct.alpha
                 assert results[m][r].std_error == direct.std_error
 
