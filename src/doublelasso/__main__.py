@@ -24,15 +24,19 @@ that, on the first `import scipy`, removes itself and installs those five
 as `importlib.util.LazyLoader` modules. Each one runs in full on its first
 attribute access, so whoever uses one sees no change. Measured on a 2-core
 host (CPython 3.11, numpy 2.4, scipy 1.17) with the same stdout, a demo
-`fit` loads 411 modules instead of 598 and peaks at about 55.4 MB of RSS
-instead of 66 MB (56.5 MB with `numpy.ma` eager, medians of 7 runs). A fit
-never reads `numpy.ma`: `glm.binary_outcome` compares instead of calling
-`np.unique`, which calls `np.ma.is_masked`. `simulate` runs it only in
-`summarize` (`np.median`), after its fits. `numpy.random` stays eager:
-`scipy._lib._util` evaluates `np.random.Generator | np.random.RandomState`
-at import. So does `secrets`, which with `hmac` and libcrypto is about
-3.7 MB of `numpy.random`'s ~6.1 MB: `numpy.random` imports it, and
-`secrets` and `hmac` read attributes of what they import. `--version`
+`fit` loads 369 modules instead of 557 and peaks at about 51.4 MB of RSS
+instead of 61.3 MB (medians of 7 runs). A fit never reads `numpy.ma`:
+`glm.binary_outcome` compares instead of calling `np.unique`, which calls
+`np.ma.is_masked`. `simulate` runs it only in `summarize` (`np.median`),
+after its fits. `numpy.random` stays eager. No fit imports
+`scipy._lib._util`, which evaluates `np.random.Generator |
+np.random.RandomState` at import: only `scipy.linalg` imports it, and a fit
+loads that package's compiled wrappers alone (see `glm._compiled_module`).
+But `fit --penalty cv` draws its folds from `numpy.random`
+(`lasso.cv_lambda`) and `simulate` its data, so a lazy `numpy.random` would
+spare only a plug-in fit. `secrets`, which with `hmac` and libcrypto is
+about 3.7 MB of `numpy.random`'s ~6.1 MB, stays eager with it: `secrets`
+and `hmac` read attributes of what they import. `--version`
 loads no numpy and `encode` no scipy, so neither fires the finder.
 
 This policy belongs to the process, so it lives here and nowhere else:

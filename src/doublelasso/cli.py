@@ -221,7 +221,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="encoded dataset (with sidecar) or raw table when --spec is given")
     fit.add_argument("--spec", help="encoding spec; treat --data as a raw table")
     fit.add_argument("--outcome", help="expected outcome column (validated)")
-    fit.add_argument("--treatments", help="comma-separated treatment columns")
+    fit.add_argument("--treatments",
+                     help="comma-separated treatment columns; a treatment left out of the "
+                          "list is dropped from the design, not added to the controls")
     fit.add_argument("--controls", help="comma-separated control columns")
     fit.add_argument("--family", choices=("logit", "linear"),
                      help="default: logit when the outcome is binary")

@@ -6,8 +6,12 @@ from any number of threads.
 
 from __future__ import annotations
 
+import importlib.util
+import os
+import sys
+from importlib import machinery
+
 import numpy as np
-from scipy import linalg
 from scipy.special import expit
 
 from .errors import RankDeficiencyError
@@ -18,6 +22,37 @@ PROB_EPS = 1e-10
 
 # Relative pivot floor for Gram solves: 1e-10 * trace(G) / k.
 PIVOT_FLOOR_REL = 1e-10
+
+
+def _compiled_module(name: str):
+    """The compiled module `name` (say "scipy.linalg._flapack"), without its package's `__init__`.
+
+    Importing `scipy.linalg` runs its whole package, ~44 modules and ~6 MB of
+    RSS in a fit's process, when a fit needs only two LAPACK wrappers. So a
+    module not yet imported is loaded from its file in the top-level package's
+    tree and registered in `sys.modules` under its full name, where a later
+    `import scipy.linalg` finds it instead of loading it again. (That package
+    then lacks the module as an attribute, `scipy.linalg._flapack`; `from
+    scipy.linalg import _flapack` and `scipy.linalg.lapack` find it.) Without
+    such a file (another layout), the module is imported as usual.
+    """
+    module = sys.modules.get(name)
+    if module is not None:
+        return module
+    top, *middle, _ = name.split(".")
+    directory = os.path.join(os.path.dirname(importlib.import_module(top).__file__), *middle)
+    spec = machinery.FileFinder(
+        directory, (machinery.ExtensionFileLoader, machinery.EXTENSION_SUFFIXES)).find_spec(name)
+    if spec is None:
+        return importlib.import_module(name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[name] = module
+    return module
+
+
+# The LAPACK wrappers `scipy.linalg.cho_factor` and `cho_solve` call.
+_lapack = _compiled_module("scipy.linalg._flapack")
 
 
 def _finite_array(t, name: str) -> np.ndarray:
@@ -72,17 +107,18 @@ def solve_spd(G, b, *, names=None):
     if k == 0:
         return np.zeros(0)
     floor = PIVOT_FLOOR_REL * float(np.trace(G)) / k
-    try:
-        cf = linalg.cho_factor(G, check_finite=False)
-        piv_sq = np.diag(cf[0]) ** 2
-        if np.all(piv_sq > floor):
-            return linalg.cho_solve(cf, b, check_finite=False)
-    except linalg.LinAlgError:
-        pass
+    # The calls and arguments of cho_factor(G) and cho_solve(cf, b) with
+    # check_finite=False; info > 0 is a failed factorisation.
+    c, info = _lapack.dpotrf(G, lower=0, clean=0, overwrite_a=0)
+    if info == 0 and np.all(np.diag(c) ** 2 > floor):
+        return _lapack.dpotrs(c, b, lower=0, overwrite_b=0)[0]
     raise RankDeficiencyError(_offending_columns(G, floor, names))
 
 
 def _offending_columns(G, floor, names):
+    # Only a rank-deficient Gram gets here, so only its fit imports the package.
+    from scipy import linalg
+
     # Pivoted QR of the Gram: diagonal magnitudes track its singular values,
     # and the trailing pivots name the (near-)dependent columns.
     _, R, piv = linalg.qr(G, pivoting=True, check_finite=False)

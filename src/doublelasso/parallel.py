@@ -35,7 +35,10 @@ would spin against the other workers. The command-line entry point
 set, before numpy loads, so a CLI process never builds a thread pool. For
 library use, numpy and scipy each bundle their own OpenBLAS; the caller
 holds both to one thread through their thread-control functions while `fn`
-runs, and restores the previous counts afterwards. The pool forks inside
+runs, and restores the previous counts afterwards. It finds numpy's in
+numpy's core extension module and scipy's in scipy's BLAS wrapper module,
+which it loads on its own (see `glm._compiled_module`), so a fit's process
+never imports the `scipy.linalg` package for it. The pool forks inside
 that hold, so every worker starts with both counts at one; setting them
 again in a worker would only restart the thread pools that fork shut down.
 For library use on a build without these functions (a system BLAS, MKL),
@@ -49,7 +52,6 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
-import importlib
 import os
 import sys
 import threading
@@ -77,10 +79,12 @@ def _blas_thread_control() -> dict:
     symbols from the extension modules in `_BUNDLED_OPENBLAS`; other builds
     (a system BLAS, MKL) leave the count to the BLAS thread-count variables.
     """
+    from .glm import _compiled_module  # here, so that importing this module loads no numpy
+
     controls = {}
     for module, suffix in _BUNDLED_OPENBLAS:
         try:
-            lib = ctypes.CDLL(importlib.import_module(module).__file__)
+            lib = ctypes.CDLL(_compiled_module(module).__file__)
             get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
             set_ = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
         except (ImportError, OSError, AttributeError):

@@ -427,6 +427,31 @@ print(status, sys.meta_path == meta_path, lazy)
     assert _child(code) == ["0 True []"]
 
 
+# A fit loads scipy's LAPACK and BLAS wrapper modules alone, never the
+# `scipy.linalg` package they sit in (see `glm._compiled_module`).
+LINALG_PROBE = """\
+import contextlib, io, sys
+from doublelasso.__main__ import main
+with contextlib.redirect_stdout(io.StringIO()):
+    status = main({argv!r})
+print(status, *(name in sys.modules for name in
+                 ("scipy.linalg", "scipy.linalg._flapack", "scipy.linalg._fblas")))
+"""
+
+
+@pytest.mark.parametrize("argv, wrappers", [
+    (["fit", "--data", "{encoded}"], True),
+    (DEMO_FIT, True),
+    ([*DEMO_FIT, "--penalty", "cv"], True),
+    (["simulate", "--spec", "{study}"], True),
+    (["encode", "--data", "{data}", "--spec", "{spec}", "--out", "{root}/linalg-probe.tsv"], False),
+    (["--version"], False),
+], ids=["fit", "fit-spec", "fit-cv", "simulate", "encode", "version"])
+def test_entry_point_runs_without_the_scipy_linalg_package(ws, argv, wrappers):
+    code = LINALG_PROBE.format(argv=[arg.format(**ws) for arg in argv])
+    assert _child(code) == [f"0 False {wrappers} {wrappers}"]
+
+
 # ---------------------------------------------------------------- encode
 
 
@@ -607,6 +632,14 @@ def test_fit_treatments_leaves_out_the_unselected_treatments(tmp_path):
     assert t0_row("--treatments", "t0") != every
     # Naming them as controls puts them back, and the row is fit's to the byte.
     assert t0_row("--treatments", "t0", "--controls", "t1,t2,x0,x1,x2,x3,x4,x5") == every
+
+
+def test_fit_help_says_an_unlisted_treatment_leaves_the_design():
+    proc = run_cli("fit", "--help")
+    assert proc.returncode == 0, proc.stderr
+    assert ("--treatments TREATMENTS comma-separated treatment columns; a treatment left out "
+            "of the list is dropped from the design, not added to the controls --controls"
+            in " ".join(proc.stdout.split()))
 
 
 def test_fit_writes_out_file_and_says_so(ws, tmp_path):

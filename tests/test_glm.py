@@ -1,6 +1,9 @@
 """Numerical primitives: logistic link, logistic loss, weighted least squares."""
 
 import math
+import os
+import subprocess
+import sys
 
 import mpmath
 import numpy as np
@@ -8,7 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from doublelasso import RankDeficiencyError, lasso_logistic
+from scipy import linalg
+
+from doublelasso import RankDeficiencyError, glm, lasso_logistic
 from doublelasso.glm import binary_outcome, link, link_deriv, solve_spd, wls_fit
 from doublelasso.lasso import post_refit
 from oracles import CoefficientVector, neg_loglik, wls_fit_rescued
@@ -222,6 +227,88 @@ class TestSolveSpd:
         G = np.array([[1.0, 1.0], [1.0, 1.0]])
         with pytest.raises(RankDeficiencyError):
             solve_spd(G, np.array([1.0, 1.0]))
+
+
+def _solve_spd_on_scipy_linalg(G, b, names=None):
+    """solve_spd through scipy.linalg's cho_factor and cho_solve, the reference."""
+    floor = glm.PIVOT_FLOOR_REL * float(np.trace(G)) / G.shape[0]
+    try:
+        cf = linalg.cho_factor(G, check_finite=False)
+        if np.all(np.diag(cf[0]) ** 2 > floor):
+            return linalg.cho_solve(cf, b, check_finite=False)
+    except linalg.LinAlgError:
+        pass
+    raise RankDeficiencyError(glm._offending_columns(G, floor, names))
+
+
+class TestSolveSpdMatchesScipyLinalg:
+    # solve_spd calls the LAPACK wrappers that cho_factor and cho_solve call,
+    # with their arguments, so every bit of every solve must agree.
+    @pytest.mark.parametrize("order", ["C", "F", "view"])
+    @pytest.mark.parametrize("k", range(1, 41))
+    def test_random_grams_solve_to_the_bit(self, k, order):
+        rng = np.random.default_rng(k)
+        X = rng.normal(size=(k + 5, k)) * rng.uniform(0.1, 10.0, size=k)
+        if order == "view":
+            # Every other row and column of a larger Gram: neither C nor F contiguous.
+            G = np.kron(X.T @ X, np.ones((2, 2)))[::2, ::2]
+        else:
+            G = np.asarray(X.T @ X, order=order)
+        for b in (rng.normal(size=k), np.asarray(rng.normal(size=(k, 3)), order="F"),
+                  rng.normal(size=(k, 3)), np.eye(k)):
+            got, want = solve_spd(G, b), _solve_spd_on_scipy_linalg(G, b)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            assert got.flags.f_contiguous == want.flags.f_contiguous
+
+    @pytest.mark.parametrize("case", ["duplicate", "combination", "zero", "near", "indefinite"])
+    def test_rank_deficient_grams_name_the_same_columns(self, case):
+        rng = np.random.default_rng(7)
+        X = rng.normal(size=(30, 6))
+        if case == "duplicate":
+            X[:, 4] = X[:, 1]
+        elif case == "combination":
+            X[:, 5] = X[:, 0] - 2.0 * X[:, 3]
+        elif case == "zero":
+            X[:, 2] = 0.0
+        elif case == "near":
+            X[:, 3] = X[:, 2] + 1e-9 * rng.normal(size=30)
+        G = X.T @ X
+        if case == "indefinite":
+            G[2, 2] = -1.0
+        names = [f"x{j}" for j in range(6)]
+        b = rng.normal(size=6)
+        with pytest.raises(RankDeficiencyError) as want:
+            _solve_spd_on_scipy_linalg(G, b, names)
+        with pytest.raises(RankDeficiencyError) as got:
+            solve_spd(G, b, names=names)
+        assert got.value.columns == want.value.columns
+
+    def test_a_later_scipy_linalg_import_finds_the_one_loaded_module(self):
+        # A child interpreter, so that this process's imports hide nothing.
+        code = """\
+import sys
+from doublelasso import glm, parallel
+parallel._blas_thread_control()
+fblas = sys.modules["scipy.linalg._fblas"]
+print("scipy.linalg" in sys.modules)
+import scipy.linalg
+from scipy.linalg import _fblas, _flapack, blas, lapack
+print(_flapack is glm._lapack, lapack._flapack is glm._lapack, _fblas is fblas,
+      blas._fblas is fblas, scipy.linalg.get_lapack_funcs(("potrf",))[0] is glm._lapack.dpotrf)
+# A module with no compiled file of its name is imported as usual, package first.
+print("xml.dom" in sys.modules,
+      glm._compiled_module("xml.dom.minidom") is sys.modules["xml.dom.minidom"],
+      "xml.dom" in sys.modules)
+"""
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (os.path.dirname(os.path.dirname(glm.__file__)),
+                        os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["False", "True True True True True",
+                                            "False True True"]
 
 
 class TestWlsFitRescued:
