@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .config import GRID_POINTS, DmlConfig, PenaltyConfig, lasso_solves
 from .encoding import _ArrayRecord
@@ -41,7 +40,7 @@ from .errors import (
     DoubleLassoError,
     WeakInstrumentError,
 )
-from .glm import binary_outcome, link, link_deriv, solve_spd
+from .glm import binary_outcome, link, link_deriv, ndtr, ndtri, solve_spd
 from .lasso import (
     _Design,
     cv_lambda,

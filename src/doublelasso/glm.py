@@ -12,7 +12,6 @@ import sys
 from importlib import machinery
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import RankDeficiencyError
 
@@ -24,35 +23,55 @@ PROB_EPS = 1e-10
 PIVOT_FLOOR_REL = 1e-10
 
 
-def _compiled_module(name: str):
+def _compiled_module(name: str, siblings=()):
     """The compiled module `name` (say "scipy.linalg._flapack"), without its package's `__init__`.
 
-    Importing `scipy.linalg` runs its whole package, ~44 modules and ~6 MB of
-    RSS in a fit's process, when a fit needs only two LAPACK wrappers. So a
-    module not yet imported is loaded from its file in the top-level package's
-    tree and registered in `sys.modules` under its full name, where a later
-    `import scipy.linalg` finds it instead of loading it again. (That package
-    then lacks the module as an attribute, `scipy.linalg._flapack`; `from
-    scipy.linalg import _flapack` and `scipy.linalg.lapack` find it.) Without
-    such a file (another layout), the module is imported as usual.
+    A fit needs two LAPACK wrappers from `scipy.linalg` and three ufuncs from
+    `scipy.special`. Importing either package runs far more: `scipy.linalg`
+    ~44 modules and ~6 MB of RSS, `scipy.special` scipy's array-API layer,
+    whose `from numpy import *` executes `numpy.ma`, `numpy.testing` and
+    more. So a module not yet imported is loaded from its file in the
+    top-level package's tree and registered in `sys.modules` under its full
+    name, where a later import of the package finds it instead of loading it
+    again (the package may lack it as an attribute, as `scipy.linalg` lacks
+    `_flapack`; `from scipy.linalg import _flapack` finds it). `siblings` are
+    the compiled modules of the same package that `name` imports as it
+    starts; they are loaded the same way first, since otherwise `name`
+    imports its package in a circle and fails.
+
+    A compiled module that fails half-way leaves its package unimportable
+    for the whole process, so the path is chosen before any module runs:
+    when the package is already imported, or when `name` or a sibling has no
+    such file (another layout, or scipy before 1.14, which lacks two of
+    `_ufuncs`' siblings), `name` is imported as usual, package first. A
+    scipy whose `_ufuncs` imports a further sibling fails loudly at `import
+    doublelasso.glm`.
     """
     module = sys.modules.get(name)
     if module is not None:
         return module
     top, *middle, _ = name.split(".")
+    package = name.rpartition(".")[0]
     directory = os.path.join(os.path.dirname(importlib.import_module(top).__file__), *middle)
-    spec = machinery.FileFinder(
-        directory, (machinery.ExtensionFileLoader, machinery.EXTENSION_SUFFIXES)).find_spec(name)
-    if spec is None:
+    finder = machinery.FileFinder(
+        directory, (machinery.ExtensionFileLoader, machinery.EXTENSION_SUFFIXES))
+    specs = [finder.find_spec(full) for full in (*(f"{package}.{s}" for s in siblings), name)]
+    if package in sys.modules or None in specs:
         return importlib.import_module(name)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    sys.modules[name] = module
+    for spec in specs:
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[spec.name] = module
     return module
 
 
 # The LAPACK wrappers `scipy.linalg.cho_factor` and `cho_solve` call.
 _lapack = _compiled_module("scipy.linalg._flapack")
+# The module whose ufuncs `scipy.special` exports, and the compiled siblings
+# it imports as it starts.
+_ufuncs = _compiled_module(
+    "scipy.special._ufuncs", ("_ufuncs_cxx", "_ellip_harm_2", "_special_ufuncs", "_gufuncs"))
+expit, ndtr, ndtri = _ufuncs.expit, _ufuncs.ndtr, _ufuncs.ndtri
 
 
 def _finite_array(t, name: str) -> np.ndarray:
@@ -65,8 +84,8 @@ def _finite_array(t, name: str) -> np.ndarray:
 def binary_outcome(y) -> bool:
     """Whether every entry of y is 0 or 1, as a logistic fit needs.
 
-    One comparison, not `np.unique`: it does not sort, and it does not read
-    `numpy.ma`, which a command's process defers (see `__main__`).
+    One comparison, not `np.unique`: it does not sort, and it does not load
+    `numpy.ma`, which a fit otherwise never imports.
     """
     return bool(np.all((y == 0.0) | (y == 1.0)))
 

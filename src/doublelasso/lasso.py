@@ -22,10 +22,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import ndtri
 
 from .config import CV_FOLDS, CV_GRID, CV_MIN_RATIO, PLUGIN_C
-from .glm import PROB_EPS, binary_outcome, link, solve_spd
+from .glm import PROB_EPS, binary_outcome, link, ndtri, solve_spd
 
 _OBJ_SLACK = 1e-12  # relative slack when comparing recorded objective values
 _MAX_SWEEPS = 10_000  # coordinate sweeps per solve, across all logistic passes

@@ -343,46 +343,30 @@ def test_a_run_leaves_no_cyclic_garbage_beyond_the_parser(ws, argv, status, pool
     assert probe["garbage"] <= probe["parser"] < 1000, probe
 
 
-# ---------------------------------------------------------------- deferred numpy modules
-# A command's process fits without executing the numpy modules that scipy's
-# array-API shim star-imports, and runs each one in full on first use;
-# library use leaves `sys.meta_path` and numpy's modules alone.
+# ---------------------------------------------------------------- numpy modules no fit runs
+# A fit imports no scipy package that star-imports numpy (scipy's array-API
+# layer does; see `glm._compiled_module`), so a command's process fits without
+# executing numpy's extra submodules, which still work when used afterwards.
+# Library use leaves `sys.meta_path` and numpy's modules alone.
 
-# One module that each deferred package executes as soon as it runs.
+# One module that each unused numpy package executes as soon as it runs.
 DEFERRED_BODIES = ["numpy.f2py.crackfortran", "numpy.testing._private.utils",
                    "numpy.polynomial.polynomial", "numpy.ctypeslib._ctypeslib",
                    "numpy.ma.core"]
 
 DEFERRED_PROBE = """\
 import contextlib, io, json, sys
-import doublelasso.__main__ as entry
-fired = []
-find_spec = entry._DeferNumpyExtras.find_spec
-
-def counted(self, name, *args):
-    if name == "scipy":
-        fired.append(name)
-    return find_spec(self, name, *args)
-
-entry._DeferNumpyExtras.find_spec = counted
-statuses, finders = [], []
-for argv in {argvs!r}:
-    with contextlib.redirect_stdout(io.StringIO()):
-        statuses.append(entry.main(argv))
-    finders.append(sum(isinstance(f, entry._DeferNumpyExtras) for f in sys.meta_path))
+from doublelasso.__main__ import main
+with contextlib.redirect_stdout(io.StringIO()):
+    status = main({argv!r})
 executed = [name for name in {bodies!r} if name in sys.modules]
 import numpy
 numpy.testing.assert_equal(1, 1)
-print(json.dumps({{"statuses": statuses, "finders": finders, "fired": len(fired),
-                  "executed": executed, "polynomial": bool(numpy.polynomial.Polynomial([1, 2])(1) == 3),
+print(json.dumps({{"status": status, "executed": executed,
+                  "polynomial": bool(numpy.polynomial.Polynomial([1, 2])(1) == 3),
                   "masked": bool(numpy.ma.is_masked(numpy.ma.masked_array([1.0], mask=[True]))),
                   "loaded": [name for name in {bodies!r} if name in sys.modules]}}))
 """
-
-
-def _deferred_probe(*argvs) -> dict:
-    return json.loads(_child(DEFERRED_PROBE.format(argvs=list(argvs),
-                                                   bodies=DEFERRED_BODIES))[-1])
 
 
 # `simulate` runs `numpy.ma` only in `summarize`, whose `np.median` calls
@@ -394,23 +378,16 @@ def _deferred_probe(*argvs) -> dict:
     (["simulate", "--spec", "{study}"], ["numpy.ma.core"]),
 ], ids=["fit", "fit-spec", "fit-cv", "simulate"])
 def test_entry_point_fits_without_executing_the_deferred_numpy_modules(ws, argv, executed):
-    probe = _deferred_probe([arg.format(**ws) for arg in argv])
-    assert (probe["statuses"], probe["finders"], probe["fired"]) == ([0], [0], 1)
+    code = DEFERRED_PROBE.format(argv=[arg.format(**ws) for arg in argv], bodies=DEFERRED_BODIES)
+    probe = json.loads(_child(code)[-1])
+    assert probe["status"] == 0
     assert probe["executed"] == executed
-    # Used after the command, each deferred module runs and works as usual.
+    # Used after the command, each module runs and works as usual.
     assert probe["polynomial"] is True
     assert probe["masked"] is True
     assert "numpy.testing._private.utils" in probe["loaded"]
     assert "numpy.polynomial.polynomial" in probe["loaded"]
     assert "numpy.ma.core" in probe["loaded"]
-
-
-def test_entry_point_installs_one_finder_however_often_it_runs():
-    probe = _deferred_probe(["--version"], ["--version"], DEMO_FIT)
-    assert probe["statuses"] == [0, 0, 0]
-    assert probe["finders"] == [1, 1, 0]
-    assert probe["fired"] == 1
-    assert probe["executed"] == []
 
 
 def test_library_use_leaves_the_import_system_and_numpy_alone():
@@ -427,15 +404,17 @@ print(status, sys.meta_path == meta_path, lazy)
     assert _child(code) == ["0 True []"]
 
 
-# A fit loads scipy's LAPACK and BLAS wrapper modules alone, never the
-# `scipy.linalg` package they sit in (see `glm._compiled_module`).
+# A fit loads scipy's LAPACK and BLAS wrapper modules and its special-function
+# ufuncs alone, never the `scipy.linalg` or `scipy.special` package they sit in,
+# nor scipy's array-API layer (see `glm._compiled_module`).
 LINALG_PROBE = """\
 import contextlib, io, sys
 from doublelasso.__main__ import main
 with contextlib.redirect_stdout(io.StringIO()):
     status = main({argv!r})
 print(status, *(name in sys.modules for name in
-                 ("scipy.linalg", "scipy.linalg._flapack", "scipy.linalg._fblas")))
+                 ("scipy.linalg", "scipy.special", "scipy._lib._array_api", "scipy.linalg._flapack",
+                  "scipy.linalg._fblas", "scipy.special._ufuncs", "scipy")))
 """
 
 
@@ -447,9 +426,9 @@ print(status, *(name in sys.modules for name in
     (["encode", "--data", "{data}", "--spec", "{spec}", "--out", "{root}/linalg-probe.tsv"], False),
     (["--version"], False),
 ], ids=["fit", "fit-spec", "fit-cv", "simulate", "encode", "version"])
-def test_entry_point_runs_without_the_scipy_linalg_package(ws, argv, wrappers):
+def test_entry_point_runs_without_the_scipy_linalg_or_special_package(ws, argv, wrappers):
     code = LINALG_PROBE.format(argv=[arg.format(**ws) for arg in argv])
-    assert _child(code) == [f"0 False {wrappers} {wrappers}"]
+    assert _child(code) == [f"0 False False False {' '.join([str(wrappers)] * 4)}"]
 
 
 # ---------------------------------------------------------------- encode

@@ -21,6 +21,16 @@ from oracles import CoefficientVector, neg_loglik, wls_fit_rescued
 LN3 = math.log(3.0)
 
 
+def _child(code: str) -> list[str]:
+    # The child imports the package this process imports.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (os.path.dirname(os.path.dirname(glm.__file__)),
+                    os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
 class TestLink:
     def test_zero_maps_to_half(self):
         assert link(0.0) == 0.5
@@ -301,14 +311,46 @@ print("xml.dom" in sys.modules,
       glm._compiled_module("xml.dom.minidom") is sys.modules["xml.dom.minidom"],
       "xml.dom" in sys.modules)
 """
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (os.path.dirname(os.path.dirname(glm.__file__)),
-                        os.environ.get("PYTHONPATH")) if p))
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env=env)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == ["False", "True True True True True",
-                                            "False True True"]
+        assert _child(code) == ["False", "True True True True True", "False True True"]
+
+
+# Child interpreters, since this process may have imported `scipy.special`
+# already (`scipy.stats` does), which hides glm's direct load of `_ufuncs`.
+class TestSpecialUfuncs:
+    # What glm and a later `import scipy.special` share, and that it works.
+    SHARED = """\
+import scipy.special, scipy.stats
+print(scipy.special._ufuncs is sys.modules["scipy.special._ufuncs"] is glm._ufuncs,
+      glm.expit is scipy.special.expit, glm.ndtr is scipy.special.ndtr,
+      glm.ndtri is scipy.special.ndtri, scipy.special.gamma(5.0) == 24.0,
+      abs(scipy.stats.norm.ppf(0.975) - 1.959963984540054) < 1e-12)
+"""
+    LOADED = 'print(*(name in sys.modules for name in ("scipy.special", "scipy._lib._array_api")))\n'
+
+    def test_glm_loads_the_ufuncs_without_the_package(self):
+        code = "import sys\nfrom doublelasso import glm\n" + self.LOADED + self.SHARED
+        assert _child(code) == ["False False", "True True True True True True"]
+
+    def test_an_imported_package_lends_glm_its_ufuncs(self):
+        code = "import sys, scipy.special\nfrom doublelasso import glm\n" + self.SHARED
+        assert _child(code) == ["True True True True True True"]
+
+    def test_a_missing_sibling_file_sends_glm_through_the_package(self):
+        # glm's lookup misses `_gufuncs`; the import system's finders do not.
+        code = """\
+import sys
+from importlib import machinery
+
+class FileFinder(machinery.FileFinder):
+    def find_spec(self, fullname, target=None):
+        if fullname == "scipy.special._gufuncs":
+            return None
+        return super().find_spec(fullname, target)
+
+machinery.FileFinder = FileFinder
+from doublelasso import glm
+""" + self.LOADED + self.SHARED
+        assert _child(code) == ["True True", "True True True True True True"]
 
 
 class TestWlsFitRescued:
